@@ -9,7 +9,7 @@ bits.  Quantum-capacity values are clamped at zero for reporting; the raw
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "log_base_value",
     "BlockWeights",
     "DegradingWeights",
-    "CapacityCurve",
     "UnruhCapacity",
     "block_weights",
     "degrading_weights",
@@ -50,9 +49,55 @@ def log_base_value(base, d: int) -> float:
     return value
 
 
-def _logk(k: int, base_val: float) -> float:
-    # k = 1 contributes exactly zero (removable 0*log0-style edge at sector 1)
-    return 0.0 if k == 1 else math.log(k) / math.log(base_val)
+# Stirling errors log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15; above 15
+# the asymptotic series in _stirlerr is accurate to 1e-16.
+_STIRLERR_TABLE = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    nf = np.maximum(n, 16).astype(float)
+    nn = nf * nf
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / nf
+    return np.where(n <= 15, _STIRLERR_TABLE[np.minimum(n, 15)], series)
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Deviance x log(x/m) + m - x, by its series in v = (x-m)/(x+m) near x = m."""
+    diff = x - m
+    v = diff / (x + m)
+    v2 = v * v
+    poly = 0.0  # sum_{j=1..9} v^(2j) / (2j+1): |v| < 0.1 leaves 1e-18 relative
+    for j in range(19, 1, -2):
+        poly = (poly + 1.0 / j) * v2
+    series = diff * v + 2.0 * x * v * poly
+    direct = np.where(x > 0, x * np.log(x / m), 0.0) - diff
+    return np.where(np.abs(diff) < 0.1 * (x + m), series, direct)
+
+
+def _binomial_logpmf(n: int, s: float, c: float) -> np.ndarray:
+    """Log Binomial(n, s) pmf at x = 0..n; c = 1 - s is passed in its own rounding.
+
+    Loader (2000): log C(n,x) s^x c^(n-x) = e(n) - e(x) - e(n-x) - D(x, ns)
+    - D(n-x, nc) - log(2 pi x (n-x) / n) / 2, the last term dropped at x = 0
+    and n, with Stirling errors e and deviances D.  Each term is O(1) where
+    the mass lies, so the pmf keeps a few-ulp accuracy at any n and, to first
+    order, does not see the rounding of s and c.  s == c gives a bitwise-
+    symmetric result, on which antisymmetric sums cancel exactly.
+    """
+    x = np.arange(n + 1)
+    st = _stirlerr(x)
+    # 0 log 0 at the ends, and s = 0 (D = inf, zero mass) off x = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = _bd0(np.stack((x, x[::-1])), np.array([[n * s], [n * c]]))
+    logpmf = st[n] - (st + st[::-1]) - (dev[0] + dev[1])
+    logpmf[1:n] -= 0.5 * np.log(2.0 * math.pi * (x[1:n] * x[n - 1 : 0 : -1] / n))
+    return logpmf
 
 
 def _check_r(r: float):
@@ -74,17 +119,14 @@ def block_weights(d: int, r: float) -> BlockWeights:
     """Sector weights p_k and complementary weights p~_k, k = 1..d.
 
     p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r, and p~_k has the tangent
-    exponent 2(d-k).  Both are evaluated in the tan-free form
-    cos^(2a) sin^(2b) to stay finite on the whole open interval.
+    exponent 2(d-k): the Binomial(d-1, sin^2 r) pmf and its reversal.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got d={d}")
     _check_r(r)
-    c2, s2 = math.cos(r) ** 2, math.sin(r) ** 2
-    p = np.array([math.comb(d - 1, k - 1) * c2 ** (d - k) * s2 ** (k - 1) for k in range(1, d + 1)])
-    pt = np.array([math.comb(d - 1, k - 1) * c2 ** (k - 1) * s2 ** (d - k) for k in range(1, d + 1)])
-    assert abs(p.sum() - 1.0) < 1e-12 and abs(pt.sum() - 1.0) < 1e-12
-    return BlockWeights(d, r, p, pt)
+    p = np.exp(_binomial_logpmf(d - 1, math.sin(r) ** 2, math.cos(r) ** 2))
+    assert abs(p.sum() - 1.0) < 1e-12
+    return BlockWeights(d, r, p, p[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -122,7 +164,7 @@ def quantum_capacity_grassmann_unclamped(d: int, r: float, base="d") -> float:
     base_val = log_base_value(base, d)
     # (1/d) sum_k k C(d,k) log k (cos^(2(d-1)) tan^(2(d-k)) - ... tan^(2(k-1)))
     # collapses to sum_k (p~_k - p_k) log k via k C(d,k) = d C(d-1,k-1)
-    return float(sum((w.p_tilde[k - 1] - w.p[k - 1]) * _logk(k, base_val) for k in range(1, d + 1)))
+    return float((w.p_tilde - w.p) @ np.log(np.arange(1, d + 1))) / math.log(base_val)
 
 
 def quantum_capacity_grassmann(d: int, r: float, base="d") -> float:
@@ -131,22 +173,20 @@ def quantum_capacity_grassmann(d: int, r: float, base="d") -> float:
 
 
 def _q_w_form_a(d: int, w: float, base_val: float) -> float:
-    # (1/d) (1+w)^-(d-1) sum_k k C(d,k) log k (w^(d-k) - w^(k-1))
-    s = sum(
-        k * math.comb(d, k) * _logk(k, base_val) * (w ** (d - k) - w ** (k - 1))
-        for k in range(1, d + 1)
-    )
-    return s / (d * (1.0 + w) ** (d - 1))
+    # (1/d) (1+w)^-(d-1) sum_k k C(d,k) log k (w^(d-k) - w^(k-1)) with P the
+    # Binomial(d, w/(1+w)) pmf: C(d,k) w^(d-k) = (1+w)^d P[d-k] and
+    # k C(d,k) w^(k-1) = (1+w)^d (d-k+1) P[k-1]
+    pmf = np.exp(_binomial_logpmf(d, w / (1.0 + w), 1.0 / (1.0 + w))[:d])
+    k = np.arange(1, d + 1)
+    s = np.log(k) @ (k * pmf[::-1] - (d + 1 - k) * pmf)
+    return float(s) * (1.0 + w) / d / math.log(base_val)
 
 
 def _q_w_form_b(d: int, w: float, base_val: float) -> float:
-    # (1+w)^-(d-1) sum_{k=0}^{d-1} w^k C(d-1,k) log((d-k)/(k+1))
-    lb = math.log(base_val)
-    s = sum(
-        w**k * math.comb(d - 1, k) * (math.log(d - k) - math.log(k + 1)) / lb
-        for k in range(d)
-    )
-    return s / (1.0 + w) ** (d - 1)
+    # (1+w)^-(d-1) sum_{k=0}^{d-1} w^k C(d-1,k) log((d-k)/(k+1)) over the
+    # Binomial(d-1, w/(1+w)) pmf
+    pmf = np.exp(_binomial_logpmf(d - 1, w / (1.0 + w), 1.0 / (1.0 + w)))
+    return float((pmf[::-1] - pmf) @ np.log(np.arange(1, d + 1))) / math.log(base_val)
 
 
 def quantum_capacity_grassmann_w(d: int, w: float, base="d") -> float:
@@ -178,18 +218,13 @@ def classical_capacity_grassmann(d: int, r: float, base="d") -> float:
     multiplicity C(d-1,k-1) inside sector k).
     """
     w = block_weights(d, r)
-    base_val = log_base_value(base, d)
-    lb = math.log(base_val)
-    closed = math.log(d) / lb - sum(w.p[k - 1] * _logk(k, base_val) for k in range(1, d + 1))
-
-    def _h(probs) -> float:
-        return -sum(p * math.log(p) for p in probs if p > 0.0) / lb
-
-    h_weights = _h(w.p)
-    sector_term = sum(w.p[k - 1] * math.log(math.comb(d, k)) for k in range(1, d + 1)) / lb
-    h_output = h_weights + sum(
-        w.p[k - 1] * math.log(math.comb(d - 1, k - 1)) for k in range(1, d + 1)
-    ) / lb
+    lb = math.log(log_base_value(base, d))
+    closed = (math.log(d) - w.p @ np.log(np.arange(1, d + 1))) / lb
+    nonzero = w.p[w.p > 0.0]
+    h_weights = -(nonzero @ np.log(nonzero)) / lb
+    # log C(n, x) = log Binomial(n, 1/2) pmf + n log 2
+    sector_term = (w.p @ (_binomial_logpmf(d, 0.5, 0.5)[1:] + d * math.log(2))) / lb
+    h_output = h_weights + (w.p @ (_binomial_logpmf(d - 1, 0.5, 0.5) + (d - 1) * math.log(2))) / lb
     three_term = h_weights + sector_term - h_output
     if abs(closed - three_term) > 1e-10:
         raise ConsistencyError(
@@ -216,8 +251,8 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
         raise DomainError(f"need d >= 1, got d={d}")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"z={z} outside [0, 1)")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     base_val = log_base_value(base, d)
     lb = math.log(base_val)
     prefac = (1.0 - z) ** (d + 1) / d
@@ -264,27 +299,8 @@ def capacity_ratio(d: int) -> float:
     """Infinite-acceleration ratio r_d of the fermionic to bosonic capacity."""
     if d < 2:
         raise DomainError(f"ratio needs d >= 2, got d={d}")
-    ld = math.log(d)
-    s = sum(
-        (d - 1 - 2 * k) * math.comb(d - 1, k) * (math.log(d - k) - math.log(k + 1)) / ld
-        for k in range((d - 1) // 2 + 1)
-    )
-    return d * ld / (d - 1) / 2 ** (d - 1) * s
-
-
-@dataclass
-class CapacityCurve:
-    """A sampled capacity series suitable for CSV export."""
-
-    family: str
-    d: int
-    param_name: str
-    base: str
-    samples: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        params = [p for p, _ in self.samples]
-        if any(b >= a for a, b in zip(params[1:], params)):
-            raise DomainError("curve samples must be strictly increasing in the parameter")
-        if any(not math.isfinite(v) for _, v in self.samples):
-            raise DomainError("curve values must be finite")
+    # C(d-1,k) / 2^(d-1) is the Binomial(d-1, 1/2) pmf
+    k = np.arange((d - 1) // 2 + 1)
+    pmf = np.exp(_binomial_logpmf(d - 1, 0.5, 0.5)[: k.size])
+    s = ((d - 1 - 2 * k) * pmf) @ (np.log(d - k) - np.log(k + 1))
+    return d / (d - 1) * float(s)

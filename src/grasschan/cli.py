@@ -1,8 +1,8 @@
 """Command-line front door: capacities, sweeps, verification, channel dumps.
 
-Exit codes: 0 success, 1 domain/runtime error, 2 usage error.  All numeric
-output uses 12 fixed decimal places with a ``.`` separator so identical
-invocations produce byte-identical files.
+Exit codes: 0 success, 1 domain, runtime or consistency error, 2 usage
+error.  All numeric output uses 12 fixed decimal places with a ``.``
+separator so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import capacity, channels, verify
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError
 
 SUITES = (
     "all",
@@ -47,8 +48,6 @@ class SweepConfig:
     points: int
     base: str
     out: str
-    jobs: int = 1
-    seed: int = 0
 
     def validate(self):
         if self.family not in FAMILIES:
@@ -88,11 +87,6 @@ def _sweep_value(family: str, d: int, param_name: str, value: float, base: str) 
     raise DomainError(f"cannot evaluate family {family!r} at {param_name}={value}")
 
 
-def _sweep_task(args) -> tuple[int, float, float]:
-    family, d, param_name, value, base = args
-    return d, value, _sweep_value(family, d, param_name, value, base)
-
-
 def run_sweep(cfg: SweepConfig) -> list[str]:
     cfg.validate()
     ds = sorted(set(cfg.ds))
@@ -104,24 +98,16 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
             lines.append(f"{cfg.family},{d},{param_name},{_fmt(float(d))},{cfg.base},{_fmt(value)}")
         return lines
 
-    param_name = cfg.param_name
-    grid = [cfg.start + i * (cfg.stop - cfg.start) / (cfg.points - 1) for i in range(cfg.points)]
-    tasks = [(cfg.family, d, param_name, value, cfg.base) for d in ds for value in grid]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks, chunksize=16))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    rows.sort(key=lambda row: (row[0], row[1]))
-    # group into curves so the series invariants are enforced before export
-    samples: dict[int, list[tuple[float, float]]] = {}
-    for d, param, value in rows:
-        samples.setdefault(d, []).append((param, value))
-    for d in sorted(samples):
-        curve = capacity.CapacityCurve(cfg.family, d, param_name, cfg.base, samples[d])
-        for param, value in curve.samples:
+    grid = cfg.start + np.arange(cfg.points) * (cfg.stop - cfg.start) / (cfg.points - 1)
+    if not np.all(np.diff(grid) > 0.0):
+        raise DomainError("sweep grid must be strictly increasing in the parameter")
+    for d in ds:
+        for param in grid.tolist():
+            value = _sweep_value(cfg.family, d, cfg.param_name, param, cfg.base)
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite value at d={d}, {cfg.param_name}={param}")
             lines.append(
-                f"{curve.family},{curve.d},{curve.param_name},{_fmt(param)},{curve.base},{_fmt(value)}"
+                f"{cfg.family},{d},{cfg.param_name},{_fmt(param)},{cfg.base},{_fmt(value)}"
             )
     return lines
 
@@ -174,8 +160,6 @@ def _cmd_sweep(args) -> int:
         points=args.points,
         base=args.base,
         out=args.out,
-        jobs=args.jobs,
-        seed=args.seed,
     )
     lines = run_sweep(cfg)
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -292,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=100)
     sweep.add_argument("--base", choices=("2", "d"), default="d")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -318,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError, ConvergenceError, OSError, ValueError) as exc:
+    except (ArithmeticError, ConvergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

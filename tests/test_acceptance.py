@@ -307,10 +307,7 @@ def test_criterion_figure_reproduction(tmp_path):
             deterministic = deterministic and first == second
             outputs[name] = first
 
-        # a parallel run and CLI re-runs must reproduce the same bytes
-        cfg = configs["quantum-based"]
-        parallel = SweepConfig(cfg.family, cfg.ds, "r", 0.0, 1.5, 200, "d", "", jobs=2)
-        deterministic = deterministic and run_sweep(parallel) == outputs["quantum-based"]
+        # CLI re-runs must reproduce the same bytes
         out1, out2 = tmp_path / "cli1.csv", tmp_path / "cli2.csv"
         for out in (out1, out2):
             proc = subprocess.run(

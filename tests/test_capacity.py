@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from grasschan import capacity
 from grasschan.capacity import (
@@ -198,15 +201,87 @@ def test_domain_errors():
         quantum_capacity_grassmann(0, 0.3)
     with pytest.raises(DomainError):
         quantum_capacity_unruh(3, 1.0)
-    with pytest.raises(DomainError):
-        quantum_capacity_unruh(3, 0.5, tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            quantum_capacity_unruh(3, 0.5, tol=tol)
     with pytest.raises(DomainError):
         capacity.log_base_value("1", 3)
 
 
-def test_capacity_curve_invariants():
-    capacity.CapacityCurve("grassmann-q", 2, "r", "d", [(0.0, 1.0), (0.5, 0.8)])
-    with pytest.raises(DomainError):
-        capacity.CapacityCurve("grassmann-q", 2, "r", "d", [(0.5, 1.0), (0.1, 0.8)])
-    with pytest.raises(DomainError):
-        capacity.CapacityCurve("grassmann-q", 2, "r", "d", [(0.0, math.inf)])
+# Property tests over the whole dimension range: the closed forms have no
+# dimension cap, so d reaches 10^4 (bigint weights overflowed from d ~ 1030).
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+DIMS = st.integers(2, 10_000)
+RS = st.floats(0.0, 1.5)
+BASES = st.sampled_from(["2", "d"])
+
+
+@PROPERTY
+@given(d=DIMS, r=RS)
+@example(d=10_000, r=0.3)
+def test_block_weights_property(d, r):
+    w = block_weights(d, r)
+    assert abs(w.p.sum() - 1.0) < 1e-12
+    assert np.array_equal(w.p_tilde, w.p[::-1])
+
+
+@PROPERTY
+@given(d=DIMS, r=RS, base=BASES)
+@example(d=10_000, r=0.3, base="2")
+def test_unclamped_antisymmetry_property(d, r, base):
+    assume(math.pi / 2 - r < math.pi / 2)
+    left = quantum_capacity_grassmann_unclamped(d, r, base)
+    right = quantum_capacity_grassmann_unclamped(d, math.pi / 2 - r, base)
+    assert abs(left + right) < 1e-12
+    assert abs(quantum_capacity_grassmann_unclamped(d, math.pi / 4, base)) < 1e-12
+
+
+@PROPERTY
+@given(d=DIMS, rs=st.lists(RS, min_size=2, max_size=6), base=BASES)
+@example(d=10_000, rs=[0.0, 0.4, 0.8, 1.5], base="d")
+def test_capacities_non_increasing_in_r(d, rs, base):
+    rs = sorted(rs)
+    for func in (quantum_capacity_grassmann, classical_capacity_grassmann):
+        values = [func(d, r, base) for r in rs]
+        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), func.__name__
+
+
+def _mp_log_base(d, base):
+    return mpmath.log(2) if base == "2" else mpmath.log(d)
+
+
+def _mp_weights(d, r):
+    c2, s2 = mpmath.cos(mpmath.mpf(r)) ** 2, mpmath.sin(mpmath.mpf(r)) ** 2
+    return [math.comb(d - 1, k - 1) * c2 ** (d - k) * s2 ** (k - 1) for k in range(1, d + 1)]
+
+
+def _close(value, ref):
+    return abs(value - float(ref)) <= 2e-12 + 1e-12 * abs(float(ref))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 2000), r=RS, w=st.floats(0.0, 1.0), base=BASES)
+@example(d=2000, r=0.3, w=0.9, base="2")
+def test_closed_forms_against_mpmath(d, r, w, base):
+    with mpmath.workdps(30):
+        _check_against_mpmath(d, r, w, base)
+
+
+def _check_against_mpmath(d, r, w, base):
+    lb = _mp_log_base(d, base)
+    p = _mp_weights(d, r)
+    logs = [mpmath.log(k) for k in range(1, d + 1)]
+    q = sum((p[d - k] - p[k - 1]) * logs[k - 1] for k in range(1, d + 1)) / lb
+    assert _close(quantum_capacity_grassmann_unclamped(d, r, base), q)
+    c = (logs[-1] - sum(pk * lk for pk, lk in zip(p, logs))) / lb
+    assert _close(classical_capacity_grassmann(d, r, base), max(0, c))
+    wm = mpmath.mpf(w)
+    qw = sum(
+        wm**k * math.comb(d - 1, k) * (logs[d - k - 1] - logs[k]) for k in range(d)
+    ) / (1 + wm) ** (d - 1) / lb
+    assert _close(quantum_capacity_grassmann_w(d, w, base), max(0, qw))
+    ratio = sum(
+        (d - 1 - 2 * k) * math.comb(d - 1, k) * (logs[d - k - 1] - logs[k])
+        for k in range((d - 1) // 2 + 1)
+    ) * d / mpmath.mpf(d - 1) / mpmath.mpf(2) ** (d - 1)
+    assert _close(capacity_ratio(d), ratio)

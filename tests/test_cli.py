@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from grasschan import channels
+from grasschan import capacity, channels, cli
+from grasschan.cli import SweepConfig, run_sweep
+from grasschan.errors import ConsistencyError, DomainError
 
 CLI = [sys.executable, "-m", "grasschan"]
 
@@ -51,6 +54,20 @@ def test_capacity_domain_error_exit_code():
     res = run_cli("capacity", "quantum", "--d", "3", "--r", "1.5707963268")
     assert res.returncode == 1
     assert "error" in res.stderr
+    # a nan tolerance is rejected up front instead of running the series to its cap
+    res = run_cli("capacity", "unruh", "--d", "2", "--z", "0.5", "--tol", "nan", timeout=60)
+    assert res.returncode == 1
+    assert "tolerance" in res.stderr
+
+
+def test_arithmetic_error_exit_code(monkeypatch, capsys):
+    def disagree(*args):
+        raise ConsistencyError("forms disagree")
+
+    monkeypatch.setattr(capacity, "quantum_capacity_grassmann", disagree)
+    assert cli.main(["capacity", "quantum", "--d", "3", "--r", "0.4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: forms disagree\n"
 
 
 def test_capacity_missing_parameter_exit_code():
@@ -102,13 +119,6 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert ds == sorted(ds)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert _sweep(serial).returncode == 0
-    assert _sweep(parallel, "--jobs", "2").returncode == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_sweep_domain_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     bad_grid = run_cli(
@@ -126,6 +136,22 @@ def test_sweep_domain_errors(tmp_path):
         "--start", "0", "--stop", "1.0", "--points", "1", "--out", out,
     )
     assert bad_points.returncode == 1
+    repeated_grid = run_cli(  # 5e-324 / 2 rounds to 0.0, so the grid repeats 0.0
+        "sweep", "--family", "grassmann-q", "--d", "2", "--param", "r",
+        "--start", "0", "--stop", "5e-324", "--points", "3", "--out", out,
+    )
+    assert repeated_grid.returncode == 1
+    assert "strictly increasing" in repeated_grid.stderr
+
+
+def test_run_sweep_invariants(monkeypatch):
+    cfg = SweepConfig("grassmann-q", [2], "r", 0.0, 0.5, 2, "d", "")
+    assert len(run_sweep(cfg)) == 3
+    with pytest.raises(DomainError):  # the grid 0, 0, 5e-324 repeats 0.0
+        run_sweep(SweepConfig("grassmann-q", [2], "r", 0.0, 5e-324, 3, "d", ""))
+    monkeypatch.setattr(capacity, "quantum_capacity_grassmann", lambda *args: math.nan)
+    with pytest.raises(DomainError):
+        run_sweep(cfg)
 
 
 def test_sweep_ratio_family(tmp_path):
