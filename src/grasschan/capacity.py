@@ -37,15 +37,15 @@ UNRUH_MAX_TERMS = 10_000_000
 
 def log_base_value(base, d: int) -> float:
     """Resolve a log-base label ("2" | "d" | numeric) to a numeric base."""
-    if base in (2, "2", "two", 2.0):
+    if base in (2, "2", 2.0):
         return 2.0
-    if base in ("d", "d-adaptive"):
+    if base == "d":
         if d < 2:
             return 2.0  # log base 1 is degenerate; d=1 capacities are all 0
         return float(d)
     value = float(base)
-    if value <= 1.0:
-        raise DomainError(f"log base must exceed 1, got {base}")
+    if not 1.0 < value < math.inf:
+        raise DomainError(f"log base must be finite and exceed 1, got {base}")
     return value
 
 
@@ -290,6 +290,8 @@ def unruh_capacity_approx(d: int, z: float, base="d") -> float:
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z={z} outside (0, 1]")
     base_val = log_base_value(base, d)
+    if d == 1:
+        return 0.0  # a one-rail channel carries nothing; log(1) would divide by zero
     value = (d - 1) / (d * math.log(d)) * (1.0 - z) / z * (1.0 - (1.0 - z) ** d)
     # the formula is native to base d; rescale log factors for other bases
     return value * math.log(d) / math.log(base_val)

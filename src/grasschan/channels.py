@@ -14,21 +14,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fock
 from .capacity import block_weights
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 __all__ = [
-    "DensityMatrix",
-    "density_matrix",
     "Block",
     "ChannelRep",
-    "TransposeDepolarizingMap",
     "rail_reversal",
     "output_codes",
     "environment_codes",
@@ -39,7 +36,6 @@ __all__ = [
     "erasure_channel",
     "werner_holevo",
     "transpose_depolarizing",
-    "apply_channel",
     "apply_kraus",
     "choi_matrix",
     "transfer_matrix",
@@ -63,31 +59,6 @@ def rail_reversal(d: int) -> np.ndarray:
     return np.eye(d)[::-1].astype(complex)
 
 
-@dataclass
-class DensityMatrix:
-    """Dense Hermitian, PSD, unit-trace matrix with basis metadata."""
-
-    dim: int
-    mat: np.ndarray
-    basis_tag: str = ""
-
-    def validate(self, atol: float = 1e-10):
-        if self.mat.shape != (self.dim, self.dim):
-            raise PreconditionError(f"shape {self.mat.shape} != ({self.dim}, {self.dim})")
-        if np.linalg.norm(self.mat - self.mat.conj().T, np.inf) > atol:
-            raise PreconditionError("density matrix is not Hermitian")
-        if abs(np.trace(self.mat).real - 1.0) > atol:
-            raise PreconditionError(f"trace {np.trace(self.mat)!r} != 1")
-        if np.linalg.eigvalsh(self.mat).min() < -1e-9:
-            raise PreconditionError("density matrix has a negative eigenvalue")
-        return self
-
-
-def density_matrix(mat, basis_tag: str = "") -> DensityMatrix:
-    mat = np.asarray(mat, dtype=complex)
-    return DensityMatrix(mat.shape[0], mat, basis_tag).validate()
-
-
 class Block(NamedTuple):
     k: int
     weight: float
@@ -98,8 +69,7 @@ class Block(NamedTuple):
 class ChannelRep:
     """A CPTP map given by Kraus operators, with optional block metadata.
 
-    Values are immutable after construction (the Choi matrix is cached on
-    first use) and safe to share.
+    Values are immutable after construction and safe to share.
     """
 
     in_dim: int
@@ -107,7 +77,6 @@ class ChannelRep:
     kraus: list[np.ndarray]
     blocks: list[Block] | None = None
     label: str = ""
-    _choi: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def kraus_completeness(self) -> np.ndarray:
         """sum_m K_m^dag K_m, equal to the identity for a CPTP map."""
@@ -150,6 +119,7 @@ def _kraus_from_columns(
 
     With ``trace_out_a`` false the environment is the C register (forward
     channel); otherwise it is the A register (complementary channel).
+    Amplitudes whose environment code is not in ``env_list`` are dropped.
     """
     out_index = {c: i for i, c in enumerate(out_list)}
     mask = (1 << d) - 1
@@ -158,7 +128,9 @@ def _kraus_from_columns(
         for code, amp in col.amplitudes.items():
             a_code, c_code = code >> d, code & mask
             out_code, env_code = (c_code, a_code) if trace_out_a else (a_code, c_code)
-            kraus[env_code][out_index[out_code], i] = amp
+            op = kraus.get(env_code)
+            if op is not None:
+                op[out_index[out_code], i] = amp
     return [kraus[env] for env in env_list if np.any(kraus[env])]
 
 
@@ -189,26 +161,24 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
 
 
 def grassmann_block(d: int, k: int) -> ChannelRep:
-    """The r-independent CPTP block map onto the k-fermion sector."""
+    """The r-independent CPTP block map onto the k-fermion sector.
+
+    Rail i maps to a_i^dag exp(sum_j a_j^dag c_j^dag)|vac>, the isometry
+    image without its r-dependent factors; its k-fermion A sector has
+    C(d-1, k-1) unit-magnitude amplitudes, hence the normalization.
+    """
     _check_channel_d(d)
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
-    r0 = math.pi / 4  # any interior r works; the extracted map is r-free
-    cols = _isometry_columns(d, r0)
-    a_codes = fock.sector_codes(d, k)
-    c_codes = fock.sector_codes(d, k - 1)
-    a_index = {c: i for i, c in enumerate(a_codes)}
-    mask = (1 << d) - 1
-    scale = math.cos(r0) ** (d - 1) * math.tan(r0) ** (k - 1) * math.sqrt(math.comb(d - 1, k - 1))
-    kraus = {c: np.zeros((len(a_codes), d), dtype=complex) for c in c_codes}
-    for i, col in enumerate(cols):
-        for code, amp in col.amplitudes.items():
-            a_code, c_code = code >> d, code & mask
-            if a_code.bit_count() == k:
-                kraus[c_code][a_index[a_code], i] = amp / scale
-    ops = [kraus[c] for c in c_codes if np.any(kraus[c])]
+    pairs = fock._exp_pair_vacuum(d, 1.0)
+    cols = [fock.apply_creation(pairs, i) for i in range(d)]
+    ops = _kraus_from_columns(
+        cols, d, fock.sector_codes(d, k), fock.sector_codes(d, k - 1), trace_out_a=False
+    )
+    norm = math.sqrt(math.comb(d - 1, k - 1))
+    kraus = [op / norm for op in ops]
     blocks = [Block(k, 1.0, math.comb(d, k))]
-    return ChannelRep(d, math.comb(d, k), ops, blocks, label=f"grassmann-block(d={d},k={k})")
+    return ChannelRep(d, math.comb(d, k), kraus, blocks, label=f"grassmann-block(d={d},k={k})")
 
 
 def complement_channel_rep(ch: ChannelRep) -> ChannelRep:
@@ -257,43 +227,19 @@ def werner_holevo(d: int) -> ChannelRep:
     return ChannelRep(d, d, kraus, None, label=f"werner-holevo(d={d})")
 
 
-@dataclass(frozen=True)
-class TransposeDepolarizingMap:
-    """The map sigma -> t sigma^T + (1-t) Tr(sigma) I/d as a Choi-level object.
+def transpose_depolarizing(d: int, t: float) -> np.ndarray:
+    """Choi matrix of sigma -> t sigma^T + (1-t) Tr(sigma) I/d.
 
-    ``is_cp`` flags whether the Choi matrix is PSD (true exactly on
-    -1/(d-1) <= t <= 1/(d+1)); invalid ``t`` is not an error.
+    The matrix is PSD exactly on -1/(d-1) <= t <= 1/(d+1); a ``t`` outside
+    that window is not an error.
     """
-
-    d: int
-    t: float
-    choi: np.ndarray
-    is_cp: bool
-
-    def apply(self, sigma: np.ndarray) -> np.ndarray:
-        sigma = np.asarray(sigma, dtype=complex)
-        return self.t * sigma.T + (1.0 - self.t) * np.trace(sigma) * np.eye(self.d) / self.d
-
-
-def transpose_depolarizing(d: int, t: float) -> TransposeDepolarizingMap:
     if d < 2:
         raise DomainError(f"need d >= 2, got d={d}")
     swap = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             swap[i * d + j, j * d + i] = 1.0
-    choi = t * swap + (1.0 - t) / d * np.eye(d * d)
-    is_cp = bool(np.linalg.eigvalsh(choi).min() >= -1e-9)
-    return TransposeDepolarizingMap(d, t, choi, is_cp)
-
-
-def apply_channel(ch: ChannelRep, rho: DensityMatrix | np.ndarray) -> DensityMatrix:
-    """sum_m K_m rho K_m^dag as a DensityMatrix on the output space."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if mat.shape != (ch.in_dim, ch.in_dim):
-        raise PreconditionError(f"input shape {mat.shape} != channel input dim {ch.in_dim}")
-    out = apply_kraus(ch.kraus, mat)
-    return DensityMatrix(ch.out_dim, out, basis_tag=ch.label)
+    return t * swap + (1.0 - t) / d * np.eye(d * d)
 
 
 def apply_kraus(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
@@ -305,14 +251,12 @@ def apply_kraus(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
 
 def choi_matrix(ch: ChannelRep) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) N(|i><j|), trace = in_dim."""
-    if ch._choi is None:
-        dim = ch.in_dim * ch.out_dim
-        choi = np.zeros((dim, dim), dtype=complex)
-        for k in ch.kraus:
-            v = k.T.reshape(-1)  # index (i, a) -> K[a, i]
-            choi += np.outer(v, v.conj())
-        ch._choi = choi
-    return ch._choi
+    dim = ch.in_dim * ch.out_dim
+    choi = np.zeros((dim, dim), dtype=complex)
+    for k in ch.kraus:
+        v = k.T.reshape(-1)  # index (i, a) -> K[a, i]
+        choi += np.outer(v, v.conj())
+    return choi
 
 
 def transfer_matrix(ch: ChannelRep) -> np.ndarray:

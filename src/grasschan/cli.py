@@ -172,8 +172,9 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
 
     In ``all`` mode, checks whose dimension caps exclude the requested d are
     skipped; requesting such a check explicitly raises instead.  The
-    werner-holevo/ppt checks floor d at 2 (their channel family needs it)
-    and the rate check caps d at 5 (series cost grows with dimension).
+    werner-holevo/ppt checks floor d at 2 (their channel family needs it),
+    and the rate check floors d at 2 (its gap vanishes at d=1) and caps it
+    at 5 (series cost grows with dimension).
     """
     reports = []
     if suite == "degradable" or (suite == "all" and 2 <= d <= 4):
@@ -217,8 +218,8 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
         wh = channels.werner_holevo(dd)
         pt_min = verify.check_ppt(channels.choi_matrix(wh), dd)
         threshold = -1.0 / (dd * dd - 1)
-        below = verify.check_ppt(channels.transpose_depolarizing(dd, threshold - 1e-3).choi, dd)
-        above = verify.check_ppt(channels.transpose_depolarizing(dd, threshold + 1e-3).choi, dd)
+        below = verify.check_ppt(channels.transpose_depolarizing(dd, threshold - 1e-3), dd)
+        above = verify.check_ppt(channels.transpose_depolarizing(dd, threshold + 1e-3), dd)
         reports.append(
             verify.VerificationReport(
                 check="ppt",
@@ -229,11 +230,15 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
             )
         )
     if suite in ("all", "rate"):
-        reports.append(verify.check_approximation_rate(min(d, 5)))
+        reports.append(verify.check_approximation_rate(min(max(d, 2), 5)))
     return reports
 
 
 def _cmd_verify(args) -> int:
+    if not math.isfinite(args.r):
+        raise DomainError(f"squeezing parameter r={args.r} is not finite")
+    if not 0.0 < args.tol < math.inf:
+        raise DomainError(f"tolerance {args.tol} must be positive and finite")
     reports = _suite_reports(args.suite, args.d, args.r, args.seed, args.tol)
     all_pass = all(rep.passed for rep in reports)
     doc = {

@@ -23,12 +23,8 @@ from scipy.linalg import expm
 from .errors import DomainError, PreconditionError
 
 __all__ = [
-    "OccupationState",
     "StateVector",
-    "RepresentationMatrix",
-    "basis_states",
     "sector_codes",
-    "sector_rank",
     "vacuum",
     "basis_state_vector",
     "apply_creation",
@@ -45,44 +41,11 @@ __all__ = [
 DENSE_ORACLE_MAX_MODES = 4
 
 
-@dataclass(frozen=True)
-class OccupationState:
-    """Occupation numbers of d fermionic modes, each 0 or 1."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise DomainError(f"occupation numbers must be 0 or 1, got {self.bits}")
-
-    @property
-    def count(self) -> int:
-        """Fermion number (popcount of the bit-vector)."""
-        return sum(self.bits)
-
-    @property
-    def code(self) -> int:
-        """Integer packing with mode 0 in the most significant bit."""
-        return bits_to_code(self.bits)
-
-    @property
-    def rank(self) -> int:
-        """Lexicographic index among all states with the same fermion count."""
-        return sector_rank(len(self.bits), self.code)
-
-    def __str__(self) -> str:
-        return "|" + "".join(str(b) for b in self.bits) + ">"
-
-
 def bits_to_code(bits) -> int:
     code = 0
     for b in bits:
         code = (code << 1) | int(b)
     return code
-
-
-def code_to_bits(code: int, num_modes: int) -> tuple[int, ...]:
-    return tuple((code >> (num_modes - 1 - j)) & 1 for j in range(num_modes))
 
 
 def sector_codes(d: int, k: int) -> list[int]:
@@ -96,22 +59,6 @@ def sector_codes(d: int, k: int) -> list[int]:
     if not 0 <= k <= d:
         raise DomainError(f"fermion count k={k} outside [0, {d}]")
     return [c for c in range(1 << d) if c.bit_count() == k]
-
-
-def basis_states(d: int, k: int) -> list[OccupationState]:
-    """All k-fermion occupation states of d modes in lexicographic order."""
-    return [OccupationState(code_to_bits(c, d)) for c in sector_codes(d, k)]
-
-
-def sector_rank(d: int, code: int) -> int:
-    """Position of ``code`` within ``sector_codes(d, code.bit_count())``."""
-    remaining = code.bit_count()
-    rank = 0
-    for j in range(d):
-        if (code >> (d - 1 - j)) & 1:
-            rank += math.comb(d - 1 - j, remaining)
-            remaining -= 1
-    return rank
 
 
 @dataclass
@@ -263,16 +210,7 @@ def isometry_apply(d: int, r: float, beta) -> StateVector:
     return result
 
 
-@dataclass(frozen=True)
-class RepresentationMatrix:
-    """Matrix of a unitary on the k-fermion sector (all k-by-k minors)."""
-
-    d: int
-    k: int
-    entries: np.ndarray
-
-
-def exterior_power(u: np.ndarray, k: int) -> RepresentationMatrix:
+def exterior_power(u: np.ndarray, k: int) -> np.ndarray:
     """Compound matrix of k-by-k minors of a unitary, in sector basis order."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -290,7 +228,7 @@ def exterior_power(u: np.ndarray, k: int) -> RepresentationMatrix:
     for a, rows in enumerate(subsets):
         for b, cols in enumerate(subsets):
             entries[a, b] = np.linalg.det(u[np.ix_(rows, cols)])
-    return RepresentationMatrix(d, k, entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,7 @@ def test_unruh_approx_hand_value():
     expected = 0.75 / (2 * math.log(2))
     assert abs(unruh_capacity_approx(2, 0.5) - expected) < 1e-15
     assert unruh_capacity_approx(3, 1.0) == 0.0
+    assert unruh_capacity_approx(1, 0.5) == 0.0  # one rail, like every d=1 capacity
 
 
 def test_capacity_ratio_values():
@@ -204,8 +205,11 @@ def test_domain_errors():
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             quantum_capacity_unruh(3, 0.5, tol=tol)
+    for base in ("1", math.nan, math.inf):
+        with pytest.raises(DomainError):
+            capacity.log_base_value(base, 3)
     with pytest.raises(DomainError):
-        capacity.log_base_value("1", 3)
+        quantum_capacity_grassmann(3, 0.3, base=math.nan)
 
 
 # Property tests over the whole dimension range: the closed forms have no

@@ -50,7 +50,7 @@ def test_capacity_json_schema():
     assert doc["d"] == 3 and doc["base"] == "d"
 
 
-def test_capacity_domain_error_exit_code():
+def test_capacity_domain_error_exit_code(capsys):
     res = run_cli("capacity", "quantum", "--d", "3", "--r", "1.5707963268")
     assert res.returncode == 1
     assert "error" in res.stderr
@@ -58,6 +58,14 @@ def test_capacity_domain_error_exit_code():
     res = run_cli("capacity", "unruh", "--d", "2", "--z", "0.5", "--tol", "nan", timeout=60)
     assert res.returncode == 1
     assert "tolerance" in res.stderr
+    # verify rejects bad inputs instead of reporting a failed theory with NaN tokens
+    for tol in ("nan", "0", "-1e-9", "inf"):
+        assert cli.main(["verify", "--suite", "degradable", "--d", "2", f"--tol={tol}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "tolerance" in err
+    assert cli.main(["verify", "--suite", "factorization", "--r", "nan"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_arithmetic_error_exit_code(monkeypatch, capsys):
@@ -217,6 +225,9 @@ def test_capacity_unruh_approx_cli():
     res = run_cli("capacity", "unruh-approx", "--d", "2", "--z", "0.5")
     assert res.returncode == 0
     assert abs(float(res.stdout) - 0.75 / (2 * math.log(2))) < 1e-12
+    res = run_cli("capacity", "unruh-approx", "--d", "1", "--z", "0.5")
+    assert res.returncode == 0
+    assert res.stdout == "0.000000000000\n"
 
 
 def test_verify_suite_respects_dimension_caps():
@@ -228,6 +239,10 @@ def test_verify_suite_respects_dimension_caps():
     # ... while the aggregate suite skips it and still runs the rest
     res = run_cli("verify", "--suite", "covariance", "--d", "5", "--r", "0.3")
     assert res.returncode == 0
+    # the rate check floors d at 2, as ppt does: at d=1 the Unruh gap vanishes
+    res = run_cli("verify", "--suite", "rate", "--d", "1")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["reports"][0]["params"]["d"] == 2
 
 
 def test_dump_channel_roundtrip(tmp_path):

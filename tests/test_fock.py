@@ -11,42 +11,44 @@ from grasschan import fock
 from grasschan.errors import DomainError, PreconditionError
 
 
-def test_basis_states_d3_k2_matches_stated_ordering():
-    states = fock.basis_states(3, 2)
-    assert [s.bits for s in states] == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-    assert [s.count for s in states] == [2, 2, 2]
-    assert [s.rank for s in states] == [0, 1, 2]
+def _sector_bits(d, k):
+    """Sector codes unpacked to bit tuples, mode 0 first."""
+    return [tuple((c >> (d - 1 - j)) & 1 for j in range(d)) for c in fock.sector_codes(d, k)]
 
 
-def test_basis_states_vacuum_sector():
-    states = fock.basis_states(4, 0)
-    assert [s.bits for s in states] == [(0, 0, 0, 0)]
+def test_sector_codes_d3_k2_matches_stated_ordering():
+    assert fock.sector_codes(3, 2) == [0b011, 0b101, 0b110]
+    assert _sector_bits(3, 2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
+
+def test_sector_codes_vacuum_sector():
+    assert _sector_bits(4, 0) == [(0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_basis_states_enumeration_oracle(d):
+def test_sector_codes_enumeration_oracle(d):
     # oracle: enumerate all bit-vectors, filter popcount, sort lexicographically
     for k in range(d + 1):
         expected = sorted(bits for bits in itertools.product((0, 1), repeat=d) if sum(bits) == k)
-        got = [s.bits for s in fock.basis_states(d, k)]
+        got = _sector_bits(d, k)
         assert got == expected
         assert len(got) == math.comb(d, k)
 
 
-def test_basis_states_d5_k2_endpoints():
-    states = fock.basis_states(5, 2)
+def test_sector_codes_d5_k2_endpoints():
+    states = _sector_bits(5, 2)
     assert len(states) == 10
-    assert states[0].bits == (0, 0, 0, 1, 1)
-    assert states[-1].bits == (1, 1, 0, 0, 0)
+    assert states[0] == (0, 0, 0, 1, 1)
+    assert states[-1] == (1, 1, 0, 0, 0)
 
 
-def test_basis_states_domain_errors():
+def test_sector_codes_domain_errors():
     with pytest.raises(DomainError):
-        fock.basis_states(3, 4)
+        fock.sector_codes(3, 4)
     with pytest.raises(DomainError):
-        fock.basis_states(3, -1)
+        fock.sector_codes(3, -1)
     with pytest.raises(DomainError):
-        fock.basis_states(0, 0)
+        fock.sector_codes(0, 0)
 
 
 def test_creation_jw_sign_examples():
@@ -238,10 +240,10 @@ def _random_unitary(d, rng):
 def test_exterior_power_first_and_top():
     rng = np.random.default_rng(3)
     u = _random_unitary(4, rng)
-    first = fock.exterior_power(u, 1).entries
+    first = fock.exterior_power(u, 1)
     # lexicographic singleton order lists modes in reverse
     assert np.allclose(first, u[::-1, ::-1])
-    top = fock.exterior_power(u, 4).entries
+    top = fock.exterior_power(u, 4)
     assert top.shape == (1, 1)
     assert abs(top[0, 0] - np.linalg.det(u)) < 1e-10
 
@@ -251,8 +253,8 @@ def test_exterior_power_multiplicative(k):
     rng = np.random.default_rng(11)
     for _ in range(5):
         u, v = _random_unitary(4, rng), _random_unitary(4, rng)
-        lhs = fock.exterior_power(u @ v, k).entries
-        rhs = fock.exterior_power(u, k).entries @ fock.exterior_power(v, k).entries
+        lhs = fock.exterior_power(u @ v, k)
+        rhs = fock.exterior_power(u, k) @ fock.exterior_power(v, k)
         assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
@@ -260,7 +262,7 @@ def test_exterior_power_unitary_output():
     rng = np.random.default_rng(5)
     u = _random_unitary(5, rng)
     for k in range(1, 6):
-        lam = fock.exterior_power(u, k).entries
+        lam = fock.exterior_power(u, k)
         assert np.linalg.norm(lam.conj().T @ lam - np.eye(lam.shape[0])) < 1e-10
 
 

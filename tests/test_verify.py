@@ -103,7 +103,7 @@ def test_optimize_coherent_information_qubit():
     value, rho = verify.optimize_coherent_information(2, 0.3, restarts=3, seed=7)
     expected = 1.0 - 2.0 * math.sin(0.3) ** 2
     assert abs(value - expected) < 1e-6
-    assert np.linalg.norm(rho.mat - np.eye(2) / 2) < 1e-3
+    assert np.linalg.norm(rho - np.eye(2) / 2) < 1e-3
 
 
 def test_optimize_coherent_information_zero_point():
@@ -216,7 +216,7 @@ def test_check_covariance_diagonal_phases_exact():
     psi = np.outer(v, v.conj())
     from grasschan import fock
 
-    rep_blocks = [fock.exterior_power(u, k).entries for k in range(1, d + 1)]
+    rep_blocks = [fock.exterior_power(u, k) for k in range(1, d + 1)]
     rep = np.zeros((7, 7), dtype=complex)
     pos = 0
     for lam in rep_blocks:
@@ -277,13 +277,13 @@ def test_check_factorization():
 
 def test_check_ppt():
     # completely depolarizing point is separable: PT stays PSD
-    sep = channels.transpose_depolarizing(3, 0.0).choi
+    sep = channels.transpose_depolarizing(3, 0.0)
     assert verify.check_ppt(sep, 3) >= -1e-12
     wh = channels.choi_matrix(channels.werner_holevo(3))
     assert verify.check_ppt(wh, 3) < -1e-6
     threshold = -1.0 / (3 * 3 - 1)
-    assert verify.check_ppt(channels.transpose_depolarizing(3, threshold - 1e-4).choi, 3) < 0
-    assert verify.check_ppt(channels.transpose_depolarizing(3, threshold + 1e-4).choi, 3) > 0
+    assert verify.check_ppt(channels.transpose_depolarizing(3, threshold - 1e-4), 3) < 0
+    assert verify.check_ppt(channels.transpose_depolarizing(3, threshold + 1e-4), 3) > 0
     with pytest.raises(PreconditionError):
         verify.check_ppt(np.eye(6), 4)
 
@@ -292,6 +292,8 @@ def test_check_approximation_rate_qubit():
     rep = verify.check_approximation_rate(2)
     assert rep.passed
     assert 1.8 <= rep.trials[0]["slope"] <= 2.2
+    with pytest.raises(DomainError):
+        verify.check_approximation_rate(1)
 
 
 def test_report_json_shape():
