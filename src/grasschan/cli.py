@@ -189,7 +189,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
     if suite in ("all", "factorization"):
         reports.append(verify.check_factorization(r, tol=1e-12))
     if suite == "oracle-q" or (suite == "all" and d <= 6):
-        value, _ = verify.optimize_coherent_information(d, r, restarts=4, seed=seed)
+        value, _, stats = verify.optimize_coherent_information(d, r, restarts=4, seed=seed)
         closed = capacity.quantum_capacity_grassmann(d, r)
         gap = abs(max(0.0, value) - closed)
         reports.append(
@@ -198,11 +198,11 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
                 params={"d": d, "r": r, "seed": seed},
                 passed=gap < 1e-6,
                 worst_residual=gap,
-                trials=[{"optimized": value, "closed_form": closed}],
+                trials=[{"optimized": value, "closed_form": closed, **stats}],
             )
         )
     if suite == "oracle-c" or (suite == "all" and d <= 4):
-        value, _ = verify.optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=seed)
+        value, _, stats = verify.optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=seed)
         closed = capacity.classical_capacity_grassmann(d, r)
         reports.append(
             verify.VerificationReport(
@@ -210,7 +210,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
                 params={"d": d, "r": r, "seed": seed},
                 passed=value <= closed + 1e-6 and value >= closed - 1e-4,
                 worst_residual=abs(value - closed),
-                trials=[{"optimized": value, "closed_form": closed}],
+                trials=[{"optimized": value, "closed_form": closed, **stats}],
             )
         )
     if suite in ("all", "ppt"):

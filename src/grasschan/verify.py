@@ -106,12 +106,29 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
 # Entropic quantities
 # ---------------------------------------------------------------------------
 
+_EIG_FLOOR = 1e-14
+
 
 def von_neumann_entropy(rho, base: float = 2.0) -> float:
     """-sum lambda log lambda over eigenvalues above 1e-14."""
     evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    evals = evals[evals > 1e-14]
+    evals = evals[evals > _EIG_FLOOR]
     return float(-(evals * np.log(evals)).sum() / math.log(base))
+
+
+def _entropy_and_log(sigma: np.ndarray, ln_base: float) -> tuple[float, np.ndarray]:
+    """S(sigma) and L = -log+(sigma)/ln b from one eigh, so dS = tr(L dsigma).
+
+    log+ zeroes the eigenvalues at or below the floor of von_neumann_entropy.
+    """
+    evals, vecs = np.linalg.eigh(sigma)
+    logs = np.log(evals, out=np.zeros_like(evals), where=evals > _EIG_FLOOR)
+    return float(-(evals * logs).sum() / ln_base), (vecs * (-logs / ln_base)) @ vecs.conj().T
+
+
+def _apply_adjoint(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture map N^dag(X) = sum_m K_m^dag X K_m."""
+    return sum(k.conj().T @ mat @ k for k in kraus)
 
 
 @lru_cache(maxsize=128)
@@ -146,7 +163,7 @@ def holevo_quantity(d: int, r: float, ensemble, base="d") -> float:
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free optimizers (seeded multi-start)
+# Gradient optimizers (seeded multi-start L-BFGS on exact entropy gradients)
 # ---------------------------------------------------------------------------
 
 
@@ -160,71 +177,140 @@ def _params_to_density(x: np.ndarray, d: int) -> np.ndarray:
     return gram / tr
 
 
+def _coherent_information_and_grad(x: np.ndarray, d: int, r: float, base="d"):
+    """I_c at rho = F F^dag / tr(F F^dag) and its gradient in x = (Re F, Im F).
+
+    With L = -log+(output)/ln b, dI_c = tr(G drho) for G = N^dag(L_A) -
+    N^c^dag(L_C); through the parametrization the gradient in F is
+    2 (G - tr(G rho) I) F / tr(F F^dag).
+    """
+    fwd, comp = _grassmann_pair(d, r)
+    ln_base = math.log(log_base_value(base, d))
+    rho = _params_to_density(x, d)
+    s_a, l_a = _entropy_and_log(apply_kraus(fwd.kraus, rho), ln_base)
+    s_c, l_c = _entropy_and_log(apply_kraus(comp.kraus, rho), ln_base)
+    tr = float(x @ x)
+    if tr < 1e-12:
+        return s_a - s_c, np.zeros_like(x)
+    g = _apply_adjoint(fwd.kraus, l_a) - _apply_adjoint(comp.kraus, l_c)
+    factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+    step = (2.0 / tr) * (g - np.trace(g @ rho).real * np.eye(d)) @ factor
+    return s_a - s_c, np.concatenate([step.real.ravel(), step.imag.ravel()])
+
+
+def _ensemble_parts(x: np.ndarray, d: int, size: int):
+    """Softmax weights, unit state vectors and raw norms of an ensemble point."""
+    halves = x[: size * 2 * d].reshape(size, 2, d)
+    raw = halves[:, 0] + 1j * halves[:, 1]
+    norms = np.linalg.norm(raw, axis=1)
+    degenerate = norms < 1e-12
+    unit = np.where(
+        degenerate[:, None],
+        1.0 / math.sqrt(d),
+        raw / np.where(degenerate, 1.0, norms)[:, None],
+    )
+    logits = x[size * 2 * d :]
+    weights = np.exp(logits - logits.max())
+    return weights / weights.sum(), unit, norms
+
+
+def _params_to_ensemble(x: np.ndarray, d: int, size: int):
+    probs, unit, _ = _ensemble_parts(x, d, size)
+    return [(p, np.outer(u, u.conj())) for p, u in zip(probs, unit)]
+
+
+def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int, base="d"):
+    """chi of the pure-state ensemble at x and its gradient in x.
+
+    State i moves along p_i N^dag(L_avg - L_i) projected onto the tangent of
+    v_i/|v_i|; the logits get the softmax chain rule on the marginal values
+    tr(L_avg N(psi_i)) - S(N(psi_i)).
+    """
+    fwd, _ = _grassmann_pair(d, r)
+    ln_base = math.log(log_base_value(base, d))
+    probs, unit, norms = _ensemble_parts(x, d, size)
+    outputs = [apply_kraus(fwd.kraus, np.outer(u, u.conj())) for u in unit]
+    s_avg, l_avg = _entropy_and_log(sum(p * o for p, o in zip(probs, outputs)), ln_base)
+    parts = [_entropy_and_log(o, ln_base) for o in outputs]
+    ents = np.array([s for s, _ in parts])
+    marginal = np.array([np.vdot(l_avg, o).real for o in outputs]) - ents
+    grad_states = np.zeros((size, 2, d))
+    for i, (u, (_, l_i)) in enumerate(zip(unit, parts)):
+        if norms[i] < 1e-12:
+            continue
+        hu = probs[i] * _apply_adjoint(fwd.kraus, l_avg - l_i) @ u
+        w = (2.0 / norms[i]) * (hu - np.vdot(u, hu).real * u)
+        grad_states[i] = w.real, w.imag
+    grad_logits = probs * (marginal - probs @ marginal)
+    return s_avg - float(probs @ ents), np.concatenate([grad_states.ravel(), grad_logits])
+
+
+def _maximize(value_and_grad, starts, maxiter: int):
+    """Best of L-BFGS-B ascents from each start, with the work they took.
+
+    A restart that stops on a line-search failure at float precision is
+    recorded as unsuccessful in ``stats["success"]``; it does not raise.
+    """
+
+    def negated(x):
+        value, grad = value_and_grad(x)
+        return -value, -grad
+
+    best_val, best_x, nfev, success = -np.inf, None, 0, []
+    for x0 in starts:
+        res = minimize(
+            negated,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": maxiter},
+        )
+        nfev += int(res.nfev)
+        success.append(bool(res.success))
+        if -res.fun > best_val:
+            best_val, best_x = -res.fun, res.x
+    return float(best_val), best_x, {"nfev": nfev, "success": success}
+
+
 def optimize_coherent_information(
-    d: int, r: float, restarts: int = 6, tol: float = 1e-9, seed: int = 7, base="d"
-) -> tuple[float, np.ndarray]:
-    """Multi-start derivative-free ascent of the coherent information.
+    d: int, r: float, restarts: int = 6, seed: int = 7, base="d"
+) -> tuple[float, np.ndarray, dict]:
+    """Multi-start gradient ascent of the coherent information.
 
     Deterministic for a given seed.  The square-root parametrization keeps
-    iterates on the density-matrix manifold.
+    iterates on the density-matrix manifold.  Returns the best value, the
+    input attaining it, and ``{"nfev": total objective calls, "success":
+    [converged flag per restart]}``.
     """
     if d > 6:
         raise DomainError(f"optimizer is capped at d=6, got d={d}")
     rng = np.random.default_rng(seed)
-    _grassmann_pair(d, r)  # warm the cache before the hot loop
-
-    def objective(x):
-        return -coherent_information(d, r, _params_to_density(x, d), base)
-
-    best_val, best_x = -np.inf, None
-    for _ in range(restarts):
-        x0 = rng.standard_normal(2 * d * d)
-        res = minimize(
-            objective, x0, method="Powell", options={"xtol": 1e-9, "ftol": 1e-12, "maxfev": 40000}
-        )
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
-    return float(best_val), _params_to_density(best_x, d)
-
-
-def _params_to_ensemble(x: np.ndarray, d: int, size: int):
-    states = []
-    for m in range(size):
-        chunk = x[m * 2 * d : (m + 1) * 2 * d]
-        v = chunk[:d] + 1j * chunk[d:]
-        nrm = np.linalg.norm(v)
-        v = np.full(d, 1.0 / math.sqrt(d), dtype=complex) if nrm < 1e-12 else v / nrm
-        states.append(np.outer(v, v.conj()))
-    logits = x[size * 2 * d :]
-    weights = np.exp(logits - logits.max())
-    probs = weights / weights.sum()
-    return list(zip(probs, states))
+    starts = [rng.standard_normal(2 * d * d) for _ in range(restarts)]
+    value, best_x, stats = _maximize(
+        lambda x: _coherent_information_and_grad(x, d, r, base), starts, maxiter=2000
+    )
+    return value, _params_to_density(best_x, d), stats
 
 
 def optimize_holevo(
     d: int, r: float, ensemble_size: int | None = None, restarts: int = 4, seed: int = 11, base="d"
-) -> tuple[float, list]:
-    """Multi-start maximization of chi over pure-state ensembles."""
+) -> tuple[float, list, dict]:
+    """Multi-start gradient ascent of chi over pure-state ensembles.
+
+    Returns the best value, its (probability, state) ensemble, and the same
+    ``stats`` dict as ``optimize_coherent_information``.
+    """
     if d > 4:
         raise DomainError(f"ensemble optimizer is capped at d=4, got d={d}")
     size = ensemble_size if ensemble_size is not None else d + 1
     if size < d:
         raise PreconditionError(f"ensemble size {size} < d={d}")
     rng = np.random.default_rng(seed)
-    _grassmann_pair(d, r)
-
-    def objective(x):
-        return -holevo_quantity(d, r, _params_to_ensemble(x, d, size), base)
-
-    best_val, best_x = -np.inf, None
-    for _ in range(restarts):
-        x0 = rng.standard_normal(size * 2 * d + size)
-        res = minimize(
-            objective, x0, method="Powell", options={"xtol": 1e-8, "ftol": 1e-11, "maxfev": 60000}
-        )
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
-    return float(best_val), _params_to_ensemble(best_x, d, size)
+    starts = [rng.standard_normal(size * 2 * d + size) for _ in range(restarts)]
+    value, best_x, stats = _maximize(
+        lambda x: _holevo_and_grad(x, d, r, size, base), starts, maxiter=3000
+    )
+    return value, _params_to_ensemble(best_x, d, size), stats
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +332,6 @@ def _sector_slices(d: int, side: str) -> list[slice]:
     return out
 
 
-def _compress_transfer(transfer: np.ndarray, out_dim: int, in_dim: int, sl: slice) -> np.ndarray:
-    """Restrict a superoperator's output to a basis slice (both indices)."""
-    t = transfer.reshape(out_dim, out_dim, in_dim * in_dim)
-    n = sl.stop - sl.start
-    return t[sl, sl, :].reshape(n * n, in_dim * in_dim)
-
-
 def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np.ndarray:
     """Unitary V with V A_t = B_t V for all t, via a nullspace + polar step."""
     n = a_maps[0].shape[0]
@@ -268,19 +347,21 @@ def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np
 def _complement_intertwiners(d: int) -> tuple:
     """Unitaries V_k aligning complement sector d-k with the block map k.
 
-    Solved once at a reference r; the identification is r-independent.
+    Complement sector d-k is built r-free like ``grassmann_block``: the C
+    side of a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> with d-k+1 fermions
+    left in A, normalized by its C(d-1, k-1) unit amplitudes.
     """
-    r_ref = math.pi / 4
-    comp = complementary_channel(d, r_ref)
-    t_comp = transfer_matrix(comp)
-    weights = block_weights(d, r_ref)
-    c_slices = _sector_slices(d, "c")
+    pairs = fock._exp_pair_vacuum(d, 1.0)
+    cols = [fock.apply_creation(pairs, i) for i in range(d)]
     result = []
     for k in range(1, d + 1):
         t_block = transfer_matrix(grassmann_block(d, k))
         n = math.comb(d, k)
-        lhat = _compress_transfer(t_comp, comp.out_dim, d, c_slices[d - k])
-        lhat = lhat / weights.p_tilde[k - 1]
+        ops = channels._kraus_from_columns(
+            cols, d, fock.sector_codes(d, d - k), fock.sector_codes(d, d - k + 1), trace_out_a=True
+        )
+        norm = math.sqrt(math.comb(d - 1, k - 1))
+        lhat = transfer_matrix(ChannelRep(d, n, [op / norm for op in ops]))
         a_maps = [t_block[:, t].reshape(n, n) for t in range(d * d)]
         b_maps = [lhat[:, t].reshape(n, n) for t in range(d * d)]
         v = _solve_intertwiner(a_maps, b_maps)

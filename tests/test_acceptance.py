@@ -87,7 +87,7 @@ def test_criterion_quantum_oracle():
         worst_excess = -np.inf
         for d in (2, 3, 4):
             for r in (0.2, 0.5, 0.7):
-                value, _ = verify.optimize_coherent_information(d, r, restarts=4, seed=7)
+                value, _, _ = verify.optimize_coherent_information(d, r, restarts=4, seed=7)
                 closed = quantum_capacity_grassmann_unclamped(d, r)
                 worst_gap = max(worst_gap, abs(value - closed))
                 bound = verify.check_capacity_upper_bound(d, r, samples=500, seed=13)
@@ -104,7 +104,7 @@ def test_criterion_classical_oracle():
         worst = 0.0
         exceed = False
         for r in (0.0, 0.4, 0.8, 1.2):
-            value, _ = verify.optimize_holevo(2, r, ensemble_size=4, restarts=3, seed=11)
+            value, _, _ = verify.optimize_holevo(2, r, ensemble_size=4, restarts=3, seed=11)
             closed = classical_capacity_grassmann(2, r)
             worst = max(worst, abs(value - closed))
             exceed = exceed or value > closed + 1e-6

@@ -1,5 +1,6 @@
 """Entropy utilities, optimizers, and structural verification checks."""
 
+import json
 import math
 
 import numpy as np
@@ -100,14 +101,14 @@ def test_capacity_upper_bound_check():
 
 
 def test_optimize_coherent_information_qubit():
-    value, rho = verify.optimize_coherent_information(2, 0.3, restarts=3, seed=7)
+    value, rho, _ = verify.optimize_coherent_information(2, 0.3, restarts=3, seed=7)
     expected = 1.0 - 2.0 * math.sin(0.3) ** 2
     assert abs(value - expected) < 1e-6
     assert np.linalg.norm(rho - np.eye(2) / 2) < 1e-3
 
 
 def test_optimize_coherent_information_zero_point():
-    value, _ = verify.optimize_coherent_information(3, math.pi / 4, restarts=2, seed=7)
+    value, _, _ = verify.optimize_coherent_information(3, math.pi / 4, restarts=2, seed=7)
     assert abs(value) < 1e-6
 
 
@@ -126,7 +127,9 @@ def test_holevo_quantity_examples():
 
 
 def test_optimize_holevo_qubit():
-    value, ensemble = verify.optimize_holevo(2, 0.5, ensemble_size=4, restarts=3, seed=11, base="2")
+    value, ensemble, _ = verify.optimize_holevo(
+        2, 0.5, ensemble_size=4, restarts=3, seed=11, base="2"
+    )
     closed = capacity.classical_capacity_grassmann(2, 0.5, base="2")
     assert value <= closed + 1e-6
     assert abs(value - closed) < 1e-4
@@ -148,6 +151,56 @@ def test_optimize_domain_caps():
         verify.optimize_holevo(5, 0.3)
     with pytest.raises(PreconditionError):
         verify.optimize_holevo(3, 0.3, ensemble_size=2)
+
+
+def _central_difference(fun, x, h=1e-6):
+    steps = np.eye(len(x)) * h
+    return np.array([(fun(x + e)[0] - fun(x - e)[0]) / (2 * h) for e in steps])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [0.55, 1.05])
+def test_coherent_information_objective_value_and_gradient(d, r):
+    rng = np.random.default_rng(100 * d + int(100 * r))
+    x = rng.standard_normal(2 * d * d)
+
+    def fun(y):
+        return verify._coherent_information_and_grad(y, d, r)
+
+    value, grad = fun(x)
+    rho = verify._params_to_density(x, d)
+    assert abs(value - verify.coherent_information(d, r, rho)) < 1e-12
+    assert np.abs(grad - _central_difference(fun, x)).max() < 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [0.55, 1.05])
+def test_holevo_objective_value_and_gradient(d, r):
+    size = d + 1
+    rng = np.random.default_rng(100 * d + int(100 * r) + 1)
+    x = rng.standard_normal(size * 2 * d + size)
+
+    def fun(y):
+        return verify._holevo_and_grad(y, d, r, size)
+
+    value, grad = fun(x)
+    ensemble = verify._params_to_ensemble(x, d, size)
+    assert abs(value - verify.holevo_quantity(d, r, ensemble)) < 1e-12
+    assert np.abs(grad - _central_difference(fun, x)).max() < 1e-6
+
+
+def test_verify_oracles_report_work_counts(capsys):
+    from grasschan import cli
+
+    assert cli.main(["verify", "--suite", "all", "--d", "4", "--r", "0.55", "--seed", "7"]) == 0
+    reports = {rep["check"]: rep for rep in json.loads(capsys.readouterr().out)["reports"]}
+    for check, restarts in (("oracle-q", 4), ("oracle-c", 3)):
+        trial = reports[check]["trials"][0]
+        assert reports[check]["pass"] is True
+        # a derivative-free search needs tens of thousands of calls here
+        assert 0 < trial["nfev"] < 1000
+        assert len(trial["success"]) == restarts
+        assert all(isinstance(flag, bool) for flag in trial["success"])
 
 
 def test_check_degradable_inside_boundary():
