@@ -142,18 +142,15 @@ class DegradingWeights:
 def degrading_weights(d: int, r: float) -> DegradingWeights:
     """Weights q_k of the degrading map; q_1 = tan^(2(d-1))r.
 
-    The weights always sum to 1; they are all nonnegative exactly on
-    r in [0, pi/4], which the ``valid`` flag reports.
+    The others are q_k = p~_k - q_1 p_k, from the sector weights.  The
+    weights always sum to 1; they are all nonnegative exactly on r in
+    [0, pi/4], which the ``valid`` flag reports.
     """
-    if d < 1:
-        raise DomainError(f"need d >= 1, got d={d}")
-    _check_r(r)
-    t2 = math.tan(r) ** 2
-    c2 = math.cos(r) ** 2
-    q = np.zeros(d)
-    q[0] = t2 ** (d - 1)
-    for k in range(2, d + 1):
-        q[k - 1] = math.comb(d - 1, k - 1) * c2 ** (d - 1) * (t2 ** (d - k) - t2 ** (d + k - 2))
+    w = block_weights(d, r)
+    # tan^(2(d-1)) r overflows to inf past pi/4 at large d; q is then not valid
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1 = np.float64(math.tan(r) ** 2) ** (d - 1)
+        q = np.concatenate([[q1], w.p_tilde[1:] - q1 * w.p[1:]])
     valid = bool(np.all(q >= -1e-12) and abs(q.sum() - 1.0) <= 1e-12)
     return DegradingWeights(d, r, q, valid)
 

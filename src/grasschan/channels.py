@@ -8,6 +8,14 @@ space is spanned by the 2^d - 1 C-register states with at most d - 1
 fermions, ordered by fermion number j = 0..d-1.  The C-side sector with j
 fermions carries the weight and (up to a fixed unitary) the state of the
 forward sector k = d - j.
+
+Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
+the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
+number sectors: the channel and its complement scale sector k by
+cos^(d-1) r tan^(k-1) r and slice it by C code or by A code, and block
+channel k divides sector k by sqrt(C(d-1, k-1)).  ``fock.isometry_apply``
+builds the same image rail by rail; the tests compare every Kraus set
+against it.
 """
 
 from __future__ import annotations
@@ -27,8 +35,6 @@ __all__ = [
     "Block",
     "ChannelRep",
     "rail_reversal",
-    "output_codes",
-    "environment_codes",
     "grassmann_channel",
     "grassmann_block",
     "complementary_channel",
@@ -86,25 +92,6 @@ class ChannelRep:
         return acc
 
 
-def output_codes(d: int) -> list[int]:
-    """A-side output basis: nonempty occupations, sector-major, lex inside."""
-    return [c for k in range(1, d + 1) for c in fock.sector_codes(d, k)]
-
-
-def environment_codes(d: int) -> list[int]:
-    """C-side basis: occupations with at most d-1 fermions, sector-major."""
-    return [c for j in range(d) for c in fock.sector_codes(d, j)]
-
-
-def _isometry_columns(d: int, r: float) -> list[fock.StateVector]:
-    cols = []
-    for i in range(d):
-        beta = np.zeros(d, dtype=complex)
-        beta[i] = 1.0
-        cols.append(fock.isometry_apply(d, r, beta))
-    return cols
-
-
 def _check_channel_d(d: int):
     if d < 1:
         raise DomainError(f"need d >= 1, got d={d}")
@@ -112,34 +99,54 @@ def _check_channel_d(d: int):
         raise DomainError(f"explicit channel construction is capped at d={CHANNEL_MAX_D}")
 
 
-def _kraus_from_columns(
-    cols: list[fock.StateVector], d: int, out_list: list[int], env_list: list[int], trace_out_a: bool
-) -> list[np.ndarray]:
-    """Split isometry columns into Kraus operators by environment index.
+def _pair_sectors(d: int) -> list[np.ndarray]:
+    """Sector tensors of the unit pair state, the r-free core of every Kraus set.
 
-    With ``trace_out_a`` false the environment is the C register (forward
-    channel); otherwise it is the A register (complementary channel).
-    Amplitudes whose environment code is not in ``env_list`` are dropped.
+    Rail i maps to a_i^dag exp(sum_j a_j^dag c_j^dag)|vac>, the isometry
+    image without its r-dependent factors.  Its part with k fermions in A
+    (and k - 1 in C) is tensor k - 1, with entries [A code, C code, rail] in
+    ``fock.sector_codes`` order; every nonzero entry has unit magnitude.
     """
-    out_index = {c: i for i, c in enumerate(out_list)}
+    pairs = fock._exp_pair_vacuum(d, 1.0)
+    index = {c: n for k in range(d + 1) for n, c in enumerate(fock.sector_codes(d, k))}
     mask = (1 << d) - 1
-    kraus = {env: np.zeros((len(out_list), d), dtype=complex) for env in env_list}
-    for i, col in enumerate(cols):
-        for code, amp in col.amplitudes.items():
+    sectors = [
+        np.zeros((math.comb(d, k), math.comb(d, k - 1), d), dtype=complex) for k in range(1, d + 1)
+    ]
+    for i in range(d):
+        for code, amp in fock.apply_creation(pairs, i).amplitudes.items():
             a_code, c_code = code >> d, code & mask
-            out_code, env_code = (c_code, a_code) if trace_out_a else (a_code, c_code)
-            op = kraus.get(env_code)
-            if op is not None:
-                op[out_index[out_code], i] = amp
-    return [kraus[env] for env in env_list if np.any(kraus[env])]
+            sectors[a_code.bit_count() - 1][index[a_code], index[c_code], i] = amp
+    return sectors
+
+
+def _direct_sum_kraus(d: int, r: float, env_axis: int) -> list[np.ndarray]:
+    """Kraus set of the isometry image, one operator per environment code.
+
+    Sector k is scaled by cos^(d-1) r tan^(k-1) r and sliced along
+    ``env_axis`` of its [A, C, rail] tensor (1 for the forward channel, 0 for
+    the complement); the kept register stacks the sectors by fermion number.
+    All-zero operators are dropped.
+    """
+    out_dim = (1 << d) - 1
+    kraus, row = [], 0
+    for k, sector in enumerate(_pair_sectors(d), start=1):
+        sector = math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) * np.moveaxis(sector, env_axis, 0)
+        n_out = sector.shape[1]
+        for env_slice in sector:
+            op = np.zeros((out_dim, d), dtype=complex)
+            op[row : row + n_out] = env_slice
+            if np.any(op):
+                kraus.append(op)
+        row += n_out
+    return kraus
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
     _check_channel_d(d)
-    cols = _isometry_columns(d, r)
-    kraus = _kraus_from_columns(cols, d, output_codes(d), environment_codes(d), trace_out_a=False)
-    weights = block_weights(d, r)
+    weights = block_weights(d, r)  # also rejects r outside [0, pi/2)
+    kraus = _direct_sum_kraus(d, r, env_axis=1)
     blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann(d={d},r={r:.12g})")
 
@@ -151,9 +158,8 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
     sector k = d - j it mirrors, so block k carries weight p~_k.
     """
     _check_channel_d(d)
-    cols = _isometry_columns(d, r)
-    kraus = _kraus_from_columns(cols, d, environment_codes(d), output_codes(d), trace_out_a=True)
-    weights = block_weights(d, r)
+    weights = block_weights(d, r)  # also rejects r outside [0, pi/2)
+    kraus = _direct_sum_kraus(d, r, env_axis=0)
     blocks = [
         Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)
     ]
@@ -163,20 +169,14 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
 def grassmann_block(d: int, k: int) -> ChannelRep:
     """The r-independent CPTP block map onto the k-fermion sector.
 
-    Rail i maps to a_i^dag exp(sum_j a_j^dag c_j^dag)|vac>, the isometry
-    image without its r-dependent factors; its k-fermion A sector has
-    C(d-1, k-1) unit-magnitude amplitudes, hence the normalization.
+    Sector k of the pair-state decomposition, sliced by C code; each rail
+    has C(d-1, k-1) unit-magnitude amplitudes there, hence the normalization.
     """
     _check_channel_d(d)
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
-    pairs = fock._exp_pair_vacuum(d, 1.0)
-    cols = [fock.apply_creation(pairs, i) for i in range(d)]
-    ops = _kraus_from_columns(
-        cols, d, fock.sector_codes(d, k), fock.sector_codes(d, k - 1), trace_out_a=False
-    )
-    norm = math.sqrt(math.comb(d - 1, k - 1))
-    kraus = [op / norm for op in ops]
+    sector = _pair_sectors(d)[k - 1] / math.sqrt(math.comb(d - 1, k - 1))
+    kraus = list(np.ascontiguousarray(np.moveaxis(sector, 1, 0)))
     blocks = [Block(k, 1.0, math.comb(d, k))]
     return ChannelRep(d, math.comb(d, k), kraus, blocks, label=f"grassmann-block(d={d},k={k})")
 

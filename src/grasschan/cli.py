@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArithmeticError, ConvergenceError, OSError, ValueError) as exc:
+    except (ArithmeticError, ConvergenceError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

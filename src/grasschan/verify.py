@@ -347,21 +347,17 @@ def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np
 def _complement_intertwiners(d: int) -> tuple:
     """Unitaries V_k aligning complement sector d-k with the block map k.
 
-    Complement sector d-k is built r-free like ``grassmann_block``: the C
-    side of a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> with d-k+1 fermions
-    left in A, normalized by its C(d-1, k-1) unit amplitudes.
+    Complement sector d-k is sector d-k+1 of the r-free pair-state
+    decomposition sliced by A code, normalized by its C(d-1, k-1) unit
+    amplitudes per rail.
     """
-    pairs = fock._exp_pair_vacuum(d, 1.0)
-    cols = [fock.apply_creation(pairs, i) for i in range(d)]
+    sectors = channels._pair_sectors(d)
     result = []
     for k in range(1, d + 1):
         t_block = transfer_matrix(grassmann_block(d, k))
         n = math.comb(d, k)
-        ops = channels._kraus_from_columns(
-            cols, d, fock.sector_codes(d, d - k), fock.sector_codes(d, d - k + 1), trace_out_a=True
-        )
-        norm = math.sqrt(math.comb(d - 1, k - 1))
-        lhat = transfer_matrix(ChannelRep(d, n, [op / norm for op in ops]))
+        ops = sectors[d - k] / math.sqrt(math.comb(d - 1, k - 1))
+        lhat = transfer_matrix(ChannelRep(d, n, list(ops)))
         a_maps = [t_block[:, t].reshape(n, n) for t in range(d * d)]
         b_maps = [lhat[:, t].reshape(n, n) for t in range(d * d)]
         v = _solve_intertwiner(a_maps, b_maps)

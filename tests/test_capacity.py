@@ -110,8 +110,18 @@ def test_block_weights_sum_and_reversal():
     assert np.allclose(w0.p_tilde, [0, 0, 0, 1])
 
 
+def _degrading_weights_binomial(d, r):
+    # q_k = C(d-1,k-1) cos^(2(d-1)) r (tan^(2(d-k)) r - tan^(2(d+k-2)) r), term by term
+    t2, c2 = math.tan(r) ** 2, math.cos(r) ** 2
+    q = [t2 ** (d - 1)]
+    for k in range(2, d + 1):
+        q.append(math.comb(d - 1, k - 1) * c2 ** (d - 1) * (t2 ** (d - k) - t2 ** (d + k - 2)))
+    return np.array(q)
+
+
 def test_degrading_weights_against_linear_solve():
-    # oracle: q_1 p_k + q_k = p~_k solved directly from the weight vectors
+    # oracles: q_1 p_k + q_k = p~_k solved directly from the weight vectors,
+    # and the term-by-term binomial expansion
     for d in (2, 3, 4, 6):
         for r in (0.1, 0.4, 0.7, 1.0, 1.3):
             w = block_weights(d, r)
@@ -120,6 +130,7 @@ def test_degrading_weights_against_linear_solve():
             got = degrading_weights(d, r)
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.abs(got.q - expected).max() < 1e-12 * scale
+            assert np.abs(got.q - _degrading_weights_binomial(d, r)).max() < 1e-12 * scale
             assert abs(got.q.sum() - 1.0) < 1e-12 * scale
             assert abs(got.q[0] - math.tan(r) ** (2 * (d - 1))) < 1e-12 * scale
 
@@ -135,6 +146,15 @@ def test_degrading_weights_boundary_behavior():
         assert at_zero.valid
         for r in (0.9, 1.1, 1.3):
             assert not degrading_weights(d, r).valid
+
+
+@pytest.mark.filterwarnings("error")
+def test_degrading_weights_large_dimension():
+    # tan^(2(d-1)) r under- or overflows here; the flag must still be right
+    for d in (1100, 10**4):
+        for r in (0.3, math.pi / 4 - 1e-3):
+            assert degrading_weights(d, r).valid
+        assert not degrading_weights(d, 0.9).valid
 
 
 def test_unruh_z0_single_term():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from grasschan import capacity, channels
+from grasschan import capacity, channels, fock
 from grasschan.channels import (
     apply_kraus,
     choi_matrix,
@@ -237,6 +237,34 @@ def test_generic_complement_agrees_with_direct_construction(d):
     assert np.linalg.norm(choi_matrix(generic) - choi_matrix(direct)) < 1e-12
 
 
+def _isometry_kraus(d, r):
+    """Forward and complementary Kraus sets split from the isometry columns."""
+    a_codes = [c for k in range(1, d + 1) for c in fock.sector_codes(d, k)]
+    c_codes = [c for j in range(d) for c in fock.sector_codes(d, j)]
+    a_row = {c: n for n, c in enumerate(a_codes)}
+    c_row = {c: n for n, c in enumerate(c_codes)}
+    fwd = {c: np.zeros((len(a_codes), d), dtype=complex) for c in c_codes}
+    comp = {a: np.zeros((len(c_codes), d), dtype=complex) for a in a_codes}
+    for i in range(d):
+        for code, amp in fock.isometry_apply(d, r, np.eye(d)[i]).amplitudes.items():
+            a, c = code >> d, code & ((1 << d) - 1)
+            fwd[c][a_row[a], i] = amp
+            comp[a][c_row[c], i] = amp
+    return [[op for op in ops.values() if np.any(op)] for ops in (fwd, comp)]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, math.pi / 4, 1.2, 1.5707])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kraus_sets_match_isometry_apply(d, r):
+    built = (grassmann_channel(d, r), complementary_channel(d, r))
+    for ch, reference in zip(built, _isometry_kraus(d, r)):
+        assert len(ch.kraus) == len(reference)
+        for op, ref in zip(ch.kraus, reference):
+            assert op.shape == ref.shape
+            assert np.array_equal(op != 0, ref != 0)
+            assert np.all(np.abs(op - ref) <= 5e-16 * np.abs(ref))
+
+
 def test_werner_holevo_action_formula():
     rng = np.random.default_rng(6)
     for d in (2, 3, 4, 5):
@@ -299,6 +327,10 @@ def test_channel_dimension_cap():
         grassmann_channel(9, 0.3)
     with pytest.raises(DomainError):
         grassmann_channel(0, 0.3)
+    for r in (math.nan, math.inf, -0.1, math.pi / 2):
+        for build in (grassmann_channel, complementary_channel):
+            with pytest.raises(DomainError):
+                build(3, r)
 
 
 def test_json_roundtrip(tmp_path):

@@ -50,7 +50,7 @@ def test_capacity_json_schema():
     assert doc["d"] == 3 and doc["base"] == "d"
 
 
-def test_capacity_domain_error_exit_code(capsys):
+def test_capacity_domain_error_exit_code(capsys, tmp_path):
     res = run_cli("capacity", "quantum", "--d", "3", "--r", "1.5707963268")
     assert res.returncode == 1
     assert "error" in res.stderr
@@ -66,9 +66,13 @@ def test_capacity_domain_error_exit_code(capsys):
     assert cli.main(["verify", "--suite", "factorization", "--r", "nan"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+    out_path = str(tmp_path / "channel.json")
+    assert cli.main(["dump-channel", "--d", "3", "--r", "nan", "--out", out_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
-def test_arithmetic_error_exit_code(monkeypatch, capsys):
+def test_arithmetic_error_exit_code(monkeypatch, capsys, tmp_path):
     def disagree(*args):
         raise ConsistencyError("forms disagree")
 
@@ -76,6 +80,15 @@ def test_arithmetic_error_exit_code(monkeypatch, capsys):
     assert cli.main(["capacity", "quantum", "--d", "3", "--r", "0.4"]) == 1
     err = capsys.readouterr().err
     assert err == "error: forms disagree\n"
+
+    def too_big(cfg):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "run_sweep", too_big)
+    argv = ["sweep", "--family", "grassmann-q", "--d", "3", "--points", "100000000000"]
+    assert cli.main(argv + ["--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 745. GiB\n"
 
 
 def test_capacity_missing_parameter_exit_code():
