@@ -16,6 +16,11 @@ cos^(d-1) r tan^(k-1) r and slice it by C code or by A code, and block
 channel k divides sector k by sqrt(C(d-1, k-1)).  ``fock.isometry_apply``
 builds the same image rail by rail; the tests compare every Kraus set
 against it.
+
+A ``ChannelRep`` holds its Kraus set as one complex array of shape
+(m, out_dim, in_dim), operator m being ``kraus[m]``; the builders write the
+sectors straight into that stack, and ``apply_kraus``, ``choi_matrix``,
+``transfer_matrix`` and the complement act on the whole stack at once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import fock
 from .capacity import block_weights
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "Block",
@@ -45,8 +50,6 @@ __all__ = [
     "apply_kraus",
     "choi_matrix",
     "transfer_matrix",
-    "channel_to_json_dict",
-    "channel_from_json_dict",
     "dump_channel_json",
     "load_channel_json",
 ]
@@ -73,23 +76,30 @@ class Block(NamedTuple):
 
 @dataclass
 class ChannelRep:
-    """A CPTP map given by Kraus operators, with optional block metadata.
+    """A CPTP map given by a stack of Kraus operators, with optional block metadata.
 
-    Values are immutable after construction and safe to share.
+    ``kraus`` may be given as any sequence of (out_dim, in_dim) matrices; it
+    is held as one complex array of shape (m, out_dim, in_dim).  Values are
+    immutable after construction and safe to share.
     """
 
     in_dim: int
     out_dim: int
-    kraus: list[np.ndarray]
+    kraus: np.ndarray
     blocks: list[Block] | None = None
     label: str = ""
 
+    def __post_init__(self):
+        self.kraus = np.asarray(self.kraus, dtype=complex)
+        if self.kraus.ndim != 3 or self.kraus.shape[1:] != (self.out_dim, self.in_dim):
+            raise PreconditionError(
+                f"Kraus stack must have shape (m, {self.out_dim}, {self.in_dim}), "
+                f"got {self.kraus.shape}"
+            )
+
     def kraus_completeness(self) -> np.ndarray:
         """sum_m K_m^dag K_m, equal to the identity for a CPTP map."""
-        acc = np.zeros((self.in_dim, self.in_dim), dtype=complex)
-        for k in self.kraus:
-            acc += k.conj().T @ k
-        return acc
+        return np.einsum("mai,maj->ij", self.kraus.conj(), self.kraus, optimize=True)
 
 
 def _check_channel_d(d: int):
@@ -120,26 +130,31 @@ def _pair_sectors(d: int) -> list[np.ndarray]:
     return sectors
 
 
-def _direct_sum_kraus(d: int, r: float, env_axis: int) -> list[np.ndarray]:
-    """Kraus set of the isometry image, one operator per environment code.
+def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
+    """Drop all-zero operators, copying the stack (8 MB at d = 8) only if there are any."""
+    nonzero = np.any(kraus, axis=(1, 2))
+    return kraus if nonzero.all() else kraus[nonzero]
+
+
+def _direct_sum_kraus(d: int, r: float, env_axis: int) -> np.ndarray:
+    """Kraus stack of the isometry image, one operator per environment code.
 
     Sector k is scaled by cos^(d-1) r tan^(k-1) r and sliced along
     ``env_axis`` of its [A, C, rail] tensor (1 for the forward channel, 0 for
     the complement); the kept register stacks the sectors by fermion number.
     All-zero operators are dropped.
     """
-    out_dim = (1 << d) - 1
-    kraus, row = [], 0
-    for k, sector in enumerate(_pair_sectors(d), start=1):
-        sector = math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) * np.moveaxis(sector, env_axis, 0)
-        n_out = sector.shape[1]
-        for env_slice in sector:
-            op = np.zeros((out_dim, d), dtype=complex)
-            op[row : row + n_out] = env_slice
-            if np.any(op):
-                kraus.append(op)
+    sectors = [np.moveaxis(sector, env_axis, 0) for sector in _pair_sectors(d)]
+    kraus = np.zeros((sum(s.shape[0] for s in sectors), (1 << d) - 1, d), dtype=complex)
+    env = row = 0
+    for k, sector in enumerate(sectors, start=1):
+        n_env, n_out = sector.shape[:2]
+        kraus[env : env + n_env, row : row + n_out] = (
+            math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) * sector
+        )
+        env += n_env
         row += n_out
-    return kraus
+    return _nonzero_ops(kraus)
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
@@ -176,8 +191,7 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     sector = _pair_sectors(d)[k - 1] / math.sqrt(math.comb(d - 1, k - 1))
-    kraus = list(np.ascontiguousarray(np.moveaxis(sector, 1, 0)))
-    blocks = [Block(k, 1.0, math.comb(d, k))]
+    kraus, blocks = np.moveaxis(sector, 1, 0), [Block(k, 1.0, math.comb(d, k))]
     return ChannelRep(d, math.comb(d, k), kraus, blocks, label=f"grassmann-block(d={d},k={k})")
 
 
@@ -187,43 +201,29 @@ def complement_channel_rep(ch: ChannelRep) -> ChannelRep:
     The environment basis is indexed by the given Kraus operators, so the
     output dimension equals their number.
     """
-    n = len(ch.kraus)
-    kraus = []
-    for a in range(ch.out_dim):
-        op = np.zeros((n, ch.in_dim), dtype=complex)
-        for m, k in enumerate(ch.kraus):
-            op[m, :] = k[a, :]
-        if np.any(op):
-            kraus.append(op)
-    return ChannelRep(ch.in_dim, n, kraus, None, label=f"complement-of[{ch.label}]")
+    kraus = _nonzero_ops(ch.kraus.transpose(1, 0, 2))  # operator a holds row a of every K_m
+    return ChannelRep(ch.in_dim, len(ch.kraus), kraus, None, label=f"complement-of[{ch.label}]")
 
 
 def erasure_channel(p: float) -> ChannelRep:
     """Qubit-to-qutrit erasure: (1-p) psi directed-sum p |f><f|."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"erasure probability p={p} outside [0, 1]")
-    keep = np.zeros((3, 2), dtype=complex)
-    keep[0, 0] = keep[1, 1] = math.sqrt(1.0 - p)
-    flag0 = np.zeros((3, 2), dtype=complex)
-    flag0[2, 0] = math.sqrt(p)
-    flag1 = np.zeros((3, 2), dtype=complex)
-    flag1[2, 1] = math.sqrt(p)
-    kraus = [op for op in (keep, flag0, flag1) if np.any(op)]
-    return ChannelRep(2, 3, kraus, None, label=f"erasure(p={p:.12g})")
+    kraus = np.zeros((3, 3, 2), dtype=complex)
+    kraus[0, 0, 0] = kraus[0, 1, 1] = math.sqrt(1.0 - p)  # keep
+    kraus[1, 2, 0] = kraus[2, 2, 1] = math.sqrt(p)  # flag either rail
+    return ChannelRep(2, 3, _nonzero_ops(kraus), None, label=f"erasure(p={p:.12g})")
 
 
 def werner_holevo(d: int) -> ChannelRep:
     """Antisymmetric-Kraus channel sigma -> (Tr sigma I - sigma^T)/(d-1)."""
     if d < 2:
         raise DomainError(f"need d >= 2, got d={d}")
-    kraus = []
-    norm = 1.0 / math.sqrt(d - 1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            op = np.zeros((d, d), dtype=complex)
-            op[j, i] = norm
-            op[i, j] = -norm
-            kraus.append(op)
+    i, j = np.triu_indices(d, 1)
+    m = np.arange(len(i))
+    kraus = np.zeros((len(i), d, d), dtype=complex)
+    kraus[m, j, i] = 1.0 / math.sqrt(d - 1)
+    kraus[m, i, j] = -1.0 / math.sqrt(d - 1)
     return ChannelRep(d, d, kraus, None, label=f"werner-holevo(d={d})")
 
 
@@ -242,29 +242,29 @@ def transpose_depolarizing(d: int, t: float) -> np.ndarray:
     return t * swap + (1.0 - t) / d * np.eye(d * d)
 
 
-def apply_kraus(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
-    out = np.zeros((kraus[0].shape[0], kraus[0].shape[0]), dtype=complex)
-    for k in kraus:
-        out += k @ mat @ k.conj().T
-    return out
+def apply_kraus(kraus, mat: np.ndarray) -> np.ndarray:
+    """N(X) = sum_m K_m X K_m^dag for a Kraus stack of shape (m, out, in).
+
+    One product: with R[a, (m, j)] = K_m[a, j] and L[a, (m, j)] =
+    conj(K_m X)[a, j], the sum is conj(L R^T).  Conjugating L in place keeps
+    the temporaries to two copies of the stack.
+    """
+    rows = np.ascontiguousarray(np.asarray(kraus, dtype=complex).transpose(1, 0, 2))
+    left = rows @ mat
+    np.conjugate(left, out=left)
+    return (left.reshape(len(rows), -1) @ rows.reshape(len(rows), -1).T).conj()
 
 
 def choi_matrix(ch: ChannelRep) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) N(|i><j|), trace = in_dim."""
-    dim = ch.in_dim * ch.out_dim
-    choi = np.zeros((dim, dim), dtype=complex)
-    for k in ch.kraus:
-        v = k.T.reshape(-1)  # index (i, a) -> K[a, i]
-        choi += np.outer(v, v.conj())
-    return choi
+    vecs = ch.kraus.transpose(0, 2, 1).reshape(len(ch.kraus), -1)  # (m, (i, a)) -> K_m[a, i]
+    return vecs.T @ vecs.conj()
 
 
 def transfer_matrix(ch: ChannelRep) -> np.ndarray:
     """Row-major superoperator: vec(N(X)) = T vec(X)."""
-    acc = np.zeros((ch.out_dim**2, ch.in_dim**2), dtype=complex)
-    for k in ch.kraus:
-        acc += np.kron(k, k.conj())
-    return acc
+    t = np.einsum("mai,mbj->abij", ch.kraus, ch.kraus.conj(), optimize=True)
+    return t.reshape(ch.out_dim**2, ch.in_dim**2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,39 +272,27 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kraus_to_pairs(op: np.ndarray) -> list[list[float]]:
-    flat = op.reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in flat]
-
-
-def channel_to_json_dict(ch: ChannelRep, family: str, d: int, r: float) -> dict:
-    return {
+def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
+    doc = {
         "family": family,
         "d": d,
         "r": r,
         "in_dim": ch.in_dim,
         "out_dim": ch.out_dim,
-        "kraus": [_kraus_to_pairs(op) for op in ch.kraus],
+        "kraus": [[[float(x.real), float(x.imag)] for x in op.reshape(-1)] for op in ch.kraus],
         "blocks": [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []],
     }
-
-
-def channel_from_json_dict(doc: dict) -> ChannelRep:
-    out_dim, in_dim = doc["out_dim"], doc["in_dim"]
-    kraus = [
-        np.array([complex(re, im) for re, im in op], dtype=complex).reshape(out_dim, in_dim)
-        for op in doc["kraus"]
-    ]
-    blocks = [Block(b["k"], b["weight"], b["dim"]) for b in doc["blocks"]] or None
-    return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")
-
-
-def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json_dict(ch, family, d, r), fh)
+        json.dump(doc, fh)
         fh.write("\n")
 
 
 def load_channel_json(path) -> ChannelRep:
     with open(path, encoding="utf-8") as fh:
-        return channel_from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    out_dim, in_dim = doc["out_dim"], doc["in_dim"]
+    kraus = np.empty((len(doc["kraus"]), out_dim, in_dim), dtype=complex)
+    for op, pairs in zip(kraus, doc["kraus"]):
+        op[...] = np.array([complex(re, im) for re, im in pairs]).reshape(out_dim, in_dim)
+    blocks = [Block(b["k"], b["weight"], b["dim"]) for b in doc["blocks"]] or None
+    return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")

@@ -127,8 +127,10 @@ def _cmd_capacity(args) -> int:
     elif args.kind == "unruh":
         if args.z is None:
             raise DomainError("unruh capacity needs --z")
-        value = capacity.quantum_capacity_unruh(args.d, args.z, tol=args.tol, base=base).value
+        result = capacity.quantum_capacity_unruh(args.d, args.z, tol=args.tol, base=base)
+        value = result.value
         payload = {"d": args.d, "z": args.z, "value": value, "base": base}
+        payload.update(terms=result.terms, remainder=result.remainder)
     elif args.kind == "unruh-approx":
         if args.z is None:
             raise DomainError("unruh approximation needs --z")

@@ -20,6 +20,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
+from .capacity import _check_r
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -137,11 +138,6 @@ def apply_annihilation(state: StateVector, mode: int) -> StateVector:
         new = code & ~bit
         out[new] = out.get(new, 0.0) + _jw_sign(code, m, mode) * amp
     return StateVector(m, out)
-
-
-def _check_r(r: float):
-    if not 0.0 <= r < math.pi / 2:
-        raise DomainError(f"squeezing parameter r={r} outside [0, pi/2)")
 
 
 def _pair_creation_sum(state: StateVector, d: int) -> StateVector:

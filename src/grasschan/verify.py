@@ -126,9 +126,9 @@ def _entropy_and_log(sigma: np.ndarray, ln_base: float) -> tuple[float, np.ndarr
     return float(-(evals * logs).sum() / ln_base), (vecs * (-logs / ln_base)) @ vecs.conj().T
 
 
-def _apply_adjoint(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
+def _apply_adjoint(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Heisenberg-picture map N^dag(X) = sum_m K_m^dag X K_m."""
-    return sum(k.conj().T @ mat @ k for k in kraus)
+    return apply_kraus(kraus.conj().transpose(0, 2, 1), mat)
 
 
 @lru_cache(maxsize=128)
@@ -357,7 +357,7 @@ def _complement_intertwiners(d: int) -> tuple:
         t_block = transfer_matrix(grassmann_block(d, k))
         n = math.comb(d, k)
         ops = sectors[d - k] / math.sqrt(math.comb(d - 1, k - 1))
-        lhat = transfer_matrix(ChannelRep(d, n, list(ops)))
+        lhat = transfer_matrix(ChannelRep(d, n, ops))
         a_maps = [t_block[:, t].reshape(n, n) for t in range(d * d)]
         b_maps = [lhat[:, t].reshape(n, n) for t in range(d * d)]
         v = _solve_intertwiner(a_maps, b_maps)
@@ -396,8 +396,8 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     unitarity = float(np.linalg.norm(w_mat.conj().T @ w_mat - np.eye(d_a)))
 
     # rail-ordered compression onto the first block feeds the sector maps
-    r1 = np.zeros((d, d_a))
-    r1[:, a_slices[0]] = np.eye(d)[::-1]
+    r1 = np.zeros((d, d_a), dtype=complex)
+    r1[:, a_slices[0]] = channels.rail_reversal(d)
     pieces = [np.kron(w_mat, w_mat.conj())]
     for m in range(2, d + 1):
         v = inter[m - 1][0]
@@ -564,7 +564,7 @@ def check_werner_holevo(d: int, tol: float = 1e-10) -> VerificationReport:
     """
     comp = complement_channel_rep(grassmann_block(d, 2))
     rail = channels.rail_reversal(d)
-    aligned = ChannelRep(d, d, [rail @ op for op in comp.kraus], None, label="rail-aligned")
+    aligned = ChannelRep(d, d, rail @ comp.kraus, None, label="rail-aligned")
     choi_wh = choi_matrix(werner_holevo(d))
     choi_gap = float(np.linalg.norm(choi_matrix(aligned) - choi_wh))
     pt_min = check_ppt(choi_wh, d)

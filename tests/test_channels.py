@@ -15,10 +15,11 @@ from grasschan.channels import (
     erasure_channel,
     grassmann_block,
     grassmann_channel,
+    transfer_matrix,
     transpose_depolarizing,
     werner_holevo,
 )
-from grasschan.errors import DomainError
+from grasschan.errors import DomainError, PreconditionError
 
 
 def _random_pure(d, rng):
@@ -263,6 +264,68 @@ def test_kraus_sets_match_isometry_apply(d, r):
             assert op.shape == ref.shape
             assert np.array_equal(op != 0, ref != 0)
             assert np.all(np.abs(op - ref) <= 5e-16 * np.abs(ref))
+
+
+def _loop_complement(ch):
+    """The complement built operator by operator: operator a collects row a of each K_m."""
+    ops = []
+    for a in range(ch.out_dim):
+        op = np.zeros((len(ch.kraus), ch.in_dim), dtype=complex)
+        for m, k in enumerate(ch.kraus):
+            op[m, :] = k[a, :]
+        if np.any(op):
+            ops.append(op)
+    return ops
+
+
+def _kernel_channels(case):
+    if case == "werner-holevo":
+        return [werner_holevo(4)]
+    if case == "erasure":
+        return [erasure_channel(0.3), erasure_channel(0.0)]
+    if case == "complex":  # a random isometry: no built channel has complex entries
+        g = np.random.default_rng(9).standard_normal((12, 6)).view(complex)
+        return [channels.ChannelRep(3, 4, np.linalg.qr(g)[0].reshape(3, 4, 3))]
+    d = case
+    built = [grassmann_channel(d, 0.7), complementary_channel(d, 0.7), grassmann_channel(d, 0.0)]
+    return built + [grassmann_block(d, k) for k in range(1, d + 1)]
+
+
+@pytest.mark.parametrize("case", [*range(1, 9), "werner-holevo", "erasure", "complex"])
+def test_stacked_kernels_match_operator_loops(case):
+    rng = np.random.default_rng(40)
+    for ch in _kernel_channels(case):
+        kraus = ch.kraus
+        assert kraus.dtype == complex and kraus.shape == (len(kraus), ch.out_dim, ch.in_dim)
+        rho = _random_pure(ch.in_dim, rng)
+        out = sum(k @ rho @ k.conj().T for k in kraus)
+        assert np.abs(apply_kraus(kraus, rho) - out).max() < 1e-14
+        assert np.abs(apply_kraus(list(kraus), rho) - out).max() < 1e-14
+        gram = sum(k.conj().T @ k for k in kraus)
+        assert np.abs(ch.kraus_completeness() - gram).max() < 1e-14
+        if ch.in_dim * ch.out_dim <= 600:  # the loop sums take seconds on full d = 7, 8 channels
+            choi = sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in kraus)
+            assert np.abs(choi_matrix(ch) - choi).max() < 1e-14
+            transfer = sum(np.kron(k, k.conj()) for k in kraus)
+            assert np.abs(transfer_matrix(ch) - transfer).max() < 1e-14
+        comp = complement_channel_rep(ch)
+        reference = _loop_complement(ch)
+        assert comp.kraus.shape == (len(reference), len(kraus), ch.in_dim)
+        assert all(np.array_equal(op, ref) for op, ref in zip(comp.kraus, reference))
+
+
+def test_kraus_stack_shape_and_json_operator_size(tmp_path):
+    with pytest.raises(PreconditionError):
+        channels.ChannelRep(2, 3, np.zeros((1, 2, 3)))
+    path = tmp_path / "channel.json"
+    channels.dump_channel_json(grassmann_channel(2, 0.5), "grassmann", 2, 0.5, path)
+    doc = json.loads(path.read_text())
+    for edit in (lambda op: op.pop(), lambda op: op.append([0.0, 0.0])):
+        bad = json.loads(json.dumps(doc))
+        edit(bad["kraus"][1])
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError):
+            channels.load_channel_json(path)
 
 
 def test_werner_holevo_action_formula():

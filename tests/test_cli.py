@@ -50,6 +50,18 @@ def test_capacity_json_schema():
     assert doc["d"] == 3 and doc["base"] == "d"
 
 
+def test_capacity_unruh_json_reports_series_terms(capsys):
+    args = ["capacity", "unruh", "--d", "3", "--z", "0.6", "--tol", "1e-10"]
+    assert cli.main(args) == 0
+    line = capsys.readouterr().out
+    assert cli.main(args + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["d", "z", "value", "base", "terms", "remainder"]
+    assert isinstance(doc["terms"], int) and doc["terms"] >= 1
+    assert 0.0 <= doc["remainder"] < 1e-10
+    assert line == f"{doc['value']:.12f}\n"
+
+
 def test_capacity_domain_error_exit_code(capsys, tmp_path):
     res = run_cli("capacity", "quantum", "--d", "3", "--r", "1.5707963268")
     assert res.returncode == 1
