@@ -80,24 +80,25 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(np.abs(diff) < 0.1 * (x + m), series, direct)
 
 
-def _binomial_logpmf(n: int, s: float, c: float) -> np.ndarray:
-    """Log Binomial(n, s) pmf at x = 0..n; c = 1 - s is passed in its own rounding.
+def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
+    """Log Binomial(n, s) pmf at x, elementwise over broadcast integer arrays x and n.
 
     Loader (2000): log C(n,x) s^x c^(n-x) = e(n) - e(x) - e(n-x) - D(x, ns)
     - D(n-x, nc) - log(2 pi x (n-x) / n) / 2, the last term dropped at x = 0
     and n, with Stirling errors e and deviances D.  Each term is O(1) where
     the mass lies, so the pmf keeps a few-ulp accuracy at any n and, to first
-    order, does not see the rounding of s and c.  s == c gives a bitwise-
-    symmetric result, on which antisymmetric sums cancel exactly.
+    order, does not see the rounding of s and of c = 1 - s, passed in its own.
+    s == c gives a bitwise symmetric result: antisymmetric sums cancel exactly.
     """
-    x = np.arange(n + 1)
-    st = _stirlerr(x)
+    y = n - x
+    n, x = x + y, n - y  # both take the shape of y, exactly in integers
+    st = _stirlerr(np.stack((n, x, y)))  # one call, not three: small n is call-bound
     # 0 log 0 at the ends, and s = 0 (D = inf, zero mass) off x = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = _bd0(np.stack((x, x[::-1])), np.array([[n * s], [n * c]]))
-    logpmf = st[n] - (st + st[::-1]) - (dev[0] + dev[1])
-    logpmf[1:n] -= 0.5 * np.log(2.0 * math.pi * (x[1:n] * x[n - 1 : 0 : -1] / n))
-    return logpmf
+        dev = _bd0(np.stack((x, y)), np.stack((n * s, n * c)))
+        half_log = 0.5 * np.log(2.0 * math.pi * (x * y / n))
+    logpmf = st[0] - (st[1] + st[2]) - (dev[0] + dev[1])
+    return logpmf - np.where((0 < x) & (x < n), half_log, 0.0)
 
 
 def _check_r(r: float):
@@ -124,7 +125,7 @@ def block_weights(d: int, r: float) -> BlockWeights:
     if d < 1:
         raise DomainError(f"need d >= 1, got d={d}")
     _check_r(r)
-    p = np.exp(_binomial_logpmf(d - 1, math.sin(r) ** 2, math.cos(r) ** 2))
+    p = np.exp(_binomial_logpmf(np.arange(d), d - 1, math.sin(r) ** 2, math.cos(r) ** 2))
     assert abs(p.sum() - 1.0) < 1e-12
     return BlockWeights(d, r, p, p[::-1].copy())
 
@@ -173,8 +174,8 @@ def _q_w_form_a(d: int, w: float, base_val: float) -> float:
     # (1/d) (1+w)^-(d-1) sum_k k C(d,k) log k (w^(d-k) - w^(k-1)) with P the
     # Binomial(d, w/(1+w)) pmf: C(d,k) w^(d-k) = (1+w)^d P[d-k] and
     # k C(d,k) w^(k-1) = (1+w)^d (d-k+1) P[k-1]
-    pmf = np.exp(_binomial_logpmf(d, w / (1.0 + w), 1.0 / (1.0 + w))[:d])
     k = np.arange(1, d + 1)
+    pmf = np.exp(_binomial_logpmf(k - 1, d, w / (1.0 + w), 1.0 / (1.0 + w)))
     s = np.log(k) @ (k * pmf[::-1] - (d + 1 - k) * pmf)
     return float(s) * (1.0 + w) / d / math.log(base_val)
 
@@ -182,7 +183,7 @@ def _q_w_form_a(d: int, w: float, base_val: float) -> float:
 def _q_w_form_b(d: int, w: float, base_val: float) -> float:
     # (1+w)^-(d-1) sum_{k=0}^{d-1} w^k C(d-1,k) log((d-k)/(k+1)) over the
     # Binomial(d-1, w/(1+w)) pmf
-    pmf = np.exp(_binomial_logpmf(d - 1, w / (1.0 + w), 1.0 / (1.0 + w)))
+    pmf = np.exp(_binomial_logpmf(np.arange(d), d - 1, w / (1.0 + w), 1.0 / (1.0 + w)))
     return float((pmf[::-1] - pmf) @ np.log(np.arange(1, d + 1))) / math.log(base_val)
 
 
@@ -216,12 +217,14 @@ def classical_capacity_grassmann(d: int, r: float, base="d") -> float:
     """
     w = block_weights(d, r)
     lb = math.log(log_base_value(base, d))
-    closed = (math.log(d) - w.p @ np.log(np.arange(1, d + 1))) / lb
+    k = np.arange(1, d + 1)
+    closed = (math.log(d) - w.p @ np.log(k)) / lb
     nonzero = w.p[w.p > 0.0]
     h_weights = -(nonzero @ np.log(nonzero)) / lb
     # log C(n, x) = log Binomial(n, 1/2) pmf + n log 2
-    sector_term = (w.p @ (_binomial_logpmf(d, 0.5, 0.5)[1:] + d * math.log(2))) / lb
-    h_output = h_weights + (w.p @ (_binomial_logpmf(d - 1, 0.5, 0.5) + (d - 1) * math.log(2))) / lb
+    sector_term = (w.p @ (_binomial_logpmf(k, d, 0.5, 0.5) + d * math.log(2))) / lb
+    flat_entropy = _binomial_logpmf(k - 1, d - 1, 0.5, 0.5) + (d - 1) * math.log(2)
+    h_output = h_weights + (w.p @ flat_entropy) / lb
     three_term = h_weights + sector_term - h_output
     if abs(closed - three_term) > 1e-10:
         raise ConsistencyError(
@@ -239,10 +242,12 @@ class UnruhCapacity(NamedTuple):
 def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> UnruhCapacity:
     """Quantum capacity of the d-dimensional bosonic squeezing channel.
 
-    Sums (1/d)(1-z)^(d+1) sum_{k>=1} k C(d+k-1,k) log((d+k-1)/k) z^(k-1)
-    until a geometric tail bound certifies the remainder below ``tol``:
-    consecutive term ratios are bounded by z (1 + d/k), so once that bound
-    drops below one the tail is at most term * q / (1 - q).
+    With j = k - 1, (1/d)(1-z)^(d+1) sum_{k>=1} k C(d+k-1,k) log((d+k-1)/k)
+    z^(k-1) is the expectation of log1p((d-1)/(j+1)) under NB(j; d+1, z).  Its
+    terms, NB(j; n, z) = n/(n+j) Bin(n; n+j, 1-z) from the shared Loader
+    kernel, are summed in chunks of at most 4096.  Term ratios are bounded by
+    q = z (1 + d/(j+1)), so summing stops at the first term where q < 1 and the
+    tail bound term * q / (1 - q) is below ``tol``: the reported remainder.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got d={d}")
@@ -250,34 +255,28 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
         raise DomainError(f"z={z} outside [0, 1)")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    base_val = log_base_value(base, d)
-    lb = math.log(base_val)
-    prefac = (1.0 - z) ** (d + 1) / d
-
+    lb = math.log(log_base_value(base, d))
+    cap, n = UNRUH_MAX_TERMS, d + 1
     total = 0.0
-    comp = 0.0  # Neumaier compensation
-    k = 1
-    binom_z = float(d)  # C(d+k-1,k) z^(k-1) at k=1: C(d,1) = d, z^0 = 1
-    while True:
-        term = prefac * k * binom_z * (math.log(d + k - 1) - math.log(k)) / lb
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        q = z * (1.0 + d / k)
-        if q < 1.0:
-            tail = abs(term) * q / (1.0 - q)
-            if tail < tol:
-                return UnruhCapacity(total + comp, tail, k)
-        if k >= UNRUH_MAX_TERMS:
-            raise ConvergenceError(
-                f"Unruh series did not certify tol={tol} within {UNRUH_MAX_TERMS} terms",
-                partial=total + comp,
-            )
-        binom_z *= z * (d + k) / (k + 1)
-        k += 1
+    start, size = 0, 64
+    while start < cap:
+        j = np.arange(start, min(start + size, cap))
+        pmf = n / (n + j) * np.exp(_binomial_logpmf(n, n + j, 1.0 - z, z))
+        term = pmf * np.log1p((d - 1) / (j + 1)) / lb
+        q = z * (1.0 + d / (j + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):  # q == 1; masked below
+            tail = term * q / (1.0 - q)
+        done = np.flatnonzero((q < 1.0) & (tail < tol))
+        if done.size:
+            stop = int(done[0])
+            return UnruhCapacity(total + float(term[: stop + 1].sum()), float(tail[stop]),
+                                 start + stop + 1)
+        total += float(term.sum())
+        start, size = start + j.size, min(2 * size, 4096)
+    raise ConvergenceError(
+        f"Unruh series did not certify tol={tol} within {cap} terms",
+        partial=total,
+    )
 
 
 def unruh_capacity_approx(d: int, z: float, base="d") -> float:
@@ -300,6 +299,6 @@ def capacity_ratio(d: int) -> float:
         raise DomainError(f"ratio needs d >= 2, got d={d}")
     # C(d-1,k) / 2^(d-1) is the Binomial(d-1, 1/2) pmf
     k = np.arange((d - 1) // 2 + 1)
-    pmf = np.exp(_binomial_logpmf(d - 1, 0.5, 0.5)[: k.size])
+    pmf = np.exp(_binomial_logpmf(k, d - 1, 0.5, 0.5))
     s = ((d - 1 - 2 * k) * pmf) @ (np.log(d - k) - np.log(k + 1))
     return d / (d - 1) * float(s)

@@ -175,8 +175,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
     In ``all`` mode, checks whose dimension caps exclude the requested d are
     skipped; requesting such a check explicitly raises instead.  The
     werner-holevo/ppt checks floor d at 2 (their channel family needs it),
-    and the rate check floors d at 2 (its gap vanishes at d=1) and caps it
-    at 5 (series cost grows with dimension).
+    and so does the rate check (its gap vanishes at d=1).
     """
     reports = []
     if suite == "degradable" or (suite == "all" and 2 <= d <= 4):
@@ -232,7 +231,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
             )
         )
     if suite in ("all", "rate"):
-        reports.append(verify.check_approximation_rate(min(max(d, 2), 5)))
+        reports.append(verify.check_approximation_rate(max(d, 2)))
     return reports
 
 

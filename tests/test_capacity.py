@@ -198,6 +198,77 @@ def test_unruh_convergence_cap(monkeypatch):
     assert err.value.partial > 0.0
 
 
+def test_unruh_cap_is_never_exceeded(monkeypatch):
+    # (3, 0.9) certifies tol=1e-12 at term 295, inside the third chunk (terms 193..448)
+    monkeypatch.setattr(capacity, "UNRUH_MAX_TERMS", 200)
+    with pytest.raises(ConvergenceError):
+        quantum_capacity_unruh(3, 0.9, tol=1e-12)
+    monkeypatch.setattr(capacity, "UNRUH_MAX_TERMS", 294)
+    with pytest.raises(ConvergenceError):
+        quantum_capacity_unruh(3, 0.9, tol=1e-12)
+    monkeypatch.setattr(capacity, "UNRUH_MAX_TERMS", 295)
+    assert quantum_capacity_unruh(3, 0.9, tol=1e-12).terms == 295
+
+
+def _unruh_recurrence(d, z, tol, base):
+    """The series in linear space, C(d+k-1,k) z^(k-1) by recurrence, Neumaier-summed.
+
+    That coefficient overflows near k = 333 once d is a few hundred, so this
+    reference holds only where it stays finite.
+    """
+    lb = math.log(capacity.log_base_value(base, d))
+    prefac = (1.0 - z) ** (d + 1) / d
+    total = comp = 0.0
+    k, binom_z = 1, float(d)
+    while True:
+        term = prefac * k * binom_z * (math.log(d + k - 1) - math.log(k)) / lb
+        t = total + term
+        comp += (total - t) + term if abs(total) >= abs(term) else (term - t) + total
+        total = t
+        q = z * (1.0 + d / k)
+        if q < 1.0 and term * q / (1.0 - q) < tol:
+            return total + comp, k
+        binom_z *= z * (d + k) / (k + 1)
+        k += 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 20, 100])
+def test_unruh_matches_linear_recurrence(d):
+    for z in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999):
+        for tol, base in ((1e-10, "d"), (1e-13, "2")):
+            value, terms = _unruh_recurrence(d, z, tol, base)
+            res = quantum_capacity_unruh(d, z, tol=tol, base=base)
+            assert res.terms == terms, (z, tol)
+            assert abs(res.value - value) <= 1e-13, (z, tol)
+
+
+def _mp_unruh(d, z):
+    """(1-z)^(d+1) sum_j C(d+j,j) z^j log((d+j)/(j+1)) / log d, to a 1e-20 relative tail."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(z)
+        coef, total, j = (1 - z) ** (d + 1), mpmath.mpf(0), 0
+        while True:
+            term = coef * mpmath.log(mpmath.mpf(d + j) / (j + 1))
+            total += term
+            ratio = z * (d + j + 1) / (j + 1)  # coef_{j+1} / coef_j bounds the term ratio
+            if ratio < 1 and term * ratio / (1 - ratio) < total * mpmath.mpf("1e-20"):
+                return float(total / mpmath.log(d))
+            coef *= ratio
+            j += 1
+
+
+@pytest.mark.parametrize(
+    "d, z, expected", [(300, 0.95, 0.008962866612001), (1000, 0.9, 0.015237216093433)]
+)
+def test_unruh_large_dimension_against_mpmath(d, z, expected):
+    # the linear-space recurrence overflowed here and spun to the term cap
+    ref = _mp_unruh(d, z)
+    assert abs(ref - expected) < 1e-15
+    res = quantum_capacity_unruh(d, z, tol=1e-12)
+    assert res.terms < capacity.UNRUH_MAX_TERMS
+    assert abs(res.value - ref) <= res.remainder + 1e-13
+
+
 def test_unruh_approx_hand_value():
     expected = 0.75 / (2 * math.log(2))
     assert abs(unruh_capacity_approx(2, 0.5) - expected) < 1e-15

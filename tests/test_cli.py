@@ -62,6 +62,14 @@ def test_capacity_unruh_json_reports_series_terms(capsys):
     assert line == f"{doc['value']:.12f}\n"
 
 
+def test_capacity_unruh_large_dimension_in_process(capsys):
+    assert cli.main(["capacity", "unruh", "--d", "1000", "--z", "0.9", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["terms"] < capacity.UNRUH_MAX_TERMS
+    assert doc["remainder"] < 1e-12  # the default --tol
+    assert abs(doc["value"] - 0.015237216093433) <= 2e-12  # mpmath
+
+
 def test_capacity_domain_error_exit_code(capsys, tmp_path):
     res = run_cli("capacity", "quantum", "--d", "3", "--r", "1.5707963268")
     assert res.returncode == 1
@@ -255,7 +263,7 @@ def test_capacity_unruh_approx_cli():
     assert res.stdout == "0.000000000000\n"
 
 
-def test_verify_suite_respects_dimension_caps():
+def test_verify_suite_respects_dimension_caps(capsys):
     # requesting a capped check beyond its cap is a runtime error ...
     res = run_cli("verify", "--suite", "oracle-c", "--d", "5", "--r", "0.3")
     assert res.returncode == 1
@@ -268,6 +276,10 @@ def test_verify_suite_respects_dimension_caps():
     res = run_cli("verify", "--suite", "rate", "--d", "1")
     assert res.returncode == 0
     assert json.loads(res.stdout)["reports"][0]["params"]["d"] == 2
+    # and has no upper cap: the series costs little at any dimension
+    assert cli.main(["verify", "--suite", "rate", "--d", "7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] and doc["reports"][0]["params"]["d"] == 7
 
 
 def test_dump_channel_roundtrip(tmp_path):
