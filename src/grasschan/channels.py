@@ -11,20 +11,22 @@ forward sector k = d - j.
 
 Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
 the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
-number sectors: the channel and its complement scale sector k by
-cos^(d-1) r tan^(k-1) r and slice it by C code or by A code, and block
-channel k divides sector k by sqrt(C(d-1, k-1)).  ``fock.isometry_apply``
-builds the same image rail by rail; the tests compare every Kraus set
-against it.
+number sectors.  The channel builds one zero-padded [C code, A code, rail]
+stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r; the complement is
+that stack transposed.  Block channel k is sector k divided by
+sqrt(C(d-1, k-1)).  ``fock.isometry_apply`` builds the same image rail by
+rail; the tests compare every Kraus set against it.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
-(m, out_dim, in_dim), operator m being ``kraus[m]``; the builders write the
-sectors straight into that stack, and ``apply_kraus``, ``choi_matrix``,
-``transfer_matrix`` and the complement act on the whole stack at once.
+(m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
+``blocks``; ``block_slices`` reads each sector's output rows from there.
+``apply_kraus``, ``choi_matrix``, ``transfer_matrix`` and the complement act
+on the whole stack at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ __all__ = [
     "Block",
     "ChannelRep",
     "rail_reversal",
+    "block_slices",
     "grassmann_channel",
     "grassmann_block",
     "complementary_channel",
@@ -102,6 +105,17 @@ class ChannelRep:
         return np.einsum("mai,maj->ij", self.kraus.conj(), self.kraus, optimize=True)
 
 
+def block_slices(ch: ChannelRep) -> dict[int, slice]:
+    """Output rows of each block, keyed by the forward sector k it carries.
+
+    The blocks tile the output in the order ``ch.blocks`` lists them; a
+    channel without block metadata has none.
+    """
+    blocks = ch.blocks or []
+    ends = itertools.accumulate(b.dim for b in blocks)
+    return {b.k: slice(end - b.dim, end) for b, end in zip(blocks, ends)}
+
+
 def _check_channel_d(d: int):
     if d < 1:
         raise DomainError(f"need d >= 1, got d={d}")
@@ -131,37 +145,42 @@ def _pair_sectors(d: int) -> list[np.ndarray]:
 
 
 def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
-    """Drop all-zero operators, copying the stack (8 MB at d = 8) only if there are any."""
-    nonzero = np.any(kraus, axis=(1, 2))
+    """Drop all-zero operators, copying the stack (8 MB at d = 8) only if there are any.
+
+    A transposed stack, such as the complement's, is reduced along its outer
+    memory axis first: at d = 8 that is four times faster than one reduction
+    over axes (1, 2).
+    """
+    outer_rows = kraus.strides[1] > kraus.strides[0]
+    nonzero = kraus.any(axis=1).any(axis=1) if outer_rows else np.any(kraus, axis=(1, 2))
     return kraus if nonzero.all() else kraus[nonzero]
 
 
-def _direct_sum_kraus(d: int, r: float, env_axis: int) -> np.ndarray:
-    """Kraus stack of the isometry image, one operator per environment code.
+def _image_stack(d: int, r: float) -> np.ndarray:
+    """Zero-padded [C code, A code, rail] Kraus stack of the isometry image.
 
-    Sector k is scaled by cos^(d-1) r tan^(k-1) r and sliced along
-    ``env_axis`` of its [A, C, rail] tensor (1 for the forward channel, 0 for
-    the complement); the kept register stacks the sectors by fermion number.
-    All-zero operators are dropped.
+    Sector k, scaled by cos^(d-1) r tan^(k-1) r, fills the C rows with k - 1
+    fermions and the A columns with k; both registers stack their sectors by
+    fermion number.  The forward channel keeps this stack, the complement
+    takes its transpose.
     """
-    sectors = [np.moveaxis(sector, env_axis, 0) for sector in _pair_sectors(d)]
-    kraus = np.zeros((sum(s.shape[0] for s in sectors), (1 << d) - 1, d), dtype=complex)
-    env = row = 0
-    for k, sector in enumerate(sectors, start=1):
-        n_env, n_out = sector.shape[:2]
-        kraus[env : env + n_env, row : row + n_out] = (
-            math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) * sector
+    kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
+    c_row = a_row = 0
+    for k, sector in enumerate(_pair_sectors(d), start=1):
+        n_a, n_c = sector.shape[:2]
+        kraus[c_row : c_row + n_c, a_row : a_row + n_a] = (
+            math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) * sector.transpose(1, 0, 2)
         )
-        env += n_env
-        row += n_out
-    return _nonzero_ops(kraus)
+        c_row += n_c
+        a_row += n_a
+    return kraus
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
     _check_channel_d(d)
     weights = block_weights(d, r)  # also rejects r outside [0, pi/2)
-    kraus = _direct_sum_kraus(d, r, env_axis=1)
+    kraus = _nonzero_ops(_image_stack(d, r))
     blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann(d={d},r={r:.12g})")
 
@@ -169,12 +188,14 @@ def grassmann_channel(d: int, r: float) -> ChannelRep:
 def complementary_channel(d: int, r: float) -> ChannelRep:
     """The complementary channel, tracing A instead of C.
 
-    Block metadata labels the C-side sector with j fermions by the forward
-    sector k = d - j it mirrors, so block k carries weight p~_k.
+    Its Kraus stack is the transposed forward stack, with all-zero operators
+    dropped only after transposing (at r = 0 every C-side row stays).  Block
+    metadata labels the C-side sector with j fermions by the forward sector
+    k = d - j it mirrors, so block k carries weight p~_k.
     """
     _check_channel_d(d)
     weights = block_weights(d, r)  # also rejects r outside [0, pi/2)
-    kraus = _direct_sum_kraus(d, r, env_axis=0)
+    kraus = _nonzero_ops(_image_stack(d, r).transpose(1, 0, 2))
     blocks = [
         Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)
     ]
@@ -191,7 +212,7 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     sector = _pair_sectors(d)[k - 1] / math.sqrt(math.comb(d - 1, k - 1))
-    kraus, blocks = np.moveaxis(sector, 1, 0), [Block(k, 1.0, math.comb(d, k))]
+    kraus, blocks = sector.transpose(1, 0, 2), [Block(k, 1.0, math.comb(d, k))]
     return ChannelRep(d, math.comb(d, k), kraus, blocks, label=f"grassmann-block(d={d},k={k})")
 
 
@@ -273,18 +294,18 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 
 
 def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
+    kraus = ch.kraus
     doc = {
         "family": family,
         "d": d,
         "r": r,
         "in_dim": ch.in_dim,
         "out_dim": ch.out_dim,
-        "kraus": [[[float(x.real), float(x.imag)] for x in op.reshape(-1)] for op in ch.kraus],
+        "kraus": np.stack((kraus.real, kraus.imag), -1).reshape(len(kraus), -1, 2).tolist(),
         "blocks": [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # dumps takes the C encoder; dump streams in Python
 
 
 def load_channel_json(path) -> ChannelRep:

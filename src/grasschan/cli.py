@@ -178,7 +178,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
     and so does the rate check (its gap vanishes at d=1).
     """
     reports = []
-    if suite == "degradable" or (suite == "all" and 2 <= d <= 4):
+    if suite == "degradable" or (suite == "all" and d in verify.DEGRADABLE_DS):
         reports.append(verify.check_degradable(d, r, tol=tol))
     if suite in ("all", "covariance"):
         reports.append(verify.check_covariance(d, r, trials=20, tol=1e-9, seed=seed))
@@ -189,7 +189,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
         reports.append(verify.check_werner_holevo(max(d, 2)))
     if suite in ("all", "factorization"):
         reports.append(verify.check_factorization(r, tol=1e-12))
-    if suite == "oracle-q" or (suite == "all" and d <= 6):
+    if suite == "oracle-q" or (suite == "all" and d <= verify.ORACLE_Q_MAX_D):
         value, _, stats = verify.optimize_coherent_information(d, r, restarts=4, seed=seed)
         closed = capacity.quantum_capacity_grassmann(d, r)
         gap = abs(max(0.0, value) - closed)
@@ -202,7 +202,7 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
                 trials=[{"optimized": value, "closed_form": closed, **stats}],
             )
         )
-    if suite == "oracle-c" or (suite == "all" and d <= 4):
+    if suite == "oracle-c" or (suite == "all" and d <= verify.ORACLE_C_MAX_D):
         value, _, stats = verify.optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=seed)
         closed = capacity.classical_capacity_grassmann(d, r)
         reports.append(

@@ -245,17 +245,17 @@ def ladder_matrix(num_modes: int, mode: int, dagger: bool = True) -> np.ndarray:
     return mat if dagger else mat.conj().T
 
 
-def pair_generator(d: int, r: float) -> np.ndarray:
-    """Dense generator r * sum_i (a_i^dag c_i^dag - c_i a_i) on 2d modes."""
+def _pair_sum(d: int) -> np.ndarray:
+    """Dense S = sum_i a_i^dag c_i^dag on 2d modes; its adjoint is sum_i c_i a_i."""
     if d > DENSE_ORACLE_MAX_MODES:
         raise DomainError(f"dense oracle is capped at d={DENSE_ORACLE_MAX_MODES}")
-    dim = 1 << (2 * d)
-    gen = np.zeros((dim, dim), dtype=complex)
-    for i in range(d):
-        a_dag = ladder_matrix(2 * d, i, dagger=True)
-        c_dag = ladder_matrix(2 * d, d + i, dagger=True)
-        gen += a_dag @ c_dag - (a_dag @ c_dag).conj().T
-    return r * gen
+    return sum(ladder_matrix(2 * d, i) @ ladder_matrix(2 * d, d + i) for i in range(d))
+
+
+def pair_generator(d: int, r: float) -> np.ndarray:
+    """Dense generator r * sum_i (a_i^dag c_i^dag - c_i a_i) = r (S - S^dag) on 2d modes."""
+    pairs = _pair_sum(d)
+    return r * (pairs - pairs.conj().T)
 
 
 def squeezing_unitary(d: int, r: float) -> np.ndarray:
@@ -266,23 +266,12 @@ def squeezing_unitary(d: int, r: float) -> np.ndarray:
 def factored_squeezing_unitary(d: int, r: float) -> np.ndarray:
     """Three-factor product form of the squeezing unitary on 2d modes.
 
-    cos^d(r) * exp(tan r * sum a^dag c^dag) * exp(-ln cos r * sum N)
-    * exp(-tan r * sum c a), assembled from dense ladder matrices.
+    cos^d(r) * exp(tan r * S) * exp(-ln cos r * sum N) * exp(-tan r * S^dag),
+    with S = sum a^dag c^dag assembled from dense ladder matrices.
     """
-    if d > DENSE_ORACLE_MAX_MODES:
-        raise DomainError(f"dense oracle is capped at d={DENSE_ORACLE_MAX_MODES}")
-    dim = 1 << (2 * d)
+    pairs = _pair_sum(d)
     t = math.tan(r)
-    raise_sum = np.zeros((dim, dim), dtype=complex)
-    lower_sum = np.zeros((dim, dim), dtype=complex)
-    for i in range(d):
-        a_dag = ladder_matrix(2 * d, i, dagger=True)
-        c_dag = ladder_matrix(2 * d, d + i, dagger=True)
-        a_op = a_dag.conj().T
-        c_op = c_dag.conj().T
-        raise_sum += a_dag @ c_dag
-        lower_sum += c_op @ a_op
     # exp(-ln cos r * total number operator) is diagonal in occupation codes
-    number_diag = np.array([code.bit_count() for code in range(dim)], dtype=float)
+    number_diag = np.array([code.bit_count() for code in range(len(pairs))], dtype=float)
     middle = np.diag(math.cos(r) ** (-number_diag)).astype(complex)
-    return math.cos(r) ** d * (expm(t * raise_sum) @ middle @ expm(-t * lower_sum))
+    return math.cos(r) ** d * (expm(t * pairs) @ middle @ expm(-t * pairs.conj().T))

@@ -26,6 +26,7 @@ from .capacity import (
 from .channels import (
     ChannelRep,
     apply_kraus,
+    block_slices,
     choi_matrix,
     complement_channel_rep,
     complementary_channel,
@@ -56,6 +57,11 @@ __all__ = [
     "random_pure_state",
     "random_density",
 ]
+
+# Dimension caps of the checks; ``cli`` skips a check in ``--suite all`` outside them.
+ORACLE_Q_MAX_D = 6
+ORACLE_C_MAX_D = 4
+DEGRADABLE_DS = range(2, 5)
 
 
 @dataclass
@@ -282,8 +288,8 @@ def optimize_coherent_information(
     input attaining it, and ``{"nfev": total objective calls, "success":
     [converged flag per restart]}``.
     """
-    if d > 6:
-        raise DomainError(f"optimizer is capped at d=6, got d={d}")
+    if d > ORACLE_Q_MAX_D:
+        raise DomainError(f"optimizer is capped at d={ORACLE_Q_MAX_D}, got d={d}")
     rng = np.random.default_rng(seed)
     starts = [rng.standard_normal(2 * d * d) for _ in range(restarts)]
     value, best_x, stats = _maximize(
@@ -300,8 +306,8 @@ def optimize_holevo(
     Returns the best value, its (probability, state) ensemble, and the same
     ``stats`` dict as ``optimize_coherent_information``.
     """
-    if d > 4:
-        raise DomainError(f"ensemble optimizer is capped at d=4, got d={d}")
+    if d > ORACLE_C_MAX_D:
+        raise DomainError(f"ensemble optimizer is capped at d={ORACLE_C_MAX_D}, got d={d}")
     size = ensemble_size if ensemble_size is not None else d + 1
     if size < d:
         raise PreconditionError(f"ensemble size {size} < d={d}")
@@ -316,20 +322,6 @@ def optimize_holevo(
 # ---------------------------------------------------------------------------
 # Degradability: solve the degrading map within the covariant block ansatz
 # ---------------------------------------------------------------------------
-
-
-def _sector_slices(d: int, side: str) -> list[slice]:
-    # side "a": forward output sectors k=1..d; side "c": complement sectors j=0..d-1
-    sizes = (
-        [math.comb(d, k) for k in range(1, d + 1)]
-        if side == "a"
-        else [math.comb(d, j) for j in range(d)]
-    )
-    out, pos = [], 0
-    for s in sizes:
-        out.append(slice(pos, pos + s))
-        pos += s
-    return out
 
 
 def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np.ndarray:
@@ -347,17 +339,14 @@ def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np
 def _complement_intertwiners(d: int) -> tuple:
     """Unitaries V_k aligning complement sector d-k with the block map k.
 
-    Complement sector d-k is sector d-k+1 of the r-free pair-state
-    decomposition sliced by A code, normalized by its C(d-1, k-1) unit
-    amplitudes per rail.
+    The target is the complement of block map d-k+1: the C-side sector with
+    d-k fermions, normalized by its C(d-1, k-1) unit amplitudes per rail.
     """
-    sectors = channels._pair_sectors(d)
     result = []
     for k in range(1, d + 1):
         t_block = transfer_matrix(grassmann_block(d, k))
         n = math.comb(d, k)
-        ops = sectors[d - k] / math.sqrt(math.comb(d - 1, k - 1))
-        lhat = transfer_matrix(ChannelRep(d, n, ops))
+        lhat = transfer_matrix(complement_channel_rep(grassmann_block(d, d - k + 1)))
         a_maps = [t_block[:, t].reshape(n, n) for t in range(d * d)]
         b_maps = [lhat[:, t].reshape(n, n) for t in range(d * d)]
         v = _solve_intertwiner(a_maps, b_maps)
@@ -377,32 +366,32 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     eigenvalue of the solved map's Choi matrix.  The report passes when
     both sub-checks agree with the theoretical r <= pi/4 boundary.
     """
-    if not 2 <= d <= 4:
-        raise DomainError(f"degradability check supports 2 <= d <= 4, got d={d}")
+    if d not in DEGRADABLE_DS:
+        low, high = DEGRADABLE_DS[0], DEGRADABLE_DS[-1]
+        raise DomainError(f"degradability check supports {low} <= d <= {high}, got d={d}")
     fwd, comp = _grassmann_pair(d, r)
     t_fwd = transfer_matrix(fwd)
     t_comp = transfer_matrix(comp)
     d_a, d_c = fwd.out_dim, comp.out_dim
     weights = block_weights(d, r)
-    a_slices = _sector_slices(d, "a")
-    c_slices = _sector_slices(d, "c")
+    a_rows, c_rows = block_slices(fwd), block_slices(comp)
     inter = _complement_intertwiners(d)
     inter_residual = max(res for _, res in inter)
 
-    # W maps forward sector k onto complement sector d-k through V_k
+    # W maps forward sector k onto its complement sector through V_k
     w_mat = np.zeros((d_c, d_a), dtype=complex)
     for k in range(1, d + 1):
-        w_mat[c_slices[d - k], a_slices[k - 1]] = inter[k - 1][0]
+        w_mat[c_rows[k], a_rows[k]] = inter[k - 1][0]
     unitarity = float(np.linalg.norm(w_mat.conj().T @ w_mat - np.eye(d_a)))
 
     # rail-ordered compression onto the first block feeds the sector maps
     r1 = np.zeros((d, d_a), dtype=complex)
-    r1[:, a_slices[0]] = channels.rail_reversal(d)
+    r1[:, a_rows[1]] = channels.rail_reversal(d)
     pieces = [np.kron(w_mat, w_mat.conj())]
     for m in range(2, d + 1):
         v = inter[m - 1][0]
         embed = np.zeros((d_c, math.comb(d, m)), dtype=complex)
-        embed[c_slices[d - m], :] = v
+        embed[c_rows[m], :] = v
         t_block = transfer_matrix(grassmann_block(d, m))
         pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / weights.p[0])
 
@@ -470,12 +459,8 @@ def check_covariance(
     for _ in range(trials):
         u = random_su(d, rng)
         rep = np.zeros((fwd.out_dim, fwd.out_dim), dtype=complex)
-        pos = 0
-        for k in range(1, d + 1):
-            lam = fock.exterior_power(u, k)
-            n = lam.shape[0]
-            rep[pos : pos + n, pos : pos + n] = lam
-            pos += n
+        for k, rows in block_slices(fwd).items():
+            rep[rows, rows] = fock.exterior_power(u, k)
         v = random_pure_state(d, rng)
         psi = np.outer(v, v.conj())
         rotated = apply_kraus(fwd.kraus, u @ psi @ u.conj().T)
@@ -531,7 +516,7 @@ def check_complementary_spectra(
     """Each complement sector is isospectral to its weighted block state."""
     _, comp = _grassmann_pair(d, r)
     weights = block_weights(d, r)
-    c_slices = _sector_slices(d, "c")
+    c_rows = block_slices(comp)
     blocks = {m: grassmann_block(d, m) for m in range(1, d + 1)}
     rng = np.random.default_rng(seed)
     residuals = []
@@ -541,7 +526,7 @@ def check_complementary_spectra(
         gamma_c = apply_kraus(comp.kraus, psi)
         worst = 0.0
         for m in range(1, d + 1):
-            sector = gamma_c[c_slices[d - m], c_slices[d - m]]
+            sector = gamma_c[c_rows[m], c_rows[m]]
             ev_sector = np.sort(np.linalg.eigvalsh(sector))
             ev_block = np.sort(np.linalg.eigvalsh(apply_kraus(blocks[m].kraus, psi)))
             worst = max(worst, float(np.abs(ev_sector - weights.p_tilde[m - 1] * ev_block).max()))

@@ -266,6 +266,22 @@ def test_kraus_sets_match_isometry_apply(d, r):
             assert np.all(np.abs(op - ref) <= 5e-16 * np.abs(ref))
 
 
+@pytest.mark.parametrize("r", [0.0, 0.7])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kraus_mass_stays_inside_one_block(d, r):
+    # the sector-by-sector kernels assume that no Kraus mass falls outside its block
+    for ch in (grassmann_channel(d, r), complementary_channel(d, r)):
+        rows = channels.block_slices(ch)
+        assert list(rows) == [b.k for b in ch.blocks]
+        bounds = [(sl.start, sl.stop) for sl in rows.values()]
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == ch.out_dim
+        touched = np.any(ch.kraus, axis=2)  # (operator, output row) pairs with nonzero entries
+        per_block = np.stack([touched[:, sl].any(axis=1) for sl in rows.values()], axis=1)
+        assert np.all(per_block.sum(axis=1) == 1)
+    assert channels.block_slices(werner_holevo(3)) == {}
+
+
 def _loop_complement(ch):
     """The complement built operator by operator: operator a collects row a of each K_m."""
     ops = []
