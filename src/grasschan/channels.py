@@ -26,6 +26,7 @@ on the whole stack at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -123,13 +124,15 @@ def _check_channel_d(d: int):
         raise DomainError(f"explicit channel construction is capped at d={CHANNEL_MAX_D}")
 
 
-def _pair_sectors(d: int) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _pair_sectors(d: int) -> tuple[np.ndarray, ...]:
     """Sector tensors of the unit pair state, the r-free core of every Kraus set.
 
     Rail i maps to a_i^dag exp(sum_j a_j^dag c_j^dag)|vac>, the isometry
     image without its r-dependent factors.  Its part with k fermions in A
     (and k - 1 in C) is tensor k - 1, with entries [A code, C code, rail] in
     ``fock.sector_codes`` order; every nonzero entry has unit magnitude.
+    Cached per d (1.9 MB for all d <= 8 together), so the tensors are read-only.
     """
     pairs = fock._exp_pair_vacuum(d, 1.0)
     index = {c: n for k in range(d + 1) for n, c in enumerate(fock.sector_codes(d, k))}
@@ -141,7 +144,9 @@ def _pair_sectors(d: int) -> list[np.ndarray]:
         for code, amp in fock.apply_creation(pairs, i).amplitudes.items():
             a_code, c_code = code >> d, code & mask
             sectors[a_code.bit_count() - 1][index[a_code], index[c_code], i] = amp
-    return sectors
+    for sector in sectors:
+        sector.flags.writeable = False
+    return tuple(sectors)
 
 
 def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 from .capacity import _check_r
 from .errors import DomainError, PreconditionError
@@ -259,19 +258,31 @@ def pair_generator(d: int, r: float) -> np.ndarray:
 
 
 def squeezing_unitary(d: int, r: float) -> np.ndarray:
-    """Dense exponential of the pair generator (Pade scaling-and-squaring)."""
-    return expm(pair_generator(d, r))
+    """exp(G) of the anti-Hermitian pair generator, as V e^{i lam} V^dag from eigh(-iG)."""
+    lam, vecs = np.linalg.eigh(-1j * pair_generator(d, r))
+    return (vecs * np.exp(1j * lam)) @ vecs.conj().T
+
+
+def _nilpotent_exp(x: np.ndarray, order: int) -> np.ndarray:
+    """exp(x) as the finite Taylor sum, exact when x^(order+1) = 0."""
+    total = term = np.eye(len(x), dtype=complex)
+    for n in range(1, order + 1):
+        term = term @ x / n
+        total = total + term
+    return total
 
 
 def factored_squeezing_unitary(d: int, r: float) -> np.ndarray:
     """Three-factor product form of the squeezing unitary on 2d modes.
 
     cos^d(r) * exp(tan r * S) * exp(-ln cos r * sum N) * exp(-tan r * S^dag),
-    with S = sum a^dag c^dag assembled from dense ladder matrices.
+    with S = sum a^dag c^dag assembled from dense ladder matrices.  S and S^dag
+    are nilpotent (S^(d+1) = 0), so both exponentials are finite Taylor sums.
     """
     pairs = _pair_sum(d)
     t = math.tan(r)
     # exp(-ln cos r * total number operator) is diagonal in occupation codes
     number_diag = np.array([code.bit_count() for code in range(len(pairs))], dtype=float)
     middle = np.diag(math.cos(r) ** (-number_diag)).astype(complex)
-    return math.cos(r) ** d * (expm(t * pairs) @ middle @ expm(-t * pairs.conj().T))
+    create, annihilate = _nilpotent_exp(t * pairs, d), _nilpotent_exp(-t * pairs.conj().T, d)
+    return math.cos(r) ** d * (create @ middle @ annihilate)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import channels, fock
 from .capacity import (
@@ -256,7 +255,9 @@ def _maximize(value_and_grad, starts, maxiter: int):
 
     A restart that stops on a line-search failure at float precision is
     recorded as unsuccessful in ``stats["success"]``; it does not raise.
+    scipy is imported here, so only the optimizer suites pay for it.
     """
+    from scipy.optimize import minimize
 
     def negated(x):
         value, grad = value_and_grad(x)

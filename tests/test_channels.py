@@ -175,6 +175,28 @@ def test_block_matches_full_channel_sectors(d, k):
         assert np.linalg.norm(sector - p_k * apply_kraus(block.kraus, rho)) < 1e-12
 
 
+def _channel_bytes(d, r):
+    chans = (grassmann_channel(d, r), complementary_channel(d, r))
+    chans += tuple(grassmann_block(d, k) for k in range(1, d + 1))
+    return [(ch.kraus.shape, ch.kraus.tobytes(), ch.blocks, ch.label) for ch in chans]
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_pair_sectors_cache_is_shared_and_read_only(d):
+    channels._pair_sectors.cache_clear()
+    fresh = _channel_bytes(d, 0.7)
+    channels._pair_sectors.cache_clear()
+    _channel_bytes(d, 0.2)  # fills the cache at another r
+    sectors = channels._pair_sectors(d)
+    again = channels._pair_sectors(d)
+    assert isinstance(sectors, tuple) and len(sectors) == d
+    assert again is sectors
+    for sector in sectors:
+        with pytest.raises(ValueError):
+            sector[0, 0, 0] = 2.0
+    assert _channel_bytes(d, 0.7) == fresh
+
+
 def test_block_kraus_entry_magnitudes():
     block = grassmann_block(3, 2)
     assert len(block.kraus) == 3

@@ -282,6 +282,41 @@ def test_verify_suite_respects_dimension_caps(capsys):
     assert doc["pass"] and doc["reports"][0]["params"]["d"] == 7
 
 
+_SCIPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import grasschan
+from grasschan import cli
+
+assert "scipy" not in sys.modules, "import grasschan"
+out = sys.argv[1]
+for args in (
+    ["capacity", "quantum", "--d", "10", "--r", "0.5"],
+    ["capacity", "unruh", "--d", "3", "--z", "0.6", "--json"],
+    ["sweep", "--family", "grassmann-q", "--d", "2,3", "--param", "r", "--start", "0",
+     "--stop", "1.2", "--points", "4", "--out", out + "/sweep.csv"],
+    ["dump-channel", "--d", "4", "--r", "0.5", "--out", out + "/d4.json"],
+    ["verify", "--suite", "rate"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+    assert "scipy" not in sys.modules, args
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    assert cli.main(["verify", "--suite", "oracle-q", "--d", "2"]) == 0
+assert json.loads(report.getvalue())["pass"] is True
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_by_the_optimizer_suites(tmp_path):
+    # one fresh interpreter: the package import and every light command stay
+    # scipy-free, and the oracle suite still loads and runs the optimizer
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_dump_channel_roundtrip(tmp_path):
     out = tmp_path / "d2.json"
     res = run_cli("dump-channel", "--d", "2", "--r", "0.5", "--out", str(out))

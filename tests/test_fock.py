@@ -6,6 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import expm  # Pade scaling-and-squaring, a test-time reference only
 
 from grasschan import fock
 from grasschan.errors import DomainError, PreconditionError
@@ -277,6 +278,34 @@ def test_exterior_power_rejects_nonunitary():
 def test_factored_product_matches_dense_exponential(r):
     gap = np.linalg.norm(fock.squeezing_unitary(1, r) - fock.factored_squeezing_unitary(1, r))
     assert gap < 1e-12
+
+
+def _dense_pair_sum(d):
+    return sum(fock.ladder_matrix(2 * d, i) @ fock.ladder_matrix(2 * d, d + i) for i in range(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 1.4])
+def test_dense_oracles_match_pade_exponential(d, r):
+    pairs = _dense_pair_sum(d)
+    number = np.array([code.bit_count() for code in range(1 << (2 * d))], dtype=float)
+    pade_factored = math.cos(r) ** d * (
+        expm(math.tan(r) * pairs)
+        @ np.diag(math.cos(r) ** -number)
+        @ expm(-math.tan(r) * pairs.conj().T)
+    )
+    unitary = fock.squeezing_unitary(d, r)
+    assert np.abs(unitary - expm(fock.pair_generator(d, r))).max() < 1e-11
+    assert np.abs(unitary.conj().T @ unitary - np.eye(1 << (2 * d))).max() < 1e-11
+    assert np.abs(fock.factored_squeezing_unitary(d, r) - pade_factored).max() < 1e-11
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pair_sum_is_nilpotent(d):
+    # The factored oracle's Taylor sums stop at power d because this is exact.
+    pairs = _dense_pair_sum(d)
+    assert np.any(np.linalg.matrix_power(pairs, d))
+    assert not np.any(np.linalg.matrix_power(pairs, d + 1))
 
 
 def test_dense_oracle_cap():
