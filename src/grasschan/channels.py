@@ -261,24 +261,22 @@ def transpose_depolarizing(d: int, t: float) -> np.ndarray:
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got d={d}")
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
+    swap = np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]  # |ij> -> |ji>
     return t * swap + (1.0 - t) / d * np.eye(d * d)
 
 
 def apply_kraus(kraus, mat: np.ndarray) -> np.ndarray:
     """N(X) = sum_m K_m X K_m^dag for a Kraus stack of shape (m, out, in).
 
-    One product: with R[a, (m, j)] = K_m[a, j] and L[a, (m, j)] =
-    conj(K_m X)[a, j], the sum is conj(L R^T).  Conjugating L in place keeps
-    the temporaries to two copies of the stack.
+    ``mat`` is one (in, in) matrix or a stack (..., in, in) of them; the result has
+    the same leading shape.  One product per call: with R[a, (m, j)] = K_m[a, j] and
+    L[..., a, (m, j)] = conj(K_m X)[a, j], the sum is conj(L R^T).  Conjugating L in
+    place keeps the temporaries to two copies of the Kraus stack per input.
     """
     rows = np.ascontiguousarray(np.asarray(kraus, dtype=complex).transpose(1, 0, 2))
-    left = rows @ mat
+    left = rows @ np.asarray(mat)[..., None, :, :]
     np.conjugate(left, out=left)
-    return (left.reshape(len(rows), -1) @ rows.reshape(len(rows), -1).T).conj()
+    return (left.reshape(*left.shape[:-2], -1) @ rows.reshape(len(rows), -1).T).conj()
 
 
 def choi_matrix(ch: ChannelRep) -> np.ndarray:
@@ -316,9 +314,13 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
 def load_channel_json(path) -> ChannelRep:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    out_dim, in_dim = doc["out_dim"], doc["in_dim"]
-    kraus = np.empty((len(doc["kraus"]), out_dim, in_dim), dtype=complex)
-    for op, pairs in zip(kraus, doc["kraus"]):
-        op[...] = np.array([complex(re, im) for re, im in pairs]).reshape(out_dim, in_dim)
+    out_dim, in_dim, ops = doc["out_dim"], doc["in_dim"], doc["kraus"]
+    entries = itertools.chain.from_iterable(ops)
+    if any(len(op) != out_dim * in_dim for op in ops) or set(map(len, entries)) - {2}:
+        raise ValueError(f"each Kraus operator must hold {out_dim} x {in_dim} (re, im) pairs")
+    # the floats go into one buffer; np.array on the nested lists would peak at 3x the stack
+    floats = itertools.chain.from_iterable(itertools.chain.from_iterable(ops))
+    shape = (len(ops), out_dim, in_dim)
+    kraus = np.fromiter(floats, float, count=2 * math.prod(shape)).view(complex).reshape(shape)
     blocks = [Block(b["k"], b["weight"], b["dim"]) for b in doc["blocks"]] or None
     return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")

@@ -215,15 +215,11 @@ def exterior_power(u: np.ndarray, k: int) -> np.ndarray:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
         raise PreconditionError("input matrix is not unitary within 1e-10")
-    subsets = [
-        [j for j in range(d) if (code >> (d - 1 - j)) & 1] for code in sector_codes(d, k)
-    ]
-    n = len(subsets)
-    entries = np.empty((n, n), dtype=complex)
-    for a, rows in enumerate(subsets):
-        for b, cols in enumerate(subsets):
-            entries[a, b] = np.linalg.det(u[np.ix_(rows, cols)])
-    return entries
+    subsets = np.array(
+        [[j for j in range(d) if (code >> (d - 1 - j)) & 1] for code in sector_codes(d, k)]
+    )
+    # minors[a, b] = u[subsets[a]][:, subsets[b]], all C(d, k)^2 of them in one det call
+    return np.linalg.det(u[subsets[:, None, :, None], subsets[None, :, None, :]])
 
 
 # ---------------------------------------------------------------------------

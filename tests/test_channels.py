@@ -339,6 +339,12 @@ def test_stacked_kernels_match_operator_loops(case):
         out = sum(k @ rho @ k.conj().T for k in kraus)
         assert np.abs(apply_kraus(kraus, rho) - out).max() < 1e-14
         assert np.abs(apply_kraus(list(kraus), rho) - out).max() < 1e-14
+        # a (2, 3, in, in) stack of inputs: each slice equals its 2-D call bit for bit
+        stack = np.array([_random_pure(ch.in_dim, rng) for _ in range(6)]).reshape(2, 3, *rho.shape)
+        outs = apply_kraus(kraus, stack)
+        assert outs.shape == (2, 3, ch.out_dim, ch.out_dim)
+        assert np.array_equal(outs[1], apply_kraus(kraus, stack[1]))
+        assert all(np.array_equal(outs[0, j], apply_kraus(kraus, stack[0, j])) for j in range(3))
         gram = sum(k.conj().T @ k for k in kraus)
         assert np.abs(ch.kraus_completeness() - gram).max() < 1e-14
         if ch.in_dim * ch.out_dim <= 600:  # the loop sums take seconds on full d = 7, 8 channels
@@ -358,7 +364,7 @@ def test_kraus_stack_shape_and_json_operator_size(tmp_path):
     path = tmp_path / "channel.json"
     channels.dump_channel_json(grassmann_channel(2, 0.5), "grassmann", 2, 0.5, path)
     doc = json.loads(path.read_text())
-    for edit in (lambda op: op.pop(), lambda op: op.append([0.0, 0.0])):
+    for edit in (lambda op: op.pop(), lambda op: op.append([0.0, 0.0]), lambda op: op[0].pop()):
         bad = json.loads(json.dumps(doc))
         edit(bad["kraus"][1])
         path.write_text(json.dumps(bad))
@@ -404,6 +410,9 @@ def test_transpose_depolarizing_werner_holevo_point():
 def test_transpose_depolarizing_center_point():
     d = 3
     assert np.linalg.norm(transpose_depolarizing(d, 0.0) - np.eye(d * d) / d) < 1e-14
+    # at t = 1 it is the swap: entry [(i, j), (k, l)] is 1 exactly when i = l and j = k
+    swap = np.einsum("il,jk->ijkl", np.eye(d), np.eye(d)).reshape(d * d, d * d)
+    assert np.array_equal(transpose_depolarizing(d, 1.0), swap)
 
 
 def test_apply_kraus_identity():
@@ -445,6 +454,7 @@ def test_json_roundtrip(tmp_path):
     assert all(len(entry) == 2 for op in doc["kraus"] for entry in op)
     loaded = channels.load_channel_json(path)
     assert np.linalg.norm(choi_matrix(loaded) - choi_matrix(ch)) < 1e-12
+    assert np.array_equal(loaded.kraus, ch.kraus)  # the repr of each float round-trips exactly
 
 
 def test_d2_dump_kraus_sparsity(tmp_path):

@@ -267,6 +267,23 @@ def test_exterior_power_unitary_output():
         assert np.linalg.norm(lam.conj().T @ lam - np.eye(lam.shape[0])) < 1e-10
 
 
+def _minor_loop(u, k):
+    """Compound matrix from one determinant per minor, the reference for exterior_power."""
+    d = len(u)
+    subsets = [
+        [j for j in range(d) if (code >> (d - 1 - j)) & 1] for code in fock.sector_codes(d, k)
+    ]
+    dets = [[np.linalg.det(u[np.ix_(rows, cols)]) for cols in subsets] for rows in subsets]
+    return np.array(dets)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_exterior_power_matches_minor_loop(d):
+    u = _random_unitary(d, np.random.default_rng(30 + d))
+    for k in range(1, d + 1):
+        assert np.array_equal(fock.exterior_power(u, k), _minor_loop(u, k))
+
+
 def test_exterior_power_rejects_nonunitary():
     with pytest.raises(PreconditionError):
         fock.exterior_power(np.ones((3, 3)), 2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,29 @@ def test_holevo_objective_value_and_gradient(d, r):
     ensemble = verify._params_to_ensemble(x, d, size)
     assert abs(value - verify.holevo_quantity(d, r, ensemble)) < 1e-12
     assert np.abs(grad - _central_difference(fun, x)).max() < 1e-6
+
+    # a member with a zero vector holds a fixed state and takes no gradient
+    x[: 2 * d] = 0.0
+    value, grad = fun(x)
+    ensemble = verify._params_to_ensemble(x, d, size)
+    assert abs(value - verify.holevo_quantity(d, r, ensemble)) < 1e-12
+    assert np.all(np.isfinite(grad)) and not grad[: 2 * d].any()
+    assert np.abs(grad[2 * d :] - _central_difference(fun, x)[2 * d :]).max() < 1e-6
+
+
+def test_grassmann_pair_cache_stays_bounded():
+    # each cached (d, r) holds one d = 8 stack; the complement is a view of it
+    stack_bytes = 255 * 255 * 8 * 16
+    verify._grassmann_pair.cache_clear()
+    tracemalloc.start()
+    try:
+        for r in np.linspace(0.05, 1.5, 20):
+            verify.coherent_information(8, float(r), np.eye(8) / 8)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        verify._grassmann_pair.cache_clear()
+    assert traced < (verify._grassmann_pair.cache_info().maxsize + 1) * stack_bytes
 
 
 def test_verify_oracles_report_work_counts(capsys):
