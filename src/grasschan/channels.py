@@ -14,8 +14,10 @@ the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
 number sectors.  The channel builds one zero-padded [C code, A code, rail]
 stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r; the complement is
 that stack transposed.  Block channel k is sector k divided by
-sqrt(C(d-1, k-1)).  ``fock.isometry_apply`` builds the same image rail by
-rail; the tests compare every Kraus set against it.
+sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the stack: they
+contract the sector tensors block by block (``_block_groups``).
+``fock.isometry_apply`` builds the same image rail by rail; the tests
+compare every Kraus set against it.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
@@ -36,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .capacity import block_weights
+from .capacity import _check_r, block_weights
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -149,6 +151,47 @@ def _pair_sectors(d: int) -> tuple[np.ndarray, ...]:
     return tuple(sectors)
 
 
+# Blocks of up to this many rows cost more in numpy calls than in padded
+# products, so they share one zero-padded stack; at d <= 4 that is all of them.
+_SHARED_STACK_ROWS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _block_groups(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Groups (Q, s) of output-block operands; block i is weighted by sector s[i] + 1.
+
+    Forward block k contracts tensor k of ``_pair_sectors`` with itself over
+    (C code, rail).  The complement block with d - k fermions on C, which
+    mirrors it, contracts tensor d - k + 1 over (A code, rail).  Both operands
+    are C(d, k) x C(d, k-1) d.  A group stacks forward operands, then their
+    mirrors: the pairs with at most ``_SHARED_STACK_ROWS`` rows share one
+    group, zero-padded to its largest operand, and every other pair is a group
+    of its own.  The entries are signs, so Q is its own conjugate.  Cached per
+    d (3.0 MB at d = 8), so the arrays are read-only.
+    """
+    sectors = _pair_sectors(d)
+    assert not any(sector.imag.any() for sector in sectors)
+    small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
+    groups = []
+    for run in [small] + [[k] for k in range(1, d + 1) if k not in small]:
+        n, m = (max(math.comb(d, k - j) for k in run) for j in (0, 1))
+        q = np.zeros((2, len(run), n, m, d), dtype=complex)
+        for i, k in enumerate(run):
+            fwd = sectors[k - 1]
+            q[:, i, : len(fwd), : fwd.shape[1]] = (fwd, sectors[d - k].transpose(1, 0, 2))
+        q = q.reshape(2 * len(run), n, m * d)
+        q.flags.writeable = False
+        groups.append((q, np.array([k - 1 for k in run] + [d - k for k in run])))
+    return tuple(groups)
+
+
+def _sector_amplitudes(d: int, r: float) -> list[float]:
+    """cos^(d-1) r tan^(k-1) r for sector k = 1..d; rejects the d and r the builders reject."""
+    _check_channel_d(d)
+    _check_r(r)
+    return [math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) for k in range(1, d + 1)]
+
+
 def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
     """Drop all-zero operators, copying the stack (8 MB at d = 8) only if there are any.
 
@@ -171,11 +214,9 @@ def _image_stack(d: int, r: float) -> np.ndarray:
     """
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
     c_row = a_row = 0
-    for k, sector in enumerate(_pair_sectors(d), start=1):
+    for amp, sector in zip(_sector_amplitudes(d, r), _pair_sectors(d)):
         n_a, n_c = sector.shape[:2]
-        kraus[c_row : c_row + n_c, a_row : a_row + n_a] = (
-            math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) * sector.transpose(1, 0, 2)
-        )
+        kraus[c_row : c_row + n_c, a_row : a_row + n_a] = amp * sector.transpose(1, 0, 2)
         c_row += n_c
         a_row += n_a
     return kraus

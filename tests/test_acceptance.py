@@ -10,6 +10,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from grasschan import capacity, channels, verify
 from grasschan.capacity import (
@@ -22,6 +23,8 @@ from grasschan.capacity import (
 )
 from grasschan.channels import choi_matrix, erasure_channel, grassmann_block, grassmann_channel
 from grasschan.cli import SweepConfig, run_sweep
+from grasschan.errors import DomainError
+from grasschan.verify import VerificationReport, coherent_information, random_density
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -81,6 +84,37 @@ def test_criterion_zero_point():
     )
 
 
+def check_capacity_upper_bound(
+    d: int, r: float, samples: int = 200, seed: int = 13
+) -> VerificationReport:
+    """No input beats the maximally mixed one (r inside the degradable range)."""
+    if r > math.pi / 4 + 1e-12:
+        raise DomainError("the maximally-mixed optimum claim holds for r <= pi/4")
+    reference = coherent_information(d, r, np.eye(d) / d)
+    closed = quantum_capacity_grassmann_unclamped(d, r)
+    rng = np.random.default_rng(seed)
+    excess = [
+        coherent_information(d, r, random_density(d, rng)) - reference for _ in range(samples)
+    ]
+    worst = float(max(excess))
+    return VerificationReport(
+        check="capacity-upper-bound",
+        params={"d": d, "r": r, "samples": samples, "seed": seed},
+        passed=worst <= 1e-9 and abs(reference - closed) < 1e-9,
+        worst_residual=worst,
+        trials=[{"reference": reference, "closed_form": closed, "max_excess": worst}],
+    )
+
+
+def test_capacity_upper_bound_check():
+    rep = check_capacity_upper_bound(2, 0.5, samples=100)
+    assert rep.passed and rep.worst_residual <= 1e-9
+    rep = check_capacity_upper_bound(3, 0.3, samples=50)
+    assert rep.passed
+    with pytest.raises(DomainError):
+        check_capacity_upper_bound(2, 1.0)
+
+
 def test_criterion_quantum_oracle():
     with _Budget(120.0) as budget:
         worst_gap = 0.0
@@ -90,7 +124,7 @@ def test_criterion_quantum_oracle():
                 value, _, _ = verify.optimize_coherent_information(d, r, restarts=4, seed=7)
                 closed = quantum_capacity_grassmann_unclamped(d, r)
                 worst_gap = max(worst_gap, abs(value - closed))
-                bound = verify.check_capacity_upper_bound(d, r, samples=500, seed=13)
+                bound = check_capacity_upper_bound(d, r, samples=500, seed=13)
                 worst_excess = max(worst_excess, bound.worst_residual)
     _report(
         "optimized coherent information vs closed form (1e-6; 500 inputs +1e-9)",

@@ -265,7 +265,7 @@ def test_capacity_unruh_approx_cli():
 
 def test_verify_suite_respects_dimension_caps(capsys):
     # requesting a capped check beyond its cap is a runtime error ...
-    res = run_cli("verify", "--suite", "oracle-c", "--d", "5", "--r", "0.3")
+    res = run_cli("verify", "--suite", "oracle-c", "--d", "8", "--r", "0.3")
     assert res.returncode == 1
     res = run_cli("verify", "--suite", "degradable", "--d", "5", "--r", "0.3")
     assert res.returncode == 1

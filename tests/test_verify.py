@@ -92,15 +92,6 @@ def test_coherent_information_shape_check():
         verify.coherent_information(3, 0.5, np.eye(2) / 2)
 
 
-def test_capacity_upper_bound_check():
-    rep = verify.check_capacity_upper_bound(2, 0.5, samples=100)
-    assert rep.passed and rep.worst_residual <= 1e-9
-    rep = verify.check_capacity_upper_bound(3, 0.3, samples=50)
-    assert rep.passed
-    with pytest.raises(DomainError):
-        verify.check_capacity_upper_bound(2, 1.0)
-
-
 def test_optimize_coherent_information_qubit():
     value, rho, _ = verify.optimize_coherent_information(2, 0.3, restarts=3, seed=7)
     expected = 1.0 - 2.0 * math.sin(0.3) ** 2
@@ -149,7 +140,7 @@ def test_optimize_holevo_monotone_in_r():
 
 def test_optimize_domain_caps():
     with pytest.raises(DomainError):
-        verify.optimize_holevo(5, 0.3)
+        verify.optimize_holevo(8, 0.3)
     with pytest.raises(PreconditionError):
         verify.optimize_holevo(3, 0.3, ensemble_size=2)
 
@@ -198,19 +189,84 @@ def test_holevo_objective_value_and_gradient(d, r):
     assert np.abs(grad[2 * d :] - _central_difference(fun, x)[2 * d :]).max() < 1e-6
 
 
-def test_grassmann_pair_cache_stays_bounded():
-    # each cached (d, r) holds one d = 8 stack; the complement is a view of it
-    stack_bytes = 255 * 255 * 8 * 16
-    verify._grassmann_pair.cache_clear()
-    tracemalloc.start()
-    try:
-        for r in np.linspace(0.05, 1.5, 20):
-            verify.coherent_information(8, float(r), np.eye(8) / 8)
-        traced, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        verify._grassmann_pair.cache_clear()
-    assert traced < (verify._grassmann_pair.cache_info().maxsize + 1) * stack_bytes
+def _neg_log(out, ln_base):
+    # L = -log+(out)/ln b from one full-size eigh, zeroing eigenvalues at or below 1e-14
+    evals, vecs = np.linalg.eigh(out)
+    logs = np.log(evals, out=np.zeros_like(evals), where=evals > 1e-14)
+    return (vecs * (-logs / ln_base)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _stacked_adjoint(kraus, mat):  # sum_m K_m^dag mat K_m, for one matrix or a stack
+    return channels.apply_kraus(kraus.conj().transpose(0, 2, 1), mat)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sector_objectives_match_stacked_reference(d):
+    # reference: the zero-padded Kraus stacks through apply_kraus and full-size eigensolves
+    rng = np.random.default_rng(40 + d)
+    base = capacity.log_base_value("d", d)
+    ln_base = math.log(base)
+    size = 3
+    for r in (0.0, 0.3, math.pi / 4, 1.4):
+        fwd, comp = channels.grassmann_channel(d, r), channels.complementary_channel(d, r)
+        full = rng.standard_normal(2 * d * d)
+        rank_one = np.zeros(2 * d * d)
+        rank_one[::d] = rng.standard_normal(2 * d)  # one nonzero column of the factor F
+        for x in (full, rank_one):
+            rho = verify._params_to_density(x, d)
+            out_a = channels.apply_kraus(fwd.kraus, rho)
+            out_c = channels.apply_kraus(comp.kraus, rho)
+            i_c = verify.von_neumann_entropy(out_a, base) - verify.von_neumann_entropy(out_c, base)
+            g = _stacked_adjoint(fwd.kraus, _neg_log(out_a, ln_base))
+            g = g - _stacked_adjoint(comp.kraus, _neg_log(out_c, ln_base))
+            factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+            step = (2.0 / float(x @ x)) * (g - np.trace(g @ rho).real * np.eye(d)) @ factor
+            value, grad = verify._coherent_information_and_grad(x, d, r)
+            assert abs(verify.coherent_information(d, r, rho) - i_c) < 1e-13
+            assert abs(value - i_c) < 1e-13
+            want = np.concatenate([step.real.ravel(), step.imag.ravel()])
+            assert np.abs(grad - want).max() < 1e-13
+
+        # pure-state ensembles: the members are rank 1 and their average full rank
+        x = rng.standard_normal(size * 2 * d + size)
+        probs, unit, norms = verify._ensemble_parts(x, d, size)
+        psi = unit[:, :, None] * unit.conj()[:, None, :]
+        outputs = channels.apply_kraus(fwd.kraus, psi)
+        avg = (probs[:, None, None] * outputs).sum(axis=0)
+        ents = np.array([verify.von_neumann_entropy(out, base) for out in (avg, *outputs)])
+        chi = ents[0] - probs @ ents[1:]
+        logs = _neg_log(np.concatenate((avg[None], outputs)), ln_base)
+        marginal = (outputs.reshape(size, -1) @ logs[0].conj().ravel()).real - ents[1:]
+        pulled = probs[:, None, None] * _stacked_adjoint(fwd.kraus, logs[0] - logs[1:])
+        hu = (pulled @ unit[..., None])[..., 0]
+        w = (2.0 / norms)[:, None] * (hu - (unit.conj() * hu).sum(axis=1).real[:, None] * unit)
+        want = np.concatenate(
+            [np.stack((w.real, w.imag), axis=1).ravel(), probs * (marginal - probs @ marginal)]
+        )
+        value, grad = verify._holevo_and_grad(x, d, r, size)
+        assert abs(verify.holevo_quantity(d, r, list(zip(probs, psi))) - chi) < 1e-13
+        assert abs(value - chi) < 1e-13
+        assert np.abs(grad - want).max() < 1e-13
+
+
+def test_objectives_allocate_no_stack_sized_temporary():
+    # half of one zero-padded d = 8 stack: the objectives touch one block group at a time
+    limit = 255 * 255 * 8 * 16 // 2
+    rng = np.random.default_rng(17)
+    rho = verify.random_density(8, rng)
+    x = rng.standard_normal(2 * 8 * 8)
+    verify.coherent_information(8, 0.4, rho)  # warms the r-free sector caches
+    for call in (
+        lambda: verify.coherent_information(8, 0.4, rho),
+        lambda: verify._coherent_information_and_grad(x, 8, 0.4),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def test_verify_oracles_report_work_counts(capsys):
@@ -225,6 +281,8 @@ def test_verify_oracles_report_work_counts(capsys):
         assert 0 < trial["nfev"] < 1000
         assert len(trial["success"]) == restarts
         assert all(isinstance(flag, bool) for flag in trial["success"])
+        assert len(trial["grad_norm"]) == restarts
+        assert all(isinstance(g, float) and math.isfinite(g) for g in trial["grad_norm"])
 
 
 def test_check_degradable_inside_boundary():
@@ -325,7 +383,8 @@ def test_check_complementary_spectra():
     assert verify.check_complementary_spectra(4, 1.1, trials=5).passed
     # at the self-complementary point the full outputs are globally isospectral
     rng = np.random.default_rng(8)
-    fwd, comp = verify._grassmann_pair(3, math.pi / 4)
+    fwd = channels.grassmann_channel(3, math.pi / 4)
+    comp = channels.complementary_channel(3, math.pi / 4)
     v = verify.random_pure_state(3, rng)
     psi = np.outer(v, v.conj())
     ev_a = np.sort(np.linalg.eigvalsh(channels.apply_kraus(fwd.kraus, psi)))
