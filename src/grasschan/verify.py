@@ -152,13 +152,27 @@ def _block_terms(
         q, w = q[:keep], weights[sectors[:keep], None]
         x = q.reshape(keep, -1, d) @ rho[..., None, :, :]
         blocks = x.reshape(*x.shape[:-2], q.shape[1], -1) @ q.swapaxes(-1, -2)
-        evals, vecs = np.linalg.eigh(blocks) if logs else (np.linalg.eigvalsh(blocks), None)
+        evals, vecs = _eigh(blocks, logs)
         evals *= w
         coef = np.log(evals, out=np.zeros_like(evals), where=evals > _EIG_FLOOR) / -ln_base
         if complement:
             coef[..., keep // 2 :, :] *= -1.0
         wl = (vecs * (w * coef)[..., None, :]) @ vecs.conj().swapaxes(-1, -2) if logs else None
         yield q, blocks, (evals * coef).sum(axis=-1), wl
+
+
+def _eigh(blocks: np.ndarray, vectors: bool):
+    """Eigenvalues of a Hermitian stack, and its eigenvectors (else None) with ``vectors``.
+
+    LAPACK's heevd can fail to converge on the highly degenerate unit-weight
+    blocks, depending on the exact bits of the input; the stack is then solved
+    shifted by the identity, which keeps its eigenvectors, and shifted back.
+    """
+    try:
+        return np.linalg.eigh(blocks) if vectors else (np.linalg.eigvalsh(blocks), None)
+    except np.linalg.LinAlgError:
+        evals, vecs = np.linalg.eigh(blocks + np.eye(blocks.shape[-1]))
+        return evals - 1.0, (vecs if vectors else None)
 
 
 def _group_adjoint(d: int, q: np.ndarray, wl: np.ndarray) -> np.ndarray:
@@ -199,7 +213,7 @@ def _holevo_terms(d: int, r: float, probs: np.ndarray, states: np.ndarray, ln_ba
 
 
 # ---------------------------------------------------------------------------
-# Gradient optimizers (seeded multi-start L-BFGS on exact entropy gradients)
+# Gradient optimizers (seeded multi-start L-BFGS on exact entropy gradients, in numpy)
 # ---------------------------------------------------------------------------
 
 
@@ -280,46 +294,185 @@ def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int, base="d"):
     return chi, np.concatenate([np.stack((w.real, w.imag), axis=1).ravel(), grad_logits])
 
 
-def _maximize(value_and_grad, starts, maxiter: int):
-    """Best of L-BFGS-B ascents from each start, with the work they took.
+def _cubic_ratio(a, fa, da, b, fb, db):
+    """r and gamma of the cubic through (a, fa, da) and (b, fb, db), least at a + r (b - a)."""
+    theta = 3.0 * (fa - fb) / (b - a) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    gamma = math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s))), b - a)
+    return ((gamma - da) + theta) / ((gamma - da) + gamma + db), gamma
 
-    A restart that stops on a line-search failure at float precision is
-    recorded as unsuccessful in ``stats["success"]``; it does not raise, and
-    its ``stats["grad_norm"]`` entry (largest gradient entry at the end point)
-    tells such a stop from a real failure.  scipy is imported here, so only
-    the optimizer suites pay for it.
+
+@np.errstate(divide="ignore", invalid="ignore")  # a degenerate fit yields a non-finite step
+def _trial_step(best, other, trial, brackt: bool, lo: float, hi: float):
+    """One safeguarded step of the Moré-Thuente line search (their dcstep).
+
+    ``best``, ``other`` and ``trial`` are (step, value, slope) points: the
+    best step so far, the other end of the interval and the step just taken.
+    Returns the updated pair of ends, the next step and the bracketed flag;
+    ``lo`` and ``hi`` limit an extrapolation.
     """
-    from scipy.optimize import minimize
+    (stx, fx, dx), (sty, fy, dy), (stp, fp, dp) = best, other, trial
+    if fp > fx:  # a higher value: the minimum is bracketed
+        stpc = stx + _cubic_ratio(stx, fx, dx, stp, fp, dp)[0] * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        nxt = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif dp * dx < 0:  # the slope changed sign: bracketed
+        secant = stp + dp / (dp - dx) * (stx - stp)
+        stpc = stp + _cubic_ratio(stp, fp, dp, stx, fx, dx)[0] * (stx - stp)
+        nxt = stpc if abs(stpc - stp) > abs(secant - stp) else secant
+        brackt = True
+    elif abs(dp) < abs(dx):  # the slope shrank: the cubic step, if its minimum lies beyond stp
+        r, gamma = _cubic_ratio(stp, fp, dp, stx, fx, dx)
+        secant = stp + dp / (dp - dx) * (stx - stp)
+        stpc = stp + r * (stx - stp) if r < 0 and gamma != 0 else (hi if stp > stx else lo)
+        if brackt:
+            nxt = stpc if abs(stpc - stp) < abs(secant - stp) else secant
+            limit = stp + 0.66 * (sty - stp)
+            nxt = min(limit, nxt) if stp > stx else max(limit, nxt)
+        else:
+            nxt = min(max(stpc if abs(stpc - stp) > abs(secant - stp) else secant, lo), hi)
+    elif brackt:  # the slope did not shrink: the cubic through stp and the other end
+        nxt = stp + _cubic_ratio(stp, fp, dp, sty, fy, dy)[0] * (sty - stp)
+    else:
+        nxt = hi if stp > stx else lo
+    if fp > fx:
+        other = trial
+    else:
+        other, best = (best if dp * dx < 0 else other), trial
+    return best, other, nxt, brackt
+
+
+def _line_search(fun, x, f0, p, slope0: float, stp: float):
+    """x, f and g at a step along descent direction p, or None after 20 evaluations.
+
+    The line search of Moré & Thuente (1994) as L-BFGS-B runs it, with
+    c1 = 1e-3, c2 = 0.9 and xtol = 0.1: it ends at a step that meets the
+    strong Wolfe conditions, or at one where the bracket has shrunk to its
+    rounding or xtol width, which L-BFGS-B accepts too.  Until a step has
+    both a lower value and a rising slope, it fits f - c1 * slope0 * step.
+    """
+    c1_slope, xtol, wolfe = 1e-3 * slope0, 0.1, -0.9 * slope0
+    brackt, stage1 = False, True
+    width = width1 = math.inf
+    best = other = (0.0, f0, slope0)
+    lo, hi = 0.0, 5.0 * stp
+
+    def tilt(pt, c):  # (step, f - c step, slope - c)
+        return pt[0], pt[1] - pt[0] * c, pt[2] - c
+
+    for _ in range(20):
+        x1 = x + stp * p
+        f, g = fun(x1)
+        slope = g @ p
+        ftest = f0 + stp * c1_slope
+        stage1 = stage1 and not (f <= ftest and slope >= 0)
+        converged = f <= ftest and abs(slope) <= wolfe
+        if converged or brackt and (stp <= lo or stp >= hi or hi - lo <= xtol * hi):
+            return x1, f, g
+        c = c1_slope if stage1 and ftest < f <= best[1] else 0.0
+        ends = _trial_step(*(tilt(pt, c) for pt in (best, other, (stp, f, slope))), brackt, lo, hi)
+        best, other, stp, brackt = tilt(ends[0], -c), tilt(ends[1], -c), ends[2], ends[3]
+        if brackt:
+            if abs(other[0] - best[0]) >= 0.66 * width1:
+                stp = best[0] + 0.5 * (other[0] - best[0])
+            width1, width = width, abs(other[0] - best[0])
+            lo, hi = min(best[0], other[0]), max(best[0], other[0])
+        else:
+            lo, hi = stp + 1.1 * (stp - best[0]), stp + 4.0 * (stp - best[0])
+        if not math.isfinite(stp):
+            return None
+        if brackt and (stp <= lo or stp >= hi or hi - lo <= xtol * hi):
+            stp = best[0]
+    return None
+
+
+def _lbfgs(fun, x: np.ndarray, maxiter: int):
+    """Minimize ``fun`` (returning value and gradient) from x by unbounded L-BFGS-B.
+
+    L-BFGS (Liu & Nocedal 1989): the direction is -H g from the two-loop
+    recursion over the last 10 pairs (s, y), with H0 = s^T y / y^T y
+    of the newest pair; a pair whose s^T y is not positive (at most eps |g^T
+    s|) is skipped.  The first step along -g has unit length, later ones start
+    at 1, and each comes from ``_line_search``.  Returns x, f, g at the end
+    point and whether a stop rule was met: the largest gradient entry is at
+    most 1e-10, or one iteration lowers f by at most 1e-15 max(|f|, 1).  A
+    failed line search clears the memory and retries along -g; a second
+    failure in a row, or ``maxiter`` iterations, return False.
+    """
+    f, g = fun(x)
+    pairs, scale, iters = [], 1.0, 0
+    while np.abs(g).max() > 1e-10:
+        q, alphas = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        q *= scale
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        p, slope = -q, -(g @ q)
+        step = None
+        if slope < 0:
+            first = 1.0 / math.sqrt(p @ p) if iters == 0 else 1.0
+            step = _line_search(fun, x, f, p, slope, first)
+        if step is None:
+            if not pairs:
+                return x, f, g, False
+            pairs, scale = [], 1.0
+            continue
+        x1, f1, g1 = step
+        iters += 1
+        if iters >= maxiter:
+            return x1, f1, g1, False
+        if np.abs(g1).max() <= 1e-10 or f - f1 <= 1e-15 * max(abs(f), abs(f1), 1.0):
+            return x1, f1, g1, True
+        s, y = x1 - x, g1 - g
+        sy = s @ y
+        if sy > np.finfo(float).eps * -(g @ s):
+            pairs = [*pairs[-9:], (s, y, 1.0 / sy)]
+            scale = sy / (y @ y)
+        x, f, g = x1, f1, g1
+    return x, f, g, True
+
+
+def _maximize(value_and_grad, starts, maxiter: int):
+    """Best of the L-BFGS ascents (``_lbfgs`` on the negated objective) from each start.
+
+    The stats count every objective call in ``nfev``.  ``success`` holds, per
+    restart, whether a stop rule was met; a restart that ends on a failed line
+    search or at ``maxiter`` reads False and does not raise, and its
+    ``grad_norm`` entry (largest gradient entry at the end point) tells a stop
+    at float precision from a real failure.
+    """
+    nfev = 0
 
     def negated(x):
+        nonlocal nfev
+        nfev += 1
         value, grad = value_and_grad(x)
         return -value, -grad
 
-    best_val, best_x, nfev, success, grad_norm = -np.inf, None, 0, [], []
+    best_val, best_x, success, grad_norm = -np.inf, None, [], []
     for x0 in starts:
-        res = minimize(
-            negated,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": maxiter},
-        )
-        nfev += int(res.nfev)
-        success.append(bool(res.success))
-        grad_norm.append(float(np.abs(res.jac).max()))
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
+        x, f, g, ok = _lbfgs(negated, x0, maxiter)
+        success.append(ok)
+        grad_norm.append(float(np.abs(g).max()))
+        if -f > best_val:
+            best_val, best_x = -f, x
     return float(best_val), best_x, {"nfev": nfev, "success": success, "grad_norm": grad_norm}
 
 
 def optimize_coherent_information(
     d: int, r: float, restarts: int = 6, seed: int = 7, base="d"
 ) -> tuple[float, np.ndarray, dict]:
-    """Multi-start gradient ascent of the coherent information.
+    """Multi-start L-BFGS ascent of the coherent information.
 
     Deterministic for a given seed.  The square-root parametrization keeps
-    iterates on the density-matrix manifold.  Returns the best value, the
-    input attaining it, and ``{"nfev": total objective calls, "success":
+    iterates on the density-matrix manifold.  Each restart runs ``_lbfgs``
+    (Moré-Thuente line searches) for at most 2000 iterations, and converges
+    once the largest gradient entry is at most 1e-10 or an iteration gains
+    at most 1e-15 max(|value|, 1).  Returns the best value, the input
+    attaining it, and ``{"nfev": total objective calls, "success":
     [converged flag per restart], "grad_norm": [largest gradient entry at
     each restart's end point]}``.
     """
@@ -336,10 +489,11 @@ def optimize_coherent_information(
 def optimize_holevo(
     d: int, r: float, ensemble_size: int | None = None, restarts: int = 4, seed: int = 11, base="d"
 ) -> tuple[float, list, dict]:
-    """Multi-start gradient ascent of chi over pure-state ensembles.
+    """Multi-start L-BFGS ascent of chi over pure-state ensembles.
 
-    Returns the best value, its (probability, state) ensemble, and the same
-    ``stats`` dict as ``optimize_coherent_information``.
+    The method and stop rules are those of ``optimize_coherent_information``,
+    with at most 3000 iterations per restart.  Returns the best value, its
+    (probability, state) ensemble, and the same ``stats`` dict.
     """
     if d > ORACLE_C_MAX_D:
         raise DomainError(f"ensemble optimizer is capped at d={ORACLE_C_MAX_D}, got d={d}")

@@ -296,21 +296,21 @@ for args in (
      "--stop", "1.2", "--points", "4", "--out", out + "/sweep.csv"],
     ["dump-channel", "--d", "4", "--r", "0.5", "--out", out + "/d4.json"],
     ["verify", "--suite", "rate"],
+    ["verify", "--suite", "oracle-q", "--d", "2"],
+    ["verify", "--suite", "oracle-c", "--d", "2"],
+    ["verify", "--suite", "all", "--d", "2"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
         assert cli.main(args) == 0, args
     assert "scipy" not in sys.modules, args
-report = io.StringIO()
-with contextlib.redirect_stdout(report):
-    assert cli.main(["verify", "--suite", "oracle-q", "--d", "2"]) == 0
 assert json.loads(report.getvalue())["pass"] is True
-assert "scipy.optimize" in sys.modules
 """
 
 
-def test_scipy_is_loaded_only_by_the_optimizer_suites(tmp_path):
-    # one fresh interpreter: the package import and every light command stay
-    # scipy-free, and the oracle suite still loads and runs the optimizer
+def test_no_command_loads_scipy(tmp_path):
+    # one fresh interpreter: the package import and every command, the
+    # capacity oracles included, run on numpy alone
     res = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )

@@ -145,6 +145,77 @@ def test_optimize_domain_caps():
         verify.optimize_holevo(3, 0.3, ensemble_size=2)
 
 
+def _concave_quadratic(n, seed):
+    # -(x - c)^T A (x - c) / 2, maximal at c.  The stop rule on a relative decrease
+    # of 1e-15 leaves an error near sqrt(2e-15 / lambda), so A has eigenvalues in [1e6, 4e6]
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * rng.uniform(1e6, 4e6, n)) @ q.T
+    peak = rng.standard_normal(n)
+
+    def value_and_grad(x):
+        return -0.5 * (x - peak) @ a @ (x - peak), -a @ (x - peak)
+
+    return value_and_grad, peak, [rng.standard_normal(n) for _ in range(2)]
+
+
+def test_maximize_reaches_the_peak_of_a_concave_quadratic():
+    value_and_grad, peak, starts = _concave_quadratic(12, 3)
+    value, x, stats = verify._maximize(value_and_grad, starts, maxiter=2000)
+    assert stats["success"] == [True, True]
+    assert np.abs(x - peak).max() < 1e-10
+    assert -1e-12 < value <= 0.0
+    assert stats["nfev"] <= 45  # scipy's L-BFGS-B takes 39 calls from these starts
+
+
+def test_maximize_stops_at_maxiter_without_raising():
+    value_and_grad, _, starts = _concave_quadratic(12, 3)
+    _, _, stats = verify._maximize(value_and_grad, starts, maxiter=3)
+    assert stats["success"] == [False, False]
+
+
+def test_maximize_counts_every_objective_call():
+    quadratic, _, starts = _concave_quadratic(12, 3)
+    rng = np.random.default_rng(8)
+    ensembles = [rng.standard_normal(4 * 2 * 3 + 4) for _ in range(3)]
+    for fun, x0s, maxiter in (
+        (quadratic, starts, 3),
+        (quadratic, starts, 2000),
+        (lambda x: verify._holevo_and_grad(x, 3, 1.05, 4), ensembles, 3000),
+    ):
+        calls = []
+
+        def counted(x, fun=fun, calls=calls):
+            calls.append(None)
+            return fun(x)
+
+        _, _, stats = verify._maximize(counted, x0s, maxiter)
+        assert stats["nfev"] == len(calls)
+
+
+def _scipy_maximize(value_and_grad, starts, maxiter):
+    # the same multi-start ascent through scipy's L-BFGS-B: a test-time reference only
+    from scipy.optimize import minimize
+
+    def negated(x):
+        value, grad = value_and_grad(x)
+        return -value, -grad
+
+    options = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": maxiter}
+    results = [minimize(negated, x0, jac=True, method="L-BFGS-B", options=options) for x0 in starts]
+    best = min(results, key=lambda res: res.fun)
+    return -float(best.fun), best.x, {}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0.3, 1.05])
+def test_oracles_match_scipy_lbfgsb(d, r, monkeypatch):
+    ours = (verify.optimize_coherent_information(d, r)[0], verify.optimize_holevo(d, r)[0])
+    monkeypatch.setattr(verify, "_maximize", _scipy_maximize)
+    ref = (verify.optimize_coherent_information(d, r)[0], verify.optimize_holevo(d, r)[0])
+    assert np.abs(np.subtract(ours, ref)).max() <= 1e-12
+
+
 def _central_difference(fun, x, h=1e-6):
     steps = np.eye(len(x)) * h
     return np.array([(fun(x + e)[0] - fun(x - e)[0]) / (2 * h) for e in steps])
@@ -200,53 +271,118 @@ def _stacked_adjoint(kraus, mat):  # sum_m K_m^dag mat K_m, for one matrix or a 
     return channels.apply_kraus(kraus.conj().transpose(0, 2, 1), mat)
 
 
+def _coherent_reference(d, r, x):
+    # I_c and its gradient at x through the zero-padded Kraus stacks and full-size eigensolves
+    fwd, comp = channels.grassmann_channel(d, r), channels.complementary_channel(d, r)
+    base = capacity.log_base_value("d", d)
+    rho = verify._params_to_density(x, d)
+    out_a = channels.apply_kraus(fwd.kraus, rho)
+    out_c = channels.apply_kraus(comp.kraus, rho)
+    i_c = verify.von_neumann_entropy(out_a, base) - verify.von_neumann_entropy(out_c, base)
+    g = _stacked_adjoint(fwd.kraus, _neg_log(out_a, math.log(base)))
+    g = g - _stacked_adjoint(comp.kraus, _neg_log(out_c, math.log(base)))
+    factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+    step = (2.0 / float(x @ x)) * (g - np.trace(g @ rho).real * np.eye(d)) @ factor
+    return i_c, np.concatenate([step.real.ravel(), step.imag.ravel()])
+
+
+def _holevo_reference(d, r, x, size):
+    # chi and its gradient at the ensemble point x, by the same stacked route
+    fwd = channels.grassmann_channel(d, r)
+    base = capacity.log_base_value("d", d)
+    probs, unit, norms = verify._ensemble_parts(x, d, size)
+    psi = unit[:, :, None] * unit.conj()[:, None, :]
+    outputs = channels.apply_kraus(fwd.kraus, psi)
+    avg = (probs[:, None, None] * outputs).sum(axis=0)
+    ents = np.array([verify.von_neumann_entropy(out, base) for out in (avg, *outputs)])
+    chi = ents[0] - probs @ ents[1:]
+    logs = _neg_log(np.concatenate((avg[None], outputs)), math.log(base))
+    marginal = (outputs.reshape(size, -1) @ logs[0].conj().ravel()).real - ents[1:]
+    pulled = probs[:, None, None] * _stacked_adjoint(fwd.kraus, logs[0] - logs[1:])
+    hu = (pulled @ unit[..., None])[..., 0]
+    w = (2.0 / norms)[:, None] * (hu - (unit.conj() * hu).sum(axis=1).real[:, None] * unit)
+    grad = np.concatenate(
+        [np.stack((w.real, w.imag), axis=1).ravel(), probs * (marginal - probs @ marginal)]
+    )
+    return chi, grad
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_sector_objectives_match_stacked_reference(d):
-    # reference: the zero-padded Kraus stacks through apply_kraus and full-size eigensolves
     rng = np.random.default_rng(40 + d)
-    base = capacity.log_base_value("d", d)
-    ln_base = math.log(base)
     size = 3
     for r in (0.0, 0.3, math.pi / 4, 1.4):
-        fwd, comp = channels.grassmann_channel(d, r), channels.complementary_channel(d, r)
         full = rng.standard_normal(2 * d * d)
         rank_one = np.zeros(2 * d * d)
         rank_one[::d] = rng.standard_normal(2 * d)  # one nonzero column of the factor F
         for x in (full, rank_one):
-            rho = verify._params_to_density(x, d)
-            out_a = channels.apply_kraus(fwd.kraus, rho)
-            out_c = channels.apply_kraus(comp.kraus, rho)
-            i_c = verify.von_neumann_entropy(out_a, base) - verify.von_neumann_entropy(out_c, base)
-            g = _stacked_adjoint(fwd.kraus, _neg_log(out_a, ln_base))
-            g = g - _stacked_adjoint(comp.kraus, _neg_log(out_c, ln_base))
-            factor = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-            step = (2.0 / float(x @ x)) * (g - np.trace(g @ rho).real * np.eye(d)) @ factor
+            i_c, want = _coherent_reference(d, r, x)
             value, grad = verify._coherent_information_and_grad(x, d, r)
+            rho = verify._params_to_density(x, d)
             assert abs(verify.coherent_information(d, r, rho) - i_c) < 1e-13
             assert abs(value - i_c) < 1e-13
-            want = np.concatenate([step.real.ravel(), step.imag.ravel()])
             assert np.abs(grad - want).max() < 1e-13
 
         # pure-state ensembles: the members are rank 1 and their average full rank
         x = rng.standard_normal(size * 2 * d + size)
-        probs, unit, norms = verify._ensemble_parts(x, d, size)
+        chi, want = _holevo_reference(d, r, x, size)
+        probs, unit, _ = verify._ensemble_parts(x, d, size)
         psi = unit[:, :, None] * unit.conj()[:, None, :]
-        outputs = channels.apply_kraus(fwd.kraus, psi)
-        avg = (probs[:, None, None] * outputs).sum(axis=0)
-        ents = np.array([verify.von_neumann_entropy(out, base) for out in (avg, *outputs)])
-        chi = ents[0] - probs @ ents[1:]
-        logs = _neg_log(np.concatenate((avg[None], outputs)), ln_base)
-        marginal = (outputs.reshape(size, -1) @ logs[0].conj().ravel()).real - ents[1:]
-        pulled = probs[:, None, None] * _stacked_adjoint(fwd.kraus, logs[0] - logs[1:])
-        hu = (pulled @ unit[..., None])[..., 0]
-        w = (2.0 / norms)[:, None] * (hu - (unit.conj() * hu).sum(axis=1).real[:, None] * unit)
-        want = np.concatenate(
-            [np.stack((w.real, w.imag), axis=1).ravel(), probs * (marginal - probs @ marginal)]
-        )
         value, grad = verify._holevo_and_grad(x, d, r, size)
         assert abs(verify.holevo_quantity(d, r, list(zip(probs, psi))) - chi) < 1e-13
         assert abs(value - chi) < 1e-13
         assert np.abs(grad - want).max() < 1e-13
+
+
+def _fail_once(monkeypatch, name, at):
+    # np.linalg.<name> raises LinAlgError on its call number ``at`` (from 0) and only there
+    real, calls = getattr(np.linalg, name), []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == at + 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, flaky)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_objectives_survive_an_eigensolver_failure(d, monkeypatch):
+    # heevd can fail to converge on a degenerate block for some inputs; the
+    # group that failed is solved again, shifted, and every result stays exact
+    rng = np.random.default_rng(60 + d)
+    r, size = 1.4, 3
+    x = rng.standard_normal(2 * d * d)
+    rho = verify._params_to_density(x, d)
+    xe = rng.standard_normal(size * 2 * d + size)
+    probs, unit, _ = verify._ensemble_parts(xe, d, size)
+    ensemble = list(zip(probs, unit[:, :, None] * unit.conj()[:, None, :]))
+    i_c, want_q = _coherent_reference(d, r, x)
+    chi, want_e = _holevo_reference(d, r, xe, size)
+    values = (
+        ("eigvalsh", lambda: verify.coherent_information(d, r, rho), i_c),
+        ("eigh", lambda: verify.holevo_quantity(d, r, ensemble), chi),
+    )
+    objectives = (
+        (lambda: verify._coherent_information_and_grad(x, d, r), i_c, want_q),
+        (lambda: verify._holevo_and_grad(xe, d, r, size), chi, want_e),
+    )
+    for at in range(len(channels._block_groups(d))):
+        for name, run, want in values:
+            calls = _fail_once(monkeypatch, name, at)
+            value = run()
+            monkeypatch.undo()
+            assert len(calls) > at
+            assert abs(value - want) < 1e-13
+        for run, want_value, want_grad in objectives:
+            calls = _fail_once(monkeypatch, "eigh", at)
+            value, grad = run()
+            monkeypatch.undo()
+            assert len(calls) > at
+            assert abs(value - want_value) < 1e-13
+            assert np.abs(grad - want_grad).max() < 1e-13
 
 
 def test_objectives_allocate_no_stack_sized_temporary():
