@@ -236,6 +236,8 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
 
 
 def _cmd_verify(args) -> int:
+    if args.d < 1:
+        raise DomainError(f"dimension d={args.d} must be at least 1")
     if not math.isfinite(args.r):
         raise DomainError(f"squeezing parameter r={args.r} is not finite")
     if not 0.0 < args.tol < math.inf:

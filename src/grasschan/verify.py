@@ -294,111 +294,46 @@ def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int, base="d"):
     return chi, np.concatenate([np.stack((w.real, w.imag), axis=1).ravel(), grad_logits])
 
 
-def _cubic_ratio(a, fa, da, b, fb, db):
-    """r and gamma of the cubic through (a, fa, da) and (b, fb, db), least at a + r (b - a)."""
-    theta = 3.0 * (fa - fb) / (b - a) + da + db
-    s = max(abs(theta), abs(da), abs(db))
-    gamma = math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s))), b - a)
-    return ((gamma - da) + theta) / ((gamma - da) + gamma + db), gamma
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # a degenerate fit yields a non-finite step
-def _trial_step(best, other, trial, brackt: bool, lo: float, hi: float):
-    """One safeguarded step of the Moré-Thuente line search (their dcstep).
-
-    ``best``, ``other`` and ``trial`` are (step, value, slope) points: the
-    best step so far, the other end of the interval and the step just taken.
-    Returns the updated pair of ends, the next step and the bracketed flag;
-    ``lo`` and ``hi`` limit an extrapolation.
-    """
-    (stx, fx, dx), (sty, fy, dy), (stp, fp, dp) = best, other, trial
-    if fp > fx:  # a higher value: the minimum is bracketed
-        stpc = stx + _cubic_ratio(stx, fx, dx, stp, fp, dp)[0] * (stp - stx)
-        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
-        nxt = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif dp * dx < 0:  # the slope changed sign: bracketed
-        secant = stp + dp / (dp - dx) * (stx - stp)
-        stpc = stp + _cubic_ratio(stp, fp, dp, stx, fx, dx)[0] * (stx - stp)
-        nxt = stpc if abs(stpc - stp) > abs(secant - stp) else secant
-        brackt = True
-    elif abs(dp) < abs(dx):  # the slope shrank: the cubic step, if its minimum lies beyond stp
-        r, gamma = _cubic_ratio(stp, fp, dp, stx, fx, dx)
-        secant = stp + dp / (dp - dx) * (stx - stp)
-        stpc = stp + r * (stx - stp) if r < 0 and gamma != 0 else (hi if stp > stx else lo)
-        if brackt:
-            nxt = stpc if abs(stpc - stp) < abs(secant - stp) else secant
-            limit = stp + 0.66 * (sty - stp)
-            nxt = min(limit, nxt) if stp > stx else max(limit, nxt)
-        else:
-            nxt = min(max(stpc if abs(stpc - stp) > abs(secant - stp) else secant, lo), hi)
-    elif brackt:  # the slope did not shrink: the cubic through stp and the other end
-        nxt = stp + _cubic_ratio(stp, fp, dp, sty, fy, dy)[0] * (sty - stp)
-    else:
-        nxt = hi if stp > stx else lo
-    if fp > fx:
-        other = trial
-    else:
-        other, best = (best if dp * dx < 0 else other), trial
-    return best, other, nxt, brackt
-
-
 def _line_search(fun, x, f0, p, slope0: float, stp: float):
     """x, f and g at a step along descent direction p, or None after 20 evaluations.
 
-    The line search of Moré & Thuente (1994) as L-BFGS-B runs it, with
-    c1 = 1e-3, c2 = 0.9 and xtol = 0.1: it ends at a step that meets the
-    strong Wolfe conditions, or at one where the bracket has shrunk to its
-    rounding or xtol width, which L-BFGS-B accepts too.  Until a step has
-    both a lower value and a rising slope, it fits f - c1 * slope0 * step.
+    Backtracking with expansion (Nocedal & Wright, sections 3.1 and 3.5): a
+    step is accepted when f <= f0 + 1e-3 step slope0, so a NaN value is
+    rejected.  A rejected step shrinks to the minimizer of the quadratic
+    through f0, slope0 and f, kept within [0.1, 0.5] of the step (halved if
+    that fit is not finite).  An accepted step is returned once its slope is
+    at least 0.9 slope0 (weak Wolfe); a steeper one is kept and the step
+    doubles, until a rejected step returns the kept one.
     """
-    c1_slope, xtol, wolfe = 1e-3 * slope0, 0.1, -0.9 * slope0
-    brackt, stage1 = False, True
-    width = width1 = math.inf
-    best = other = (0.0, f0, slope0)
-    lo, hi = 0.0, 5.0 * stp
-
-    def tilt(pt, c):  # (step, f - c step, slope - c)
-        return pt[0], pt[1] - pt[0] * c, pt[2] - c
-
+    kept = None
     for _ in range(20):
         x1 = x + stp * p
         f, g = fun(x1)
-        slope = g @ p
-        ftest = f0 + stp * c1_slope
-        stage1 = stage1 and not (f <= ftest and slope >= 0)
-        converged = f <= ftest and abs(slope) <= wolfe
-        if converged or brackt and (stp <= lo or stp >= hi or hi - lo <= xtol * hi):
+        if not f <= f0 + 1e-3 * stp * slope0:
+            if kept is not None:
+                return kept
+            fit = -slope0 * stp * stp / (2.0 * (f - f0 - slope0 * stp))
+            stp = min(max(fit, 0.1 * stp), 0.5 * stp) if math.isfinite(fit) else 0.5 * stp
+        elif g @ p >= 0.9 * slope0:
             return x1, f, g
-        c = c1_slope if stage1 and ftest < f <= best[1] else 0.0
-        ends = _trial_step(*(tilt(pt, c) for pt in (best, other, (stp, f, slope))), brackt, lo, hi)
-        best, other, stp, brackt = tilt(ends[0], -c), tilt(ends[1], -c), ends[2], ends[3]
-        if brackt:
-            if abs(other[0] - best[0]) >= 0.66 * width1:
-                stp = best[0] + 0.5 * (other[0] - best[0])
-            width1, width = width, abs(other[0] - best[0])
-            lo, hi = min(best[0], other[0]), max(best[0], other[0])
         else:
-            lo, hi = stp + 1.1 * (stp - best[0]), stp + 4.0 * (stp - best[0])
-        if not math.isfinite(stp):
-            return None
-        if brackt and (stp <= lo or stp >= hi or hi - lo <= xtol * hi):
-            stp = best[0]
-    return None
+            kept, stp = (x1, f, g), 2.0 * stp
+    return kept
 
 
 def _lbfgs(fun, x: np.ndarray, maxiter: int):
-    """Minimize ``fun`` (returning value and gradient) from x by unbounded L-BFGS-B.
+    """Minimize ``fun`` (returning value and gradient) from x by L-BFGS.
 
     L-BFGS (Liu & Nocedal 1989): the direction is -H g from the two-loop
-    recursion over the last 10 pairs (s, y), with H0 = s^T y / y^T y
-    of the newest pair; a pair whose s^T y is not positive (at most eps |g^T
-    s|) is skipped.  The first step along -g has unit length, later ones start
-    at 1, and each comes from ``_line_search``.  Returns x, f, g at the end
-    point and whether a stop rule was met: the largest gradient entry is at
-    most 1e-10, or one iteration lowers f by at most 1e-15 max(|f|, 1).  A
-    failed line search clears the memory and retries along -g; a second
-    failure in a row, or ``maxiter`` iterations, return False.
+    recursion over the last 10 pairs (s, y), with H0 = s^T y / y^T y of the
+    newest pair; a pair whose s^T y is not positive (at most eps |g^T s|) is
+    skipped.  The first step along -g has unit length, later ones start at 1,
+    and each comes from the weak Wolfe ``_line_search``.  Returns x, f, g at
+    the end point and whether a stop rule of scipy's L-BFGS-B was met: the
+    largest gradient entry is at most 1e-10, or one iteration lowers f by at
+    most 1e-15 max(|f|, 1).  A failed line search clears the memory and
+    retries along -g; a second failure in a row, or ``maxiter`` iterations,
+    return False.
     """
     f, g = fun(x)
     pairs, scale, iters = [], 1.0, 0
@@ -469,15 +404,15 @@ def optimize_coherent_information(
 
     Deterministic for a given seed.  The square-root parametrization keeps
     iterates on the density-matrix manifold.  Each restart runs ``_lbfgs``
-    (Moré-Thuente line searches) for at most 2000 iterations, and converges
+    (weak Wolfe line searches) for at most 2000 iterations, and converges
     once the largest gradient entry is at most 1e-10 or an iteration gains
     at most 1e-15 max(|value|, 1).  Returns the best value, the input
     attaining it, and ``{"nfev": total objective calls, "success":
     [converged flag per restart], "grad_norm": [largest gradient entry at
     each restart's end point]}``.
     """
-    if d > ORACLE_Q_MAX_D:
-        raise DomainError(f"optimizer is capped at d={ORACLE_Q_MAX_D}, got d={d}")
+    if not 1 <= d <= ORACLE_Q_MAX_D:
+        raise DomainError(f"optimizer needs 1 <= d <= {ORACLE_Q_MAX_D}, got d={d}")
     rng = np.random.default_rng(seed)
     starts = [rng.standard_normal(2 * d * d) for _ in range(restarts)]
     value, best_x, stats = _maximize(
@@ -495,8 +430,8 @@ def optimize_holevo(
     with at most 3000 iterations per restart.  Returns the best value, its
     (probability, state) ensemble, and the same ``stats`` dict.
     """
-    if d > ORACLE_C_MAX_D:
-        raise DomainError(f"ensemble optimizer is capped at d={ORACLE_C_MAX_D}, got d={d}")
+    if not 1 <= d <= ORACLE_C_MAX_D:
+        raise DomainError(f"ensemble optimizer needs 1 <= d <= {ORACLE_C_MAX_D}, got d={d}")
     size = ensemble_size if ensemble_size is not None else d + 1
     if size < d:
         raise PreconditionError(f"ensemble size {size} < d={d}")

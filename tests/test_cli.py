@@ -83,6 +83,11 @@ def test_capacity_domain_error_exit_code(capsys, tmp_path):
         assert cli.main(["verify", "--suite", "degradable", "--d", "2", f"--tol={tol}"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "tolerance" in err
+    # ... and a dimension below 1, which used to pass wolf-eisert with no reports
+    for suite in ("wolf-eisert", "oracle-c"):
+        assert cli.main(["verify", "--suite", suite, "--d", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "d=0" in err and err.count("\n") == 1
     assert cli.main(["verify", "--suite", "factorization", "--r", "nan"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")

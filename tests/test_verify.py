@@ -141,6 +141,11 @@ def test_optimize_holevo_monotone_in_r():
 def test_optimize_domain_caps():
     with pytest.raises(DomainError):
         verify.optimize_holevo(8, 0.3)
+    for d in (0, -2):
+        with pytest.raises(DomainError):
+            verify.optimize_holevo(d, 0.3)
+        with pytest.raises(DomainError):
+            verify.optimize_coherent_information(d, 0.3)
     with pytest.raises(PreconditionError):
         verify.optimize_holevo(3, 0.3, ensemble_size=2)
 
@@ -191,6 +196,49 @@ def test_maximize_counts_every_objective_call():
 
         _, _, stats = verify._maximize(counted, x0s, maxiter)
         assert stats["nfev"] == len(calls)
+
+
+def test_line_search_cases():
+    def search(value, stp):
+        # one dimension, p = 1 from t = 0 with f0 = 0.5 and slope -1, the gradient being
+        # that of the bowl; returns the search result and the number of objective calls
+        calls = []
+
+        def fun(x):
+            calls.append(x[0])
+            return value(x[0]), x - 1.0
+
+        return verify._line_search(fun, np.zeros(1), 0.5, np.ones(1), -1.0, stp), len(calls)
+
+    def bowl(t):
+        return 0.5 * (t - 1.0) ** 2
+
+    def decreases(t, f):
+        return f <= 0.5 - 1e-3 * t
+
+    def nan_beyond(radius):
+        return lambda t: bowl(t) if t < radius else math.nan
+
+    # the first step meets both conditions
+    (x, f, g), calls = search(bowl, 1.0)
+    assert calls == 1 and x[0] == 1.0 and f == 0.0
+    # an overshooting step shrinks to the quadratic fit, here the bowl's minimum
+    (x, f, g), calls = search(bowl, 10.0)
+    assert calls == 2 and x[0] == 1.0 and decreases(x[0], f)
+    # a step that is too short doubles until the slope is at least 0.9 of slope0
+    (x, f, g), calls = search(bowl, 0.01)
+    assert calls == 5 and x[0] == 0.16 and decreases(x[0], f) and g[0] >= -0.9
+    # a NaN value is a rejected step: the search halves back inside the radius
+    (x, f, g), calls = search(nan_beyond(0.3), 1.0)
+    assert calls == 3 and x[0] == 0.25 and math.isfinite(f) and decreases(x[0], f)
+    # a rejected step after an accepted one returns the accepted one
+    (x, f, g), calls = search(nan_beyond(0.1), 0.03)
+    assert calls == 3 and x[0] == 0.06 and decreases(x[0], f)
+    # an expansion still too short after 20 calls returns its last accepted step
+    (x, f, g), calls = search(bowl, 1e-9)
+    assert calls == 20 and x[0] == 2.0**19 * 1e-9 and decreases(x[0], f)
+    # an objective that never decreases fails after 20 calls
+    assert search(lambda t: 1.0, 1.0) == (None, 20)
 
 
 def _scipy_maximize(value_and_grad, starts, maxiter):
@@ -403,6 +451,16 @@ def test_objectives_allocate_no_stack_sized_temporary():
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("r", [0.55, 1.05])
+def test_oracle_restarts_converge(d, r):
+    # the restarts and seed of the CLI's oracle-q and oracle-c suites
+    stats_q = verify.optimize_coherent_information(d, r, restarts=4, seed=7)[2]
+    stats_c = verify.optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=7)[2]
+    assert stats_q["success"] == [True] * 4
+    assert stats_c["success"] == [True] * 3
 
 
 def test_verify_oracles_report_work_counts(capsys):
