@@ -23,7 +23,10 @@ A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
 ``blocks``; ``block_slices`` reads each sector's output rows from there.
 ``apply_kraus``, ``choi_matrix``, ``transfer_matrix`` and the complement act
-on the whole stack at once.
+on the whole stack at once.  ``dump_channel_json`` formats each distinct
+Kraus entry once, telling entries apart by their bytes, and joins the
+tokens into a file byte-identical to ``json.dumps`` of the nested-list
+document.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import functools
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -337,31 +341,67 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _kraus_text(kraus: np.ndarray) -> str:
+    """The stack as ``json.dumps`` writes its nested [re, im] lists.
+
+    Each distinct entry is formatted once.  Entries are told apart by their
+    16 bytes, so 0.0 and -0.0, or two NaNs, keep their own text.  The
+    all-zero entry, most of a Grassmann stack, skips the sort.
+    """
+    bits = np.ascontiguousarray(kraus).view(np.uint64).reshape(-1, 2)
+    nonzero = bits.any(axis=1)
+    keys, index = np.unique(bits[nonzero].view("V16"), return_inverse=True)
+    floats = json.dumps([0.0, 0.0, *keys.view(float).tolist()])[1:-1].split(", ")
+    tokens = [f"[{re}, {im}]" for re, im in zip(floats[::2], floats[1::2])]
+    ids = np.zeros(len(bits), np.intp)
+    ids[nonzero] = index.ravel() + 1
+    ops = ids.reshape(len(kraus), math.prod(kraus.shape[1:])).tolist()
+    return "[" + ", ".join("[" + ", ".join(map(tokens.__getitem__, op)) + "]" for op in ops) + "]"
+
+
 def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
-    kraus = ch.kraus
-    doc = {
-        "family": family,
-        "d": d,
-        "r": r,
-        "in_dim": ch.in_dim,
-        "out_dim": ch.out_dim,
-        "kraus": np.stack((kraus.real, kraus.imag), -1).reshape(len(kraus), -1, 2).tolist(),
-        "blocks": [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []],
-    }
+    head = {"family": family, "d": d, "r": r, "in_dim": ch.in_dim, "out_dim": ch.out_dim}
+    blocks = [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []]
+    kraus = _kraus_text(ch.kraus)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")  # dumps takes the C encoder; dump streams in Python
+        fh.write(f'{json.dumps(head)[:-1]}, "kraus": {kraus}, "blocks": {json.dumps(blocks)}}}\n')
 
 
 def load_channel_json(path) -> ChannelRep:
+    """Read a channel file; a file that does not hold a channel raises ``ValueError``.
+
+    in_dim and out_dim must be positive integers and the Kraus list nonempty.
+    Each operator holds out_dim x in_dim [re, im] pairs of finite JSON
+    numbers: ints or floats, never bools, nulls or strings.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    # a bool needs a true or false literal; files without one skip the scan for bools
+    literals = "true" in text or "false" in text
+    doc = json.loads(text)
+    del text  # 7 MB at d = 8, freed before the floats are copied out
     out_dim, in_dim, ops = doc["out_dim"], doc["in_dim"], doc["kraus"]
-    entries = itertools.chain.from_iterable(ops)
-    if any(len(op) != out_dim * in_dim for op in ops) or set(map(len, entries)) - {2}:
-        raise ValueError(f"each Kraus operator must hold {out_dim} x {in_dim} (re, im) pairs")
-    # the floats go into one buffer; np.array on the nested lists would peak at 3x the stack
-    floats = itertools.chain.from_iterable(itertools.chain.from_iterable(ops))
-    shape = (len(ops), out_dim, in_dim)
-    kraus = np.fromiter(floats, float, count=2 * math.prod(shape)).view(complex).reshape(shape)
+    if any(type(n) is not int or n < 1 for n in (out_dim, in_dim)):
+        raise ValueError(f"in_dim, out_dim must be positive integers, not {in_dim!r}, {out_dim!r}")
+    flat = itertools.chain.from_iterable
+    try:
+        sized = all(len(op) == out_dim * in_dim for op in ops) and set(map(len, flat(ops))) == {2}
+    except TypeError:  # an operator or an entry that is a number
+        sized = False
+    if not sized:
+        raise ValueError(f"need one or more Kraus operators of {out_dim} x {in_dim} (re, im) pairs")
+    # one operator at a time into one buffer; np.array on the nested lists would peak at 3x the
+    # stack.  array("d") takes ints, floats and bools and refuses everything else.
+    floats = array("d")
+    try:
+        for op in ops:
+            floats.fromlist(list(flat(op)))
+        if literals and bool in map(type, flat(flat(ops))):
+            raise TypeError
+    except (TypeError, OverflowError):
+        raise ValueError("Kraus entries must be JSON numbers in float range") from None
+    kraus = np.frombuffer(floats, complex).reshape(len(ops), out_dim, in_dim)
+    if not np.isfinite(kraus).all():
+        raise ValueError("Kraus entries must be finite")
     blocks = [Block(b["k"], b["weight"], b["dim"]) for b in doc["blocks"]] or None
     return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")

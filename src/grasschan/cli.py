@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity, channels, verify
+from . import capacity, channels
 from .errors import ConvergenceError, DomainError
 
 SUITES = (
@@ -177,6 +177,8 @@ def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
     werner-holevo/ppt checks floor d at 2 (their channel family needs it),
     and so does the rate check (its gap vanishes at d=1).
     """
+    from . import verify  # only this command needs it, so the others skip its import
+
     reports = []
     if suite == "degradable" or (suite == "all" and d in verify.DEGRADABLE_DS):
         reports.append(verify.check_degradable(d, r, tol=tol))

@@ -364,12 +364,40 @@ def test_kraus_stack_shape_and_json_operator_size(tmp_path):
     path = tmp_path / "channel.json"
     channels.dump_channel_json(grassmann_channel(2, 0.5), "grassmann", 2, 0.5, path)
     doc = json.loads(path.read_text())
-    for edit in (lambda op: op.pop(), lambda op: op.append([0.0, 0.0]), lambda op: op[0].pop()):
+
+    def entry(value):
+        return lambda bad: bad["kraus"][1][0].__setitem__(0, value)
+
+    bad_edits = (
+        lambda bad: bad["kraus"][1].pop(),
+        lambda bad: bad["kraus"][1].append([0.0, 0.0]),
+        lambda bad: bad["kraus"][1][0].pop(),
+        entry(True),
+        entry(False),
+        entry(None),
+        entry("1"),
+        entry(math.nan),
+        entry(-math.inf),
+        entry([0.0]),
+        lambda bad: bad["kraus"][1].__setitem__(0, 0.0),
+        lambda bad: bad.update(kraus=[]),
+        lambda bad: bad.update(in_dim=0, out_dim=0, kraus=[[]]),
+        lambda bad: bad.update(out_dim=float(bad["out_dim"])),
+        lambda bad: bad.update(in_dim=True),
+    )
+    for edit in bad_edits:
         bad = json.loads(json.dumps(doc))
-        edit(bad["kraus"][1])
+        edit(bad)
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError):
             channels.load_channel_json(path)
+    # a JSON int is a number, and a true literal outside the Kraus list is no entry
+    for edit in (entry(1), lambda good: good.update(family="true or false")):
+        good = json.loads(json.dumps(doc))
+        edit(good)
+        path.write_text(json.dumps(good))
+        kraus = np.array(good["kraus"], dtype=float).view(complex)[..., 0]
+        assert np.array_equal(channels.load_channel_json(path).kraus.reshape(kraus.shape), kraus)
 
 
 def test_werner_holevo_action_formula():
@@ -466,3 +494,66 @@ def test_d2_dump_kraus_sparsity(tmp_path):
         1 for op in doc["kraus"] for re, im in op if abs(re) > 1e-15 or abs(im) > 1e-15
     )
     assert nonzero == 4
+
+
+def _reference_json(ch, family, d, r):
+    """The writer before entry dedup: json.dumps of the nested-list document."""
+    kraus = ch.kraus
+    doc = {
+        "family": family,
+        "d": d,
+        "r": r,
+        "in_dim": ch.in_dim,
+        "out_dim": ch.out_dim,
+        "kraus": np.stack((kraus.real, kraus.imag), -1).reshape(len(kraus), -1, 2).tolist(),
+        "blocks": [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []],
+    }
+    return json.dumps(doc) + "\n"
+
+
+def _assert_dump_bytes(tmp_path, ch, family, d, r):
+    path = tmp_path / "channel.json"
+    channels.dump_channel_json(ch, family, d, r, path)
+    assert path.read_bytes() == _reference_json(ch, family, d, r).encode()
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, math.pi / 4, 1.2, 1.5707])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dump_bytes_match_the_reference_writer(tmp_path, d, r):
+    _assert_dump_bytes(tmp_path, grassmann_channel(d, r), "grassmann", d, r)
+    _assert_dump_bytes(tmp_path, complementary_channel(d, r), "grassmann-comp", d, r)
+
+
+def test_dump_bytes_match_the_reference_writer_off_family(tmp_path):
+    rng = np.random.default_rng(14)
+    dense = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+    # 0.0 and -0.0 share a value but not their text; NaN and inf print as JSON constants
+    odd = np.array([[0.0, -0.0], [-0.0, 0.0], [math.nan, -math.inf], [math.inf, -math.nan]])
+    cases = (
+        (werner_holevo(4), "werner-holevo", 4, 0.0),
+        (erasure_channel(0.3), "erasure", 2, 0.3),
+        (channels.ChannelRep(3, 5, dense), "dense", 3, 0.1),
+        (channels.ChannelRep(1, 2, odd.view(complex).reshape(2, 2, 1)), "odd", 1, 0.5),
+        (channels.ChannelRep(2, 3, dense[:2, :3, :2], blocks=[]), "no-blocks", 2, 0.2),
+    )
+    for ch, family, d, r in cases:
+        assert not ch.blocks
+        _assert_dump_bytes(tmp_path, ch, family, d, r)
+
+
+def test_json_roundtrip_is_bitwise_at_d8(tmp_path):
+    path = tmp_path / "channel.json"
+    signed = np.array([[0.0, -0.0], [-0.0, 0.0], [1e-300, -5e-324]]).view(complex).reshape(1, 3, 1)
+    rng = np.random.default_rng(8)
+    dense = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    for ch in (
+        grassmann_channel(8, 0.7),
+        complementary_channel(8, 1.2),
+        channels.ChannelRep(1, 3, signed),
+        channels.ChannelRep(2, 3, dense),
+    ):
+        channels.dump_channel_json(ch, "grassmann", 8, 0.7, path)
+        back = channels.load_channel_json(path)
+        assert (back.in_dim, back.out_dim, back.blocks) == (ch.in_dim, ch.out_dim, ch.blocks or None)
+        assert back.kraus.shape == ch.kraus.shape
+        assert back.kraus.tobytes() == np.ascontiguousarray(ch.kraus).tobytes()

@@ -293,6 +293,7 @@ import grasschan
 from grasschan import cli
 
 assert "scipy" not in sys.modules, "import grasschan"
+assert "grasschan.verify" not in sys.modules, "import grasschan"
 out = sys.argv[1]
 for args in (
     ["capacity", "quantum", "--d", "10", "--r", "0.5"],
@@ -309,13 +310,17 @@ for args in (
     with contextlib.redirect_stdout(report):
         assert cli.main(args) == 0, args
     assert "scipy" not in sys.modules, args
+    # capacity, sweep and dump-channel never load verify; the verify command does
+    assert ("grasschan.verify" in sys.modules) == (args[0] == "verify"), args
+assert grasschan.verify is sys.modules["grasschan.verify"]
 assert json.loads(report.getvalue())["pass"] is True
 """
 
 
 def test_no_command_loads_scipy(tmp_path):
     # one fresh interpreter: the package import and every command, the
-    # capacity oracles included, run on numpy alone
+    # capacity oracles included, run on numpy alone, and only the verify
+    # command imports grasschan.verify
     res = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )
