@@ -26,12 +26,15 @@ A ``ChannelRep`` holds its Kraus set as one complex array of shape
 on the whole stack at once.  ``dump_channel_json`` formats each distinct
 Kraus entry once, telling entries apart by their bytes, and joins the
 tokens into a file byte-identical to ``json.dumps`` of the nested-list
-document.
+document.  ``load_channel_json`` parses with ``json.loads`` while the cyclic
+garbage collector is paused, and copies the entries operator by operator into
+one preallocated stack.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -367,20 +370,12 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
         fh.write(f'{json.dumps(head)[:-1]}, "kraus": {kraus}, "blocks": {json.dumps(blocks)}}}\n')
 
 
-def load_channel_json(path) -> ChannelRep:
-    """Read a channel file; a file that does not hold a channel raises ``ValueError``.
+def _kraus_stack(ops, out_dim, in_dim, literals: bool) -> np.ndarray:
+    """The (m, out_dim, in_dim) stack of a parsed "kraus" list, checked as the loader says.
 
-    in_dim and out_dim must be positive integers and the Kraus list nonempty.
-    Each operator holds out_dim x in_dim [re, im] pairs of finite JSON
-    numbers: ints or floats, never bools, nulls or strings.
+    ``literals`` says whether the file holds a true or false literal; without
+    one no entry can be a bool, and the scan for bools is skipped.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    # a bool needs a true or false literal; files without one skip the scan for bools
-    literals = "true" in text or "false" in text
-    doc = json.loads(text)
-    del text  # 7 MB at d = 8, freed before the floats are copied out
-    out_dim, in_dim, ops = doc["out_dim"], doc["in_dim"], doc["kraus"]
     if any(type(n) is not int or n < 1 for n in (out_dim, in_dim)):
         raise ValueError(f"in_dim, out_dim must be positive integers, not {in_dim!r}, {out_dim!r}")
     flat = itertools.chain.from_iterable
@@ -390,18 +385,72 @@ def load_channel_json(path) -> ChannelRep:
         sized = False
     if not sized:
         raise ValueError(f"need one or more Kraus operators of {out_dim} x {in_dim} (re, im) pairs")
-    # one operator at a time into one buffer; np.array on the nested lists would peak at 3x the
+    # one operator at a time into the stack; np.array on the nested lists would peak at 3x the
     # stack.  array("d") takes ints, floats and bools and refuses everything else.
-    floats = array("d")
+    kraus = np.empty((len(ops), out_dim, in_dim), complex)
     try:
-        for op in ops:
-            floats.fromlist(list(flat(op)))
+        for row, op in zip(kraus.reshape(len(ops), -1).view(float), ops):
+            row[:] = array("d", list(flat(op)))
         if literals and bool in map(type, flat(flat(ops))):
             raise TypeError
     except (TypeError, OverflowError):
         raise ValueError("Kraus entries must be JSON numbers in float range") from None
-    kraus = np.frombuffer(floats, complex).reshape(len(ops), out_dim, in_dim)
     if not np.isfinite(kraus).all():
         raise ValueError("Kraus entries must be finite")
-    blocks = [Block(b["k"], b["weight"], b["dim"]) for b in doc["blocks"]] or None
-    return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")
+    return kraus
+
+
+def _blocks(entries, out_dim: int) -> list[Block] | None:
+    """The block metadata of a parsed "blocks" list, checked as the loader says."""
+    if type(entries) is not list:
+        raise ValueError(f'"blocks" must be a list, not {type(entries).__name__}')
+    try:
+        blocks = [Block(b["k"], b["weight"], b["dim"]) for b in entries]
+    except (TypeError, KeyError):  # a block that is no object, or lacks a key
+        raise ValueError('each block must be an object with "k", "weight" and "dim"') from None
+    for b in blocks:
+        if any(type(n) is not int or n < 1 for n in (b.k, b.dim)):
+            raise ValueError(f"block k and dim must be positive integers, not {b.k!r}, {b.dim!r}")
+        if not (type(b.weight) is int or type(b.weight) is float and math.isfinite(b.weight)):
+            raise ValueError(f"block weight must be a finite number, not {b.weight!r}")
+    if len({b.k for b in blocks}) < len(blocks):
+        raise ValueError(f"block k repeats in {[b.k for b in blocks]}")
+    if blocks and sum(b.dim for b in blocks) != out_dim:
+        raise ValueError(f"block dims {[b.dim for b in blocks]} do not sum to out_dim = {out_dim}")
+    return blocks or None
+
+
+def load_channel_json(path) -> ChannelRep:
+    """Read a channel file; a file that does not hold a channel raises ``ValueError``.
+
+    The file holds one JSON object with at least the keys "family", "in_dim",
+    "out_dim", "kraus" and "blocks".  in_dim and out_dim must be positive
+    integers and the Kraus list nonempty.  Each operator holds out_dim x
+    in_dim [re, im] pairs of finite JSON numbers: ints or floats, never
+    bools, nulls or strings.  Each block is a {"k", "weight", "dim"} object
+    with positive integer k and dim and a finite number as weight; no k
+    repeats, and a nonempty block list has dims summing to out_dim.
+    """
+    # the parse tree is acyclic lists and floats, all freed by reference counting; with the
+    # cyclic collector on, its rescans of the growing tree take longer than the parse itself
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        literals = "true" in text or "false" in text
+        doc = json.loads(text)
+        del text  # 7 MB at d = 8, freed before the floats are copied out
+        if type(doc) is not dict:
+            raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
+        missing = {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys()
+        if missing:
+            raise ValueError(f"channel file lacks the keys {sorted(missing)}")
+        in_dim, out_dim = doc["in_dim"], doc["out_dim"]
+        # popped, so the Kraus lists are freed as soon as the stack is filled
+        kraus = _kraus_stack(doc.pop("kraus"), out_dim, in_dim, literals)
+        blocks = _blocks(doc["blocks"], out_dim)
+        return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")
+    finally:
+        if collecting:
+            gc.enable()

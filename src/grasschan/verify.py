@@ -453,7 +453,7 @@ def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np
     n = a_maps[0].shape[0]
     eye = np.eye(n)
     stacked = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(a_maps, b_maps)])
-    _, _, vh = np.linalg.svd(stacked)
+    _, _, vh = np.linalg.svd(stacked, full_matrices=False)
     v = vh[-1].conj().reshape(n, n)
     u, _, wh = np.linalg.svd(v)
     return u @ wh

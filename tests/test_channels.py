@@ -1,5 +1,6 @@
 """Channel construction: Kraus sets, blocks, complements, reference channels."""
 
+import gc
 import json
 import math
 
@@ -364,9 +365,18 @@ def test_kraus_stack_shape_and_json_operator_size(tmp_path):
     path = tmp_path / "channel.json"
     channels.dump_channel_json(grassmann_channel(2, 0.5), "grassmann", 2, 0.5, path)
     doc = json.loads(path.read_text())
+    assert [b["dim"] for b in doc["blocks"]] == [2, 1] and gc.isenabled()
 
     def entry(value):
         return lambda bad: bad["kraus"][1][0].__setitem__(0, value)
+
+    def block(key, value, i=0):
+        return lambda bad: bad["blocks"][i].__setitem__(key, value)
+
+    def edited(edit):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        return bad
 
     bad_edits = (
         lambda bad: bad["kraus"][1].pop(),
@@ -384,20 +394,52 @@ def test_kraus_stack_shape_and_json_operator_size(tmp_path):
         lambda bad: bad.update(in_dim=0, out_dim=0, kraus=[[]]),
         lambda bad: bad.update(out_dim=float(bad["out_dim"])),
         lambda bad: bad.update(in_dim=True),
+        lambda bad: bad.pop("kraus"),
+        lambda bad: bad.pop("blocks"),
+        lambda bad: bad.update(blocks=bad["blocks"][0]),
+        lambda bad: bad.update(blocks=[1, 2]),
+        lambda bad: bad["blocks"][0].pop("weight"),
+        block("k", True),
+        block("k", 0),
+        block("dim", "2"),
+        block("dim", 2.0),
+        block("weight", None),
+        block("weight", "0.5"),
+        block("weight", math.inf),
+        block("k", 1, i=1),
+        block("dim", 5),
     )
-    for edit in bad_edits:
-        bad = json.loads(json.dumps(doc))
-        edit(bad)
+    for bad in [*map(edited, bad_edits), [doc], "channel"]:
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError):
             channels.load_channel_json(path)
-    # a JSON int is a number, and a true literal outside the Kraus list is no entry
-    for edit in (entry(1), lambda good: good.update(family="true or false")):
-        good = json.loads(json.dumps(doc))
-        edit(good)
+        assert gc.isenabled()
+    # a JSON int is a number, as an entry or a weight, and a true literal outside the Kraus list
+    # is no entry
+    for edit in (entry(1), lambda good: good.update(family="true or false"), block("weight", 1)):
+        good = edited(edit)
         path.write_text(json.dumps(good))
         kraus = np.array(good["kraus"], dtype=float).view(complex)[..., 0]
         assert np.array_equal(channels.load_channel_json(path).kraus.reshape(kraus.shape), kraus)
+        assert gc.isenabled()
+
+
+def test_load_channel_json_leaves_a_disabled_collector_disabled(tmp_path):
+    path, bad = tmp_path / "channel.json", tmp_path / "bad.json"
+    channels.dump_channel_json(grassmann_channel(3, 0.4), "grassmann", 3, 0.4, path)
+    bad.write_text(path.read_text().replace('"dim": 3', '"dim": 4', 1))
+    gc.disable()
+    try:
+        assert channels.load_channel_json(path).kraus.shape == (7, 7, 3)
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            channels.load_channel_json(bad)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(FileNotFoundError):
+        channels.load_channel_json(tmp_path / "missing.json")
+    assert gc.isenabled()
 
 
 def test_werner_holevo_action_formula():
@@ -541,8 +583,15 @@ def test_dump_bytes_match_the_reference_writer_off_family(tmp_path):
         _assert_dump_bytes(tmp_path, ch, family, d, r)
 
 
+def _assert_bitwise_roundtrip(path, ch):
+    channels.dump_channel_json(ch, ch.label, ch.in_dim, 0.5, path)
+    back = channels.load_channel_json(path)
+    assert (back.in_dim, back.out_dim, back.blocks) == (ch.in_dim, ch.out_dim, ch.blocks or None)
+    assert back.kraus.shape == ch.kraus.shape
+    assert back.kraus.tobytes() == np.ascontiguousarray(ch.kraus).tobytes()
+
+
 def test_json_roundtrip_is_bitwise_at_d8(tmp_path):
-    path = tmp_path / "channel.json"
     signed = np.array([[0.0, -0.0], [-0.0, 0.0], [1e-300, -5e-324]]).view(complex).reshape(1, 3, 1)
     rng = np.random.default_rng(8)
     dense = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
@@ -552,8 +601,13 @@ def test_json_roundtrip_is_bitwise_at_d8(tmp_path):
         channels.ChannelRep(1, 3, signed),
         channels.ChannelRep(2, 3, dense),
     ):
-        channels.dump_channel_json(ch, "grassmann", 8, 0.7, path)
-        back = channels.load_channel_json(path)
-        assert (back.in_dim, back.out_dim, back.blocks) == (ch.in_dim, ch.out_dim, ch.blocks or None)
-        assert back.kraus.shape == ch.kraus.shape
-        assert back.kraus.tobytes() == np.ascontiguousarray(ch.kraus).tobytes()
+        _assert_bitwise_roundtrip(tmp_path / "channel.json", ch)
+
+
+def test_json_roundtrip_is_bitwise_for_every_family(tmp_path):
+    builds = (grassmann_channel, complementary_channel)
+    family = [build(d, r) for d in range(1, 8) for r in (0.0, 0.7, 1.2) for build in builds]
+    family += [grassmann_block(d, k) for d in (1, 4, 7) for k in range(1, d + 1)]
+    family += [werner_holevo(d) for d in (2, 3, 5)] + [erasure_channel(p) for p in (0.0, 0.3, 1.0)]
+    for ch in family:
+        _assert_bitwise_roundtrip(tmp_path / "channel.json", ch)
