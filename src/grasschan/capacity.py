@@ -93,8 +93,9 @@ def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
     y = n - x
     n, x = x + y, n - y  # both take the shape of y, exactly in integers
     st = _stirlerr(np.stack((n, x, y)))  # one call, not three: small n is call-bound
-    # 0 log 0 at the ends, and s = 0 (D = inf, zero mass) off x = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # 0 log 0 at the ends, s = 0 (D = inf, zero mass) off x = 0, and x/m past the
+    # largest float at subnormal m (D = inf, dropping a mass below m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dev = _bd0(np.stack((x, y)), np.stack((n * s, n * c)))
         half_log = 0.5 * np.log(2.0 * math.pi * (x * y / n))
     logpmf = st[0] - (st[1] + st[2]) - (dev[0] + dev[1])
@@ -288,7 +289,10 @@ def unruh_capacity_approx(d: int, z: float, base="d") -> float:
     base_val = log_base_value(base, d)
     if d == 1:
         return 0.0  # a one-rail channel carries nothing; log(1) would divide by zero
-    value = (d - 1) / (d * math.log(d)) * (1.0 - z) / z * (1.0 - (1.0 - z) ** d)
+    # 1 - (1-z)^d as -expm1(d log1p(-z)) keeps its digits where it is about d z, and
+    # dividing it, not 1 - z, by z stays finite at subnormal z
+    loss = -math.expm1(d * math.log1p(-z)) if z < 1.0 else 1.0
+    value = (d - 1) / (d * math.log(d)) * (1.0 - z) * (loss / z)
     # the formula is native to base d; rescale log factors for other bases
     return value * math.log(d) / math.log(base_val)
 

@@ -57,7 +57,6 @@ __all__ = [
     "grassmann_block",
     "complementary_channel",
     "complement_channel_rep",
-    "erasure_channel",
     "werner_holevo",
     "transpose_depolarizing",
     "apply_kraus",
@@ -277,16 +276,6 @@ def complement_channel_rep(ch: ChannelRep) -> ChannelRep:
     """
     kraus = _nonzero_ops(ch.kraus.transpose(1, 0, 2))  # operator a holds row a of every K_m
     return ChannelRep(ch.in_dim, len(ch.kraus), kraus, None, label=f"complement-of[{ch.label}]")
-
-
-def erasure_channel(p: float) -> ChannelRep:
-    """Qubit-to-qutrit erasure: (1-p) psi directed-sum p |f><f|."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"erasure probability p={p} outside [0, 1]")
-    kraus = np.zeros((3, 3, 2), dtype=complex)
-    kraus[0, 0, 0] = kraus[0, 1, 1] = math.sqrt(1.0 - p)  # keep
-    kraus[1, 2, 0] = kraus[2, 2, 1] = math.sqrt(p)  # flag either rail
-    return ChannelRep(2, 3, _nonzero_ops(kraus), None, label=f"erasure(p={p:.12g})")
 
 
 def werner_holevo(d: int) -> ChannelRep:

@@ -18,18 +18,9 @@ import numpy as np
 from . import capacity, channels
 from .errors import ConvergenceError, DomainError
 
-SUITES = (
-    "all",
-    "degradable",
-    "covariance",
-    "wolf-eisert",
-    "werner-holevo",
-    "factorization",
-    "oracle-q",
-    "oracle-c",
-    "ppt",
-    "rate",
-)
+# argparse's choices, without importing verify: "all", then the names of verify.SUITES
+SUITES = ("all", "degradable", "covariance", "wolf-eisert", "werner-holevo", "factorization",
+          "oracle-q", "oracle-c", "ppt", "rate")
 
 FAMILIES = ("grassmann-q", "grassmann-c", "unruh-q", "ratio")
 
@@ -169,74 +160,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list:
-    """Reports for one suite at a single (d, r) point.
-
-    In ``all`` mode, checks whose dimension caps exclude the requested d are
-    skipped; requesting such a check explicitly raises instead.  The
-    werner-holevo/ppt checks floor d at 2 (their channel family needs it),
-    and so does the rate check (its gap vanishes at d=1).
-    """
-    from . import verify  # only this command needs it, so the others skip its import
-
-    reports = []
-    if suite == "degradable" or (suite == "all" and d in verify.DEGRADABLE_DS):
-        reports.append(verify.check_degradable(d, r, tol=tol))
-    if suite in ("all", "covariance"):
-        reports.append(verify.check_covariance(d, r, trials=20, tol=1e-9, seed=seed))
-    if suite in ("all", "wolf-eisert"):
-        for k in range(1, d + 1):
-            reports.append(verify.check_wolf_eisert_form(d, k, trials=50, seed=seed))
-    if suite in ("all", "werner-holevo"):
-        reports.append(verify.check_werner_holevo(max(d, 2)))
-    if suite in ("all", "factorization"):
-        reports.append(verify.check_factorization(r, tol=1e-12))
-    if suite == "oracle-q" or (suite == "all" and d <= verify.ORACLE_Q_MAX_D):
-        value, _, stats = verify.optimize_coherent_information(d, r, restarts=4, seed=seed)
-        closed = capacity.quantum_capacity_grassmann(d, r)
-        gap = abs(max(0.0, value) - closed)
-        reports.append(
-            verify.VerificationReport(
-                check="oracle-q",
-                params={"d": d, "r": r, "seed": seed},
-                passed=gap < 1e-6,
-                worst_residual=gap,
-                trials=[{"optimized": value, "closed_form": closed, **stats}],
-            )
-        )
-    if suite == "oracle-c" or (suite == "all" and d <= verify.ORACLE_C_MAX_D):
-        value, _, stats = verify.optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=seed)
-        closed = capacity.classical_capacity_grassmann(d, r)
-        reports.append(
-            verify.VerificationReport(
-                check="oracle-c",
-                params={"d": d, "r": r, "seed": seed},
-                passed=value <= closed + 1e-6 and value >= closed - 1e-4,
-                worst_residual=abs(value - closed),
-                trials=[{"optimized": value, "closed_form": closed, **stats}],
-            )
-        )
-    if suite in ("all", "ppt"):
-        dd = max(d, 2)
-        wh = channels.werner_holevo(dd)
-        pt_min = verify.check_ppt(channels.choi_matrix(wh), dd)
-        threshold = -1.0 / (dd * dd - 1)
-        below = verify.check_ppt(channels.transpose_depolarizing(dd, threshold - 1e-3), dd)
-        above = verify.check_ppt(channels.transpose_depolarizing(dd, threshold + 1e-3), dd)
-        reports.append(
-            verify.VerificationReport(
-                check="ppt",
-                params={"d": dd},
-                passed=pt_min < -1e-6 and below < -1e-12 and above > 1e-12,
-                worst_residual=pt_min,
-                trials=[{"wh_pt_min": pt_min, "below_threshold": below, "above_threshold": above}],
-            )
-        )
-    if suite in ("all", "rate"):
-        reports.append(verify.check_approximation_rate(max(d, 2)))
-    return reports
-
-
 def _cmd_verify(args) -> int:
     if args.d < 1:
         raise DomainError(f"dimension d={args.d} must be at least 1")
@@ -244,7 +167,9 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"squeezing parameter r={args.r} is not finite")
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"tolerance {args.tol} must be positive and finite")
-    reports = _suite_reports(args.suite, args.d, args.r, args.seed, args.tol)
+    from . import verify  # only this command needs it, so the others skip its import
+
+    reports = verify.suite_reports(args.suite, args.d, args.r, args.seed, args.tol)
     all_pass = all(rep.passed for rep in reports)
     doc = {
         "suite": args.suite,

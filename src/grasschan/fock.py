@@ -26,9 +26,7 @@ __all__ = [
     "StateVector",
     "sector_codes",
     "vacuum",
-    "basis_state_vector",
     "apply_creation",
-    "apply_annihilation",
     "squeezed_vacuum",
     "isometry_apply",
     "exterior_power",
@@ -97,11 +95,6 @@ def vacuum(num_modes: int) -> StateVector:
     return StateVector(num_modes, {0: 1.0 + 0.0j})
 
 
-def basis_state_vector(bits) -> StateVector:
-    bits = tuple(int(b) for b in bits)
-    return StateVector(len(bits), {bits_to_code(bits): 1.0 + 0.0j})
-
-
 def _jw_sign(code: int, num_modes: int, mode: int) -> int:
     # (-1)^(occupied modes with index < mode); lower-index modes sit in
     # higher-significance bits.
@@ -120,21 +113,6 @@ def apply_creation(state: StateVector, mode: int) -> StateVector:
         if code & bit:
             continue  # already occupied
         new = code | bit
-        out[new] = out.get(new, 0.0) + _jw_sign(code, m, mode) * amp
-    return StateVector(m, out)
-
-
-def apply_annihilation(state: StateVector, mode: int) -> StateVector:
-    """Apply the annihilation operator for ``mode`` (0-based) with JW sign."""
-    m = state.num_modes
-    if not 0 <= mode < m:
-        raise DomainError(f"mode {mode} outside [0, {m})")
-    bit = 1 << (m - 1 - mode)
-    out: dict[int, complex] = {}
-    for code, amp in state.amplitudes.items():
-        if not code & bit:
-            continue  # empty mode annihilates the component
-        new = code & ~bit
         out[new] = out.get(new, 0.0) + _jw_sign(code, m, mode) * amp
     return StateVector(m, out)
 

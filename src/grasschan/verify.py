@@ -22,8 +22,10 @@ import numpy as np
 from . import channels, fock
 from .capacity import (
     block_weights,
+    classical_capacity_grassmann,
     degrading_weights,
     log_base_value,
+    quantum_capacity_grassmann,
     quantum_capacity_unruh,
     unruh_capacity_approx,
 )
@@ -55,13 +57,17 @@ __all__ = [
     "check_werner_holevo",
     "check_factorization",
     "check_ppt",
+    "check_ppt_threshold",
     "check_approximation_rate",
+    "check_oracle_q",
+    "check_oracle_c",
+    "SUITES",
+    "suite_reports",
     "random_su",
     "random_pure_state",
-    "random_density",
 ]
 
-# Dimension caps of the checks; ``cli`` skips a check in ``--suite all`` outside them.
+# Dimension caps of the checks; ``--suite all`` skips a check outside them.
 ORACLE_Q_MAX_D = 8
 ORACLE_C_MAX_D = 7
 DEGRADABLE_DS = range(2, 5)
@@ -110,12 +116,6 @@ def _random_pure_projectors(d: int, trials: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vs = np.array([random_pure_state(d, rng) for _ in range(trials)]).reshape(trials, d)
     return vs[:, :, None] * vs.conj()[:, None, :]
-
-
-def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +692,21 @@ def check_ppt(choi: np.ndarray, cut_dim: int) -> float:
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
 
 
+def check_ppt_threshold(d: int) -> VerificationReport:
+    """Werner-Holevo Choi matrix is NPT; the transpose-depolarizing one turns PPT at -1/(d^2-1)."""
+    pt_min = check_ppt(choi_matrix(werner_holevo(d)), d)
+    threshold = -1.0 / (d * d - 1)
+    below = check_ppt(channels.transpose_depolarizing(d, threshold - 1e-3), d)
+    above = check_ppt(channels.transpose_depolarizing(d, threshold + 1e-3), d)
+    return VerificationReport(
+        check="ppt",
+        params={"d": d},
+        passed=pt_min < -1e-6 and below < -1e-12 and above > 1e-12,
+        worst_residual=pt_min,
+        trials=[{"wh_pt_min": pt_min, "below_threshold": below, "above_threshold": above}],
+    )
+
+
 def check_approximation_rate(d: int, zs=(0.9, 0.99, 0.999, 0.9999)) -> VerificationReport:
     """|Q - Q'| decays quadratically in (1 - z): log-log slope in [1.8, 2.2]."""
     if d < 2:
@@ -708,3 +723,55 @@ def check_approximation_rate(d: int, zs=(0.9, 0.99, 0.999, 0.9999)) -> Verificat
         worst_residual=abs(slope - 2.0),
         trials=[{"slope": slope, "gaps": gaps}],
     )
+
+
+# ---------------------------------------------------------------------------
+# Capacity oracles against the closed forms, and the suites of ``verify``
+# ---------------------------------------------------------------------------
+
+
+def check_oracle_q(d: int, r: float, seed: int) -> VerificationReport:
+    """Optimized coherent information, clamped at 0, within 1e-6 of the quantum capacity."""
+    value, _, stats = optimize_coherent_information(d, r, restarts=4, seed=seed)
+    closed = quantum_capacity_grassmann(d, r)
+    gap = abs(max(0.0, value) - closed)
+    trials = [{"optimized": value, "closed_form": closed, **stats}]
+    return VerificationReport("oracle-q", {"d": d, "r": r, "seed": seed}, gap < 1e-6, gap, trials)
+
+
+def check_oracle_c(d: int, r: float, seed: int) -> VerificationReport:
+    """Optimized Holevo chi at most 1e-6 above and 1e-4 below the classical capacity."""
+    value, _, stats = optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=seed)
+    closed = classical_capacity_grassmann(d, r)
+    passed, gap = closed - 1e-4 <= value <= closed + 1e-6, abs(value - closed)
+    trials = [{"optimized": value, "closed_form": closed, **stats}]
+    return VerificationReport("oracle-c", {"d": d, "r": r, "seed": seed}, passed, gap, trials)
+
+
+# Suite name -> (does ``all`` run it at d, its reports at (d, r, seed, tol)), in report
+# order.  Each call looks its check up in this module, so a wrapped ``check_*`` is used.
+# werner-holevo, ppt and rate floor d at 2: their channel, or the rate's gap, needs it.
+SUITES = {
+    "degradable": (lambda d: d in DEGRADABLE_DS,
+                   lambda d, r, seed, tol: [check_degradable(d, r, tol=tol)]),
+    "covariance": (lambda d: True, lambda d, r, seed, tol: [check_covariance(d, r, seed=seed)]),
+    "wolf-eisert": (lambda d: True, lambda d, r, seed, tol: [
+        check_wolf_eisert_form(d, k, seed=seed) for k in range(1, d + 1)]),
+    "werner-holevo": (lambda d: True, lambda d, r, seed, tol: [check_werner_holevo(max(d, 2))]),
+    "factorization": (lambda d: True, lambda d, r, seed, tol: [check_factorization(r)]),
+    "oracle-q": (lambda d: d <= ORACLE_Q_MAX_D,
+                 lambda d, r, seed, tol: [check_oracle_q(d, r, seed)]),
+    "oracle-c": (lambda d: d <= ORACLE_C_MAX_D,
+                 lambda d, r, seed, tol: [check_oracle_c(d, r, seed)]),
+    "ppt": (lambda d: True, lambda d, r, seed, tol: [check_ppt_threshold(max(d, 2))]),
+    "rate": (lambda d: True, lambda d, r, seed, tol: [check_approximation_rate(max(d, 2))]),
+}
+
+
+def suite_reports(suite: str, d: int, r: float, seed: int, tol: float) -> list[VerificationReport]:
+    """Reports of one suite, or with ``all`` of each suite that runs at d.
+
+    A suite named outside its range still runs, and its check raises DomainError.
+    """
+    names = [name for name, (runs, _) in SUITES.items() if runs(d)] if suite == "all" else [suite]
+    return [report for name in names for report in SUITES[name][1](d, r, seed, tol)]

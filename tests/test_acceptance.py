@@ -21,10 +21,11 @@ from grasschan.capacity import (
     quantum_capacity_grassmann_w,
     quantum_capacity_unruh,
 )
-from grasschan.channels import choi_matrix, erasure_channel, grassmann_block, grassmann_channel
+from grasschan.channels import choi_matrix, grassmann_block, grassmann_channel
 from grasschan.cli import SweepConfig, run_sweep
 from grasschan.errors import DomainError
-from grasschan.verify import VerificationReport, coherent_information, random_density
+from grasschan.verify import VerificationReport, coherent_information
+from helpers import erasure_channel, random_density
 
 
 def _report(name: str, ok: bool, detail: str = ""):

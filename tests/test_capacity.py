@@ -276,6 +276,31 @@ def test_unruh_approx_hand_value():
     assert unruh_capacity_approx(1, 0.5) == 0.0  # one rail, like every d=1 capacity
 
 
+def _mp_unruh_approx(d: int, z: float) -> float:
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        loss = -mpmath.expm1(d * mpmath.log1p(-z))  # 1 - (1-z)^d
+        return float((d - 1) / (d * mpmath.log(d)) * (1 - z) / z * loss)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 50, 1000])
+def test_unruh_approx_keeps_its_digits_at_small_z(d):
+    # 1 - (1-z)^d in floats cancels: from z = 1e-4 or 1e-5 down, 12 decimals were lost
+    for z in [10.0**-e for e in range(1, 17)] + [1e-320]:
+        assert unruh_capacity_approx(d, z) == pytest.approx(_mp_unruh_approx(d, z), rel=2e-15)
+    # at z = 5e-324 the limit (d-1)/ln d, no longer nan from (1-z)/z overflowing
+    assert unruh_capacity_approx(d, 5e-324) == pytest.approx((d - 1) / math.log(d), rel=2e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_parameters_raise_no_overflow_warning():
+    # x / m overflows inside the binomial kernel when the mean m = n s is subnormal
+    assert quantum_capacity_grassmann_w(5, 1e-310) == pytest.approx(1.0, abs=1e-12)
+    assert quantum_capacity_grassmann(1000, 1e-160) == pytest.approx(1.0, abs=1e-12)
+    assert quantum_capacity_grassmann_w(3, 5e-324) == pytest.approx(1.0, abs=1e-12)
+    assert quantum_capacity_unruh(3, 1e-320).value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_capacity_ratio_values():
     assert abs(capacity_ratio(2) - math.log(2)) < 1e-12
     ratios = [capacity_ratio(d) for d in range(2, 51)]

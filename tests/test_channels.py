@@ -13,7 +13,6 @@ from grasschan.channels import (
     choi_matrix,
     complement_channel_rep,
     complementary_channel,
-    erasure_channel,
     grassmann_block,
     grassmann_channel,
     transfer_matrix,
@@ -21,6 +20,7 @@ from grasschan.channels import (
     werner_holevo,
 )
 from grasschan.errors import DomainError, PreconditionError
+from helpers import erasure_channel
 
 
 def _random_pure(d, rng):

@@ -9,6 +9,7 @@ import pytest
 
 from grasschan import capacity, channels, verify
 from grasschan.errors import DomainError, PreconditionError
+from helpers import random_density
 
 
 def test_entropy_pure_and_mixed():
@@ -25,8 +26,8 @@ def test_entropy_pure_and_mixed():
 def test_entropy_additive_on_products():
     rng = np.random.default_rng(21)
     for _ in range(5):
-        rho = verify.random_density(3, rng)
-        sigma = verify.random_density(4, rng)
+        rho = random_density(3, rng)
+        sigma = random_density(4, rng)
         lhs = verify.von_neumann_entropy(np.kron(rho, sigma))
         rhs = verify.von_neumann_entropy(rho) + verify.von_neumann_entropy(sigma)
         assert abs(lhs - rhs) < 1e-10
@@ -43,7 +44,7 @@ def test_random_su_properties():
 def test_coherent_information_identity_limit():
     rng = np.random.default_rng(2)
     for d in (2, 3):
-        rho = verify.random_density(d, rng)
+        rho = random_density(d, rng)
         expected = verify.von_neumann_entropy(rho, base=float(d) if d > 1 else 2.0)
         assert abs(verify.coherent_information(d, 0.0, rho) - expected) < 1e-10
 
@@ -52,7 +53,7 @@ def test_coherent_information_vanishes_at_pi4():
     rng = np.random.default_rng(3)
     for d in (2, 3):
         for _ in range(5):
-            rho = verify.random_density(d, rng)
+            rho = random_density(d, rng)
             assert abs(verify.coherent_information(d, math.pi / 4, rho)) < 1e-10
 
 
@@ -71,7 +72,7 @@ def test_coherent_information_purification_oracle(d):
 
     rng = np.random.default_rng(31)
     r = 0.6
-    rho = verify.random_density(d, rng)
+    rho = random_density(d, rng)
     evals, vecs = np.linalg.eigh(rho)
     dim_ac = 1 << (2 * d)
     tau = np.zeros((dim_ac, d), dtype=complex)  # columns indexed by the register
@@ -106,7 +107,7 @@ def test_optimize_coherent_information_zero_point():
 
 def test_holevo_quantity_examples():
     rng = np.random.default_rng(4)
-    rho = verify.random_density(2, rng)
+    rho = random_density(2, rng)
     assert abs(verify.holevo_quantity(2, 0.4, [(1.0, rho)])) < 1e-12
     for d in (2, 3):
         rails = [(1.0 / d, np.diag(np.eye(d)[i]).astype(complex)) for i in range(d)]
@@ -437,7 +438,7 @@ def test_objectives_allocate_no_stack_sized_temporary():
     # half of one zero-padded d = 8 stack: the objectives touch one block group at a time
     limit = 255 * 255 * 8 * 16 // 2
     rng = np.random.default_rng(17)
-    rho = verify.random_density(8, rng)
+    rho = random_density(8, rng)
     x = rng.standard_normal(2 * 8 * 8)
     verify.coherent_information(8, 0.4, rho)  # warms the r-free sector caches
     for call in (
@@ -631,3 +632,64 @@ def test_report_json_shape():
     doc = rep.to_json_dict()
     assert list(doc) == ["check", "params", "pass", "worst_residual", "trials"]
     assert isinstance(doc["pass"], bool)
+
+
+def test_cli_suite_names_follow_the_table():
+    from grasschan import cli
+
+    assert cli.SUITES == ("all", *verify.SUITES)
+
+
+def test_suites_that_all_runs_at_each_dimension():
+    every = list(verify.SUITES)
+    no_degradable = [name for name in every if name != "degradable"]
+    expected = {
+        1: no_degradable,
+        2: every,
+        3: every,
+        4: every,
+        5: no_degradable,
+        6: no_degradable,
+        7: no_degradable,
+        8: [name for name in no_degradable if name != "oracle-c"],
+        9: [name for name in no_degradable if name not in ("oracle-q", "oracle-c")],
+    }
+    for d, names in expected.items():
+        assert [name for name, (runs, _) in verify.SUITES.items() if runs(d)] == names, d
+
+
+def test_floored_suites_report_d2_at_d1():
+    for suite, check in (("werner-holevo", "werner-holevo"), ("ppt", "ppt"),
+                         ("rate", "approximation-rate")):
+        (report,) = verify.suite_reports(suite, 1, 0.5, 7, 1e-9)
+        assert (report.check, report.params["d"], report.passed) == (check, 2, True)
+
+
+def test_all_reports_in_table_order():
+    reports = verify.suite_reports("all", 5, 0.55, 7, 1e-9)
+    assert [rep.check for rep in reports] == [
+        "covariance",
+        *["wolf-eisert"] * 5,
+        "werner-holevo",
+        "factorization",
+        "oracle-q",
+        "oracle-c",
+        "ppt",
+        "approximation-rate",
+    ]
+    assert [rep.params["k"] for rep in reports[1:6]] == [1, 2, 3, 4, 5]
+    assert all(rep.passed for rep in reports)
+
+
+@pytest.mark.parametrize("suite, d", [("degradable", 1), ("degradable", 5), ("oracle-q", 9),
+                                      ("oracle-c", 8)])
+def test_suite_named_outside_its_range_raises(suite, d):
+    with pytest.raises(DomainError):
+        verify.suite_reports(suite, d, 0.5, 7, 1e-9)
+
+
+def test_suites_look_their_checks_up_when_they_run(monkeypatch):
+    # a tracer wraps check_* in this module's namespace after the table is built
+    marker = verify.VerificationReport("factorization", {}, True, 0.0)
+    monkeypatch.setattr(verify, "check_factorization", lambda r, tol=1e-12: marker)
+    assert verify.suite_reports("factorization", 3, 0.5, 7, 1e-9) == [marker]
