@@ -11,9 +11,10 @@ forward sector k = d - j.
 
 Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
 the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
-number sectors.  The channel builds one zero-padded [C code, A code, rail]
-stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r; the complement is
-that stack transposed.  Block channel k is sector k divided by
+number sectors.  Both builders fill one zero-padded [C code, A code, rail]
+stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r, and slice it: the
+channel takes its C rows in use, the complement the A rows in use of its
+transpose, and nothing scans it.  Block channel k is sector k divided by
 sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the stack: they
 contract the sector tensors block by block (``_block_groups``).
 ``fock.isometry_apply`` builds the same image rail by rail; the tests
@@ -199,40 +200,38 @@ def _sector_amplitudes(d: int, r: float) -> list[float]:
 
 
 def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
-    """Drop all-zero operators, copying the stack (8 MB at d = 8) only if there are any.
-
-    A transposed stack, such as the complement's, is reduced along its outer
-    memory axis first: at d = 8 that is four times faster than one reduction
-    over axes (1, 2).
-    """
-    outer_rows = kraus.strides[1] > kraus.strides[0]
-    nonzero = kraus.any(axis=1).any(axis=1) if outer_rows else np.any(kraus, axis=(1, 2))
+    """Drop all-zero operators, copying the stack only if there are any."""
+    nonzero = np.any(kraus, axis=(1, 2))
     return kraus if nonzero.all() else kraus[nonzero]
 
 
-def _image_stack(d: int, r: float) -> np.ndarray:
-    """Zero-padded [C code, A code, rail] Kraus stack of the isometry image.
+def _image_stack(d: int, r: float) -> tuple[np.ndarray, int, int]:
+    """Zero-padded [C code, A code, rail] Kraus stack of the isometry image, with its rows in use.
 
     Sector k, scaled by cos^(d-1) r tan^(k-1) r, fills the C rows with k - 1
     fermions and the A columns with k; both registers stack their sectors by
-    fermion number.  The forward channel keeps this stack, the complement
-    takes its transpose.
+    fermion number.  The counts of C rows and A columns filled by nonzero
+    sectors come with it: the rows the channel and its complement keep.
     """
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
-    c_row = a_row = 0
+    c_rows = a_rows = 0
     for amp, sector in zip(_sector_amplitudes(d, r), _pair_sectors(d)):
+        # only r = 0 or an underflowing tan^(k-1) r gives a zero amplitude, and every later one is
+        # zero too: they do not increase with k when tan r < 1, and none is zero when tan r >= 1
+        if amp == 0.0:
+            break
         n_a, n_c = sector.shape[:2]
-        kraus[c_row : c_row + n_c, a_row : a_row + n_a] = amp * sector.transpose(1, 0, 2)
-        c_row += n_c
-        a_row += n_a
-    return kraus
+        kraus[c_rows : c_rows + n_c, a_rows : a_rows + n_a] = amp * sector.transpose(1, 0, 2)
+        c_rows += n_c
+        a_rows += n_a
+    return kraus, c_rows, a_rows
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
-    _check_channel_d(d)
-    weights = block_weights(d, r)  # also rejects r outside [0, pi/2)
-    kraus = _nonzero_ops(_image_stack(d, r))
+    stack, c_rows, _ = _image_stack(d, r)  # rejects d outside [1, 8], then r outside [0, pi/2)
+    weights = block_weights(d, r)
+    kraus = stack[:c_rows]
     blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann(d={d},r={r:.12g})")
 
@@ -240,17 +239,15 @@ def grassmann_channel(d: int, r: float) -> ChannelRep:
 def complementary_channel(d: int, r: float) -> ChannelRep:
     """The complementary channel, tracing A instead of C.
 
-    Its Kraus stack is the transposed forward stack, with all-zero operators
-    dropped only after transposing (at r = 0 every C-side row stays).  Block
-    metadata labels the C-side sector with j fermions by the forward sector
-    k = d - j it mirrors, so block k carries weight p~_k.
+    Its Kraus stack is the transposed forward stack cut to the A rows in use;
+    the output keeps every C-side row (at r = 0 only the empty one is reached).
+    Block metadata labels the C-side sector with j fermions by the forward
+    sector k = d - j it mirrors, so block k carries weight p~_k.
     """
-    _check_channel_d(d)
-    weights = block_weights(d, r)  # also rejects r outside [0, pi/2)
-    kraus = _nonzero_ops(_image_stack(d, r).transpose(1, 0, 2))
-    blocks = [
-        Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)
-    ]
+    stack, _, a_rows = _image_stack(d, r)  # rejects d outside [1, 8], then r outside [0, pi/2)
+    weights = block_weights(d, r)
+    kraus = stack.transpose(1, 0, 2)[:a_rows]
+    blocks = [Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann-comp(d={d},r={r:.12g})")
 
 
@@ -282,6 +279,7 @@ def werner_holevo(d: int) -> ChannelRep:
     """Antisymmetric-Kraus channel sigma -> (Tr sigma I - sigma^T)/(d-1)."""
     if d < 2:
         raise DomainError(f"need d >= 2, got d={d}")
+    _check_channel_d(d)
     i, j = np.triu_indices(d, 1)
     m = np.arange(len(i))
     kraus = np.zeros((len(i), d, d), dtype=complex)
@@ -298,6 +296,7 @@ def transpose_depolarizing(d: int, t: float) -> np.ndarray:
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got d={d}")
+    _check_channel_d(d)
     swap = np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]  # |ij> -> |ji>
     return t * swap + (1.0 - t) / d * np.eye(d * d)
 

@@ -196,18 +196,23 @@ def holevo_quantity(d: int, r: float, ensemble, base="d") -> float:
     probs = np.array([p for p, _ in ensemble], dtype=float)
     if abs(probs.sum() - 1.0) > 1e-10 or np.any(probs < -1e-15):
         raise PreconditionError("ensemble probabilities must form a distribution")
-    states = np.array([s for _, s in ensemble], dtype=complex)
-    return float(_holevo_terms(d, r, probs, states, ln_base)[0])
+    states = [np.asarray(s, dtype=complex) for _, s in ensemble]
+    for state in states:
+        if state.shape != (d, d):
+            raise PreconditionError(f"state shape {state.shape} != ({d}, {d})")
+    return float(_holevo_terms(d, r, probs, np.array(states), ln_base, logs=False)[0])
 
 
-def _holevo_terms(d: int, r: float, probs: np.ndarray, states: np.ndarray, ln_base: float):
+def _holevo_terms(
+    d: int, r: float, probs: np.ndarray, states: np.ndarray, ln_base: float, logs: bool = True
+):
     """chi, S of the average (index 0) and members, and the forward side's ``_block_terms``.
 
     The average input and the members go through the channel as one stack.
     """
     avg = (probs[:, None, None] * states).sum(axis=0)
     inputs = np.concatenate((avg[None], states))
-    terms = list(_block_terms(d, r, inputs, ln_base, complement=False))
+    terms = list(_block_terms(d, r, inputs, ln_base, logs, complement=False))
     ents = sum(s.sum(axis=-1) for _, _, s, _ in terms)
     return ents[0] - probs @ ents[1:], ents, terms
 

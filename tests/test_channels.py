@@ -289,6 +289,35 @@ def test_kraus_sets_match_isometry_apply(d, r):
             assert np.all(np.abs(op - ref) <= 5e-16 * np.abs(ref))
 
 
+def _scanned_stacks(d, r):
+    """Forward and complement stacks by a full scan: every sector placed, zero operators dropped."""
+    n = (1 << d) - 1
+    full = np.zeros((n, n, d), dtype=complex)
+    c_row = a_row = 0
+    for amp, sector in zip(channels._sector_amplitudes(d, r), channels._pair_sectors(d)):
+        n_a, n_c = sector.shape[:2]
+        full[c_row : c_row + n_c, a_row : a_row + n_a] = amp * sector.transpose(1, 0, 2)
+        c_row, a_row = c_row + n_c, a_row + n_a
+    return [stack[np.any(stack, axis=(1, 2))] for stack in (full, full.transpose(1, 0, 2))]
+
+
+@pytest.mark.parametrize("r", [0.0, 5e-324, 1e-300, 1e-160, 1e-40, 0.7, 1.2])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_builders_slice_the_operators_a_full_scan_keeps(d, r):
+    # an underflowing tan^(k-1) r zeroes every sector from some k on; the builders stop there
+    zero = [amp == 0.0 for amp in channels._sector_amplitudes(d, r)]
+    assert zero == sorted(zero)
+    built = (grassmann_channel(d, r), complementary_channel(d, r))
+    for ch, ref in zip(built, _scanned_stacks(d, r)):
+        assert ch.kraus.shape == ref.shape
+        assert ch.kraus.tobytes() == ref.tobytes()
+    counts = [len(ch.kraus) for ch in built]
+    if r == 0.0:
+        assert counts == [1, d]
+    if (d, r) == (8, 1e-160):  # sectors 1..3 survive: tan^2 r is subnormal, tan^3 r is 0
+        assert counts == [37, 92]
+
+
 @pytest.mark.parametrize("r", [0.0, 0.7])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_kraus_mass_stays_inside_one_block(d, r):
@@ -511,6 +540,9 @@ def test_channel_dimension_cap():
         for build in (grassmann_channel, complementary_channel):
             with pytest.raises(DomainError):
                 build(3, r)
+    for build in (werner_holevo, lambda d: transpose_depolarizing(d, 0.1)):
+        with pytest.raises(DomainError, match="capped at d=8"):
+            build(9)
 
 
 def test_json_roundtrip(tmp_path):

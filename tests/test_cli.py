@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from grasschan import capacity, channels, cli
+from grasschan import capacity, channels, cli, verify
 from grasschan.cli import SweepConfig, run_sweep
 from grasschan.errors import ConsistencyError, DomainError
 
@@ -285,6 +285,14 @@ def test_verify_suite_respects_dimension_caps(capsys):
     assert cli.main(["verify", "--suite", "rate", "--d", "7"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] and doc["reports"][0]["params"]["d"] == 7
+
+
+def test_ppt_suite_is_capped_like_the_other_channel_suites(capsys):
+    with pytest.raises(DomainError, match="capped at d=8"):
+        verify.check_ppt_threshold(9)
+    assert cli.main(["verify", "--suite", "ppt", "--d", "9"]) == 1
+    err = capsys.readouterr().err
+    assert "explicit channel construction is capped at d=8" in err
 
 
 _SCIPY_FREE_SCRIPT = """

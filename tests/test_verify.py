@@ -117,6 +117,9 @@ def test_holevo_quantity_examples():
         assert abs(verify.holevo_quantity(2, r, rails, base="2") - (1 - math.sin(r) ** 2)) < 1e-10
     with pytest.raises(PreconditionError):
         verify.holevo_quantity(2, 0.4, [(0.7, rho)])
+    for bad in (rho[:1], np.eye(3), np.zeros((2, 2, 2)), [[1.0]]):
+        with pytest.raises(PreconditionError, match="state shape"):
+            verify.holevo_quantity(2, 0.4, [(0.5, rho), (0.5, bad)])
 
 
 def test_optimize_holevo_qubit():
@@ -412,7 +415,7 @@ def test_objectives_survive_an_eigensolver_failure(d, monkeypatch):
     chi, want_e = _holevo_reference(d, r, xe, size)
     values = (
         ("eigvalsh", lambda: verify.coherent_information(d, r, rho), i_c),
-        ("eigh", lambda: verify.holevo_quantity(d, r, ensemble), chi),
+        ("eigvalsh", lambda: verify.holevo_quantity(d, r, ensemble), chi),
     )
     objectives = (
         (lambda: verify._coherent_information_and_grad(x, d, r), i_c, want_q),
