@@ -157,13 +157,15 @@ def degrading_weights(d: int, r: float) -> DegradingWeights:
     return DegradingWeights(d, r, q, valid)
 
 
+def _q_sum(p: np.ndarray, base_val: float) -> float:
+    # (1/d) sum_k k C(d,k) log k (cos^(2(d-1)) tan^(2(d-k)) - ... tan^(2(k-1)))
+    # collapses to sum_k (p~_k - p_k) log k via k C(d,k) = d C(d-1,k-1), p~ the reversal of p
+    return float((p[::-1] - p) @ np.log(np.arange(1, len(p) + 1))) / math.log(base_val)
+
+
 def quantum_capacity_grassmann_unclamped(d: int, r: float, base="d") -> float:
     """Raw quantum-capacity expression; negative beyond r = pi/4."""
-    w = block_weights(d, r)
-    base_val = log_base_value(base, d)
-    # (1/d) sum_k k C(d,k) log k (cos^(2(d-1)) tan^(2(d-k)) - ... tan^(2(k-1)))
-    # collapses to sum_k (p~_k - p_k) log k via k C(d,k) = d C(d-1,k-1)
-    return float((w.p_tilde - w.p) @ np.log(np.arange(1, d + 1))) / math.log(base_val)
+    return _q_sum(block_weights(d, r).p, log_base_value(base, d))
 
 
 def quantum_capacity_grassmann(d: int, r: float, base="d") -> float:
@@ -181,13 +183,6 @@ def _q_w_form_a(d: int, w: float, base_val: float) -> float:
     return float(s) * (1.0 + w) / d / math.log(base_val)
 
 
-def _q_w_form_b(d: int, w: float, base_val: float) -> float:
-    # (1+w)^-(d-1) sum_{k=0}^{d-1} w^k C(d-1,k) log((d-k)/(k+1)) over the
-    # Binomial(d-1, w/(1+w)) pmf
-    pmf = np.exp(_binomial_logpmf(np.arange(d), d - 1, w / (1.0 + w), 1.0 / (1.0 + w)))
-    return float((pmf[::-1] - pmf) @ np.log(np.arange(1, d + 1))) / math.log(base_val)
-
-
 def quantum_capacity_grassmann_w(d: int, w: float, base="d") -> float:
     """Quantum capacity as a function of w = tan^2 r, covering w = 1 exactly.
 
@@ -200,7 +195,9 @@ def quantum_capacity_grassmann_w(d: int, w: float, base="d") -> float:
         raise DomainError(f"w={w} outside [0, 1]")
     base_val = log_base_value(base, d)
     a = _q_w_form_a(d, w, base_val)
-    b = _q_w_form_b(d, w, base_val)
+    # the r-form's sum over the sector weights at tan^2 r = w: Binomial(d-1, w/(1+w))
+    p = np.exp(_binomial_logpmf(np.arange(d), d - 1, w / (1.0 + w), 1.0 / (1.0 + w)))
+    b = _q_sum(p, base_val)
     if abs(a - b) > 1e-12:
         raise ConsistencyError(
             f"w-parametrized capacity forms disagree at d={d}, w={w}: {a!r} vs {b!r}"
@@ -211,22 +208,20 @@ def quantum_capacity_grassmann_w(d: int, w: float, base="d") -> float:
 def classical_capacity_grassmann(d: int, r: float, base="d") -> float:
     """Classical capacity: log d - sum_k p_k log k.
 
-    Cross-checks the closed form against the three-term expression
-    H({p_k}) + sum_k p_k log C(d,k) - H(pure-input output), where the output
-    entropy uses the flat sector spectra (eigenvalue 1/C(d-1,k-1) with
-    multiplicity C(d-1,k-1) inside sector k).
+    Cross-checks the closed form against sum_k p_k [log C(d,k) - log C(d-1,k-1)]:
+    the three-term expression H({p_k}) + sum_k p_k log C(d,k) - H(pure-input
+    output) after its H({p_k}) terms cancel, where the output entropy uses the
+    flat sector spectra (eigenvalue 1/C(d-1,k-1) with multiplicity C(d-1,k-1)
+    inside sector k).
     """
     w = block_weights(d, r)
     lb = math.log(log_base_value(base, d))
     k = np.arange(1, d + 1)
     closed = (math.log(d) - w.p @ np.log(k)) / lb
-    nonzero = w.p[w.p > 0.0]
-    h_weights = -(nonzero @ np.log(nonzero)) / lb
     # log C(n, x) = log Binomial(n, 1/2) pmf + n log 2
     sector_term = (w.p @ (_binomial_logpmf(k, d, 0.5, 0.5) + d * math.log(2))) / lb
     flat_entropy = _binomial_logpmf(k - 1, d - 1, 0.5, 0.5) + (d - 1) * math.log(2)
-    h_output = h_weights + (w.p @ flat_entropy) / lb
-    three_term = h_weights + sector_term - h_output
+    three_term = sector_term - (w.p @ flat_entropy) / lb
     if abs(closed - three_term) > 1e-10:
         raise ConsistencyError(
             f"classical-capacity forms disagree at d={d}, r={r}: {closed!r} vs {three_term!r}"

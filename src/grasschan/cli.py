@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,140 +21,89 @@ from .errors import ConvergenceError, DomainError
 SUITES = ("all", "degradable", "covariance", "wolf-eisert", "werner-holevo", "factorization",
           "oracle-q", "oracle-c", "ppt", "rate")
 
-FAMILIES = ("grassmann-q", "grassmann-c", "unruh-q", "ratio")
+TOL = 1e-12  # the Unruh series' certified remainder: the capacity --tol default, and every sweep's
+
+# (capacity kind, parameter) -> closed form at (d, x, base, tol).  The entries look their
+# functions up when they run, so monkeypatching and span tracing see every call.  Quantum
+# tries --w before --r; a kind's last parameter is the one a missing-value error names.
+CLOSED_FORMS = {
+    ("quantum", "w"): lambda d, x, base, tol: capacity.quantum_capacity_grassmann_w(d, x, base),
+    ("quantum", "r"): lambda d, x, base, tol: capacity.quantum_capacity_grassmann(d, x, base),
+    ("classical", "r"): lambda d, x, base, tol: capacity.classical_capacity_grassmann(d, x, base),
+    ("unruh", "z"): lambda d, x, base, tol: capacity.quantum_capacity_unruh(d, x, tol, base),
+    ("unruh-approx", "z"): lambda d, x, base, tol: capacity.unruh_capacity_approx(d, x, base),
+    ("ratio", "d"): lambda d, x, base, tol: capacity.capacity_ratio(d),
+}
+# sweep family -> the capacity kind it plots
+SWEEP_KINDS = {"grassmann-q": "quantum", "grassmann-c": "classical", "unruh-q": "unruh",
+               "ratio": "ratio"}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12f}"
 
 
-@dataclass
-class SweepConfig:
-    family: str
-    ds: list[int]
-    param_name: str
-    start: float
-    stop: float
-    points: int
-    base: str
-    out: str
-
-    def validate(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        if not self.ds:
-            raise DomainError("need at least one dimension")
-        if self.family == "ratio":
-            if any(d < 2 for d in self.ds):
-                raise DomainError("capacity ratio needs d >= 2")
-            return
-        if self.points < 2:
-            raise DomainError(f"need at least 2 grid points, got {self.points}")
-        if not self.start < self.stop:
-            raise DomainError(f"empty grid: start {self.start} must be below stop {self.stop}")
-        if self.param_name == "r" and self.stop >= math.pi / 2:
-            raise DomainError("r grids must stay strictly below pi/2")
-        if self.param_name in ("w", "z") and self.start < 0.0:
-            raise DomainError(f"{self.param_name} grids start at 0")
-        if self.param_name == "w" and self.stop > 1.0:
-            raise DomainError("w grids must stay within [0, 1]")
-        if self.param_name == "z" and self.stop >= 1.0:
-            raise DomainError("z grids must stay strictly below 1")
-        allowed = {"grassmann-q": ("r", "w"), "grassmann-c": ("r",), "unruh-q": ("z",)}
-        if self.param_name not in allowed[self.family]:
-            raise DomainError(f"family {self.family} does not sweep over {self.param_name!r}")
-
-
-def _sweep_value(family: str, d: int, param_name: str, value: float, base: str) -> float:
-    if family == "grassmann-q" and param_name == "r":
-        return capacity.quantum_capacity_grassmann(d, value, base)
-    if family == "grassmann-q" and param_name == "w":
-        return capacity.quantum_capacity_grassmann_w(d, value, base)
-    if family == "grassmann-c":
-        return capacity.classical_capacity_grassmann(d, value, base)
-    if family == "unruh-q":
-        return capacity.quantum_capacity_unruh(d, value, base=base).value
-    raise DomainError(f"cannot evaluate family {family!r} at {param_name}={value}")
-
-
-def run_sweep(cfg: SweepConfig) -> list[str]:
-    cfg.validate()
-    ds = sorted(set(cfg.ds))
-    lines = ["family,d,param_name,param,base,value"]
-    if cfg.family == "ratio":
+def run_sweep(family: str, ds: list[int], param_name: str, start: float, stop: float,
+              points: int, base: str) -> list[str]:
+    """CSV lines of a family's closed form over ds and a linear grid; ratio has one row per d."""
+    if family not in SWEEP_KINDS:
+        raise DomainError(f"unknown family {family!r}")
+    if not ds:
+        raise DomainError("need at least one dimension")
+    kind = SWEEP_KINDS[family]
+    if kind == "ratio":
+        if any(d < 2 for d in ds):
+            raise DomainError("capacity ratio needs d >= 2")
         param_name = "d"
-        for d in ds:
-            value = capacity.capacity_ratio(d)
-            lines.append(f"{cfg.family},{d},{param_name},{_fmt(float(d))},{cfg.base},{_fmt(value)}")
-        return lines
-
-    grid = cfg.start + np.arange(cfg.points) * (cfg.stop - cfg.start) / (cfg.points - 1)
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("sweep grid must be strictly increasing in the parameter")
-    for d in ds:
-        for param in grid.tolist():
-            value = _sweep_value(cfg.family, d, cfg.param_name, param, cfg.base)
+    else:
+        if points < 2:
+            raise DomainError(f"need at least 2 grid points, got {points}")
+        if not start < stop:
+            raise DomainError(f"empty grid: start {start} must be below stop {stop}")
+        if param_name == "r" and stop >= math.pi / 2:
+            raise DomainError("r grids must stay strictly below pi/2")
+        if param_name in ("w", "z") and start < 0.0:
+            raise DomainError(f"{param_name} grids start at 0")
+        if param_name == "w" and stop > 1.0:
+            raise DomainError("w grids must stay within [0, 1]")
+        if param_name == "z" and stop >= 1.0:
+            raise DomainError("z grids must stay strictly below 1")
+        if (kind, param_name) not in CLOSED_FORMS:
+            raise DomainError(f"family {family} does not sweep over {param_name!r}")
+        grid = start + np.arange(points) * (stop - start) / (points - 1)
+        if not np.all(np.diff(grid) > 0.0):
+            raise DomainError("sweep grid must be strictly increasing in the parameter")
+    lines = ["family,d,param_name,param,base,value"]
+    for d in sorted(set(ds)):
+        for x in [float(d)] if kind == "ratio" else grid.tolist():
+            result = CLOSED_FORMS[kind, param_name](d, x, base, TOL)
+            value = result.value if isinstance(result, capacity.UnruhCapacity) else result
             if not math.isfinite(value):
-                raise DomainError(f"non-finite value at d={d}, {cfg.param_name}={param}")
-            lines.append(
-                f"{cfg.family},{d},{cfg.param_name},{_fmt(param)},{cfg.base},{_fmt(value)}"
-            )
+                raise DomainError(f"non-finite value at d={d}, {param_name}={x}")
+            lines.append(f"{family},{d},{param_name},{_fmt(x)},{base},{_fmt(value)}")
     return lines
 
 
 def _cmd_capacity(args) -> int:
-    base = args.base
-    if args.kind == "quantum":
-        if args.w is not None:
-            value = capacity.quantum_capacity_grassmann_w(args.d, args.w, base)
-            payload = {"d": args.d, "w": args.w, "value": value, "base": base}
-        else:
-            value = capacity.quantum_capacity_grassmann(args.d, _require_r(args), base)
-            payload = {"d": args.d, "r": args.r, "value": value, "base": base}
-    elif args.kind == "classical":
-        value = capacity.classical_capacity_grassmann(args.d, _require_r(args), base)
-        payload = {"d": args.d, "r": args.r, "value": value, "base": base}
-    elif args.kind == "unruh":
-        if args.z is None:
-            raise DomainError("unruh capacity needs --z")
-        result = capacity.quantum_capacity_unruh(args.d, args.z, tol=args.tol, base=base)
-        value = result.value
-        payload = {"d": args.d, "z": args.z, "value": value, "base": base}
-        payload.update(terms=result.terms, remainder=result.remainder)
-    elif args.kind == "unruh-approx":
-        if args.z is None:
-            raise DomainError("unruh approximation needs --z")
-        value = capacity.unruh_capacity_approx(args.d, args.z, base)
-        payload = {"d": args.d, "z": args.z, "value": value, "base": base}
-    else:  # ratio
-        value = capacity.capacity_ratio(args.d)
-        payload = {"d": args.d, "value": value}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(_fmt(value))
+    params = [p for kind, p in CLOSED_FORMS if kind == args.kind]
+    param = next((p for p in params if getattr(args, p) is not None), None)
+    if param is None:
+        raise DomainError(f"{args.kind} capacity needs --{params[-1]}")
+    x = getattr(args, param)
+    result = CLOSED_FORMS[args.kind, param](args.d, x, args.base, args.tol)
+    payload = {"d": args.d, param: x, "value": result, "base": args.base}
+    if isinstance(result, capacity.UnruhCapacity):
+        payload.update(value=result.value, terms=result.terms, remainder=result.remainder)
+    if args.kind == "ratio":
+        del payload["base"]  # r_d is a ratio of capacities: no log base
+    print(json.dumps(payload) if args.json else _fmt(payload["value"]))
     return 0
 
 
-def _require_r(args) -> float:
-    if args.r is None:
-        raise DomainError(f"{args.kind} capacity needs --r")
-    return args.r
-
-
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        family=args.family,
-        ds=[int(x) for x in args.d.split(",")],
-        param_name=args.param,
-        start=args.start,
-        stop=args.stop,
-        points=args.points,
-        base=args.base,
-        out=args.out,
-    )
-    lines = run_sweep(cfg)
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    ds = [int(x) for x in args.d.split(",")]
+    lines = run_sweep(args.family, ds, args.param, args.start, args.stop, args.points, args.base)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -192,18 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cap = sub.add_parser("capacity", help="evaluate a closed-form capacity")
-    cap.add_argument("kind", choices=("quantum", "classical", "unruh", "unruh-approx", "ratio"))
+    cap.add_argument("kind", choices=dict.fromkeys(k for k, _ in CLOSED_FORMS))
     cap.add_argument("--d", type=int, required=True)
     cap.add_argument("--r", type=float, default=None)
     cap.add_argument("--w", type=float, default=None)
     cap.add_argument("--z", type=float, default=None)
     cap.add_argument("--base", choices=("2", "d"), default="d")
-    cap.add_argument("--tol", type=float, default=1e-12)
+    cap.add_argument("--tol", type=float, default=TOL)
     cap.add_argument("--json", action="store_true")
     cap.set_defaults(func=_cmd_capacity)
 
     sweep = sub.add_parser("sweep", help="write a capacity curve CSV")
-    sweep.add_argument("--family", choices=FAMILIES, required=True)
+    sweep.add_argument("--family", choices=SWEEP_KINDS, required=True)
     sweep.add_argument("--d", required=True, help="comma-separated dimensions, e.g. 2,5,10")
     sweep.add_argument("--param", choices=("r", "w", "z"), default="r")
     sweep.add_argument("--start", type=float, default=0.0)

@@ -227,6 +227,7 @@ def _pair_sum(d: int) -> np.ndarray:
 
 def pair_generator(d: int, r: float) -> np.ndarray:
     """Dense generator r * sum_i (a_i^dag c_i^dag - c_i a_i) = r (S - S^dag) on 2d modes."""
+    _check_r(r)
     pairs = _pair_sum(d)
     return r * (pairs - pairs.conj().T)
 
@@ -253,6 +254,7 @@ def factored_squeezing_unitary(d: int, r: float) -> np.ndarray:
     with S = sum a^dag c^dag assembled from dense ladder matrices.  S and S^dag
     are nilpotent (S^(d+1) = 0), so both exponentials are finite Taylor sums.
     """
+    _check_r(r)
     pairs = _pair_sum(d)
     t = math.tan(r)
     # exp(-ln cos r * total number operator) is diagonal in occupation codes

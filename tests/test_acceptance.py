@@ -22,7 +22,7 @@ from grasschan.capacity import (
     quantum_capacity_unruh,
 )
 from grasschan.channels import choi_matrix, grassmann_block, grassmann_channel
-from grasschan.cli import SweepConfig, run_sweep
+from grasschan.cli import run_sweep
 from grasschan.errors import DomainError
 from grasschan.verify import VerificationReport, coherent_information
 from helpers import erasure_channel, random_density
@@ -322,23 +322,17 @@ def _curve_table(lines: list[str]) -> dict:
 def test_criterion_figure_reproduction(tmp_path):
     with _Budget(60.0) as budget:
         configs = {
-            "quantum-base2": SweepConfig(
-                "grassmann-q", [2, 5, 10, 50, 100], "r", 0.0, 1.5, 200, "2", ""
-            ),
-            "quantum-based": SweepConfig(
-                "grassmann-q", [2, 5, 10, 50, 100], "r", 0.0, 1.5, 200, "d", ""
-            ),
-            "classical-based": SweepConfig(
-                "grassmann-c", [2, 5, 10, 50, 100], "r", 0.0, 1.55, 200, "d", ""
-            ),
-            "grassmann-w": SweepConfig("grassmann-q", [2, 5, 10], "w", 0.0, 1.0, 101, "d", ""),
-            "unruh-z": SweepConfig("unruh-q", [2, 5, 10], "z", 0.0, 0.95, 96, "d", ""),
+            "quantum-base2": ("grassmann-q", [2, 5, 10, 50, 100], "r", 0.0, 1.5, 200, "2"),
+            "quantum-based": ("grassmann-q", [2, 5, 10, 50, 100], "r", 0.0, 1.5, 200, "d"),
+            "classical-based": ("grassmann-c", [2, 5, 10, 50, 100], "r", 0.0, 1.55, 200, "d"),
+            "grassmann-w": ("grassmann-q", [2, 5, 10], "w", 0.0, 1.0, 101, "d"),
+            "unruh-z": ("unruh-q", [2, 5, 10], "z", 0.0, 0.95, 96, "d"),
         }
         outputs = {}
         deterministic = True
-        for name, cfg in configs.items():
-            first = run_sweep(cfg)
-            second = run_sweep(cfg)
+        for name, sweep in configs.items():
+            first = run_sweep(*sweep)
+            second = run_sweep(*sweep)
             deterministic = deterministic and first == second
             outputs[name] = first
 

@@ -20,7 +20,7 @@ from grasschan.capacity import (
     quantum_capacity_unruh,
     unruh_capacity_approx,
 )
-from grasschan.errors import ConvergenceError, DomainError
+from grasschan.errors import ConsistencyError, ConvergenceError, DomainError
 
 
 @pytest.mark.parametrize("r", np.linspace(0.0, 1.5, 20))
@@ -309,6 +309,19 @@ def test_capacity_ratio_values():
     assert ratios[-1] < r100 < 1.0
     with pytest.raises(DomainError):
         capacity_ratio(1)
+
+
+def test_classical_cross_check_fires(monkeypatch):
+    # skew log C(d, k) alone, the s = 1/2 call with n = d: the same shift of every s = 1/2
+    # call would cancel between log C(d, k) and log C(d-1, k-1), as H({p_k}) does
+    real = capacity._binomial_logpmf
+
+    def skewed(x, n, s, c):
+        return real(x, n, s, c) + (1e-6 if s == 0.5 and np.all(n == 5) else 0.0)
+
+    monkeypatch.setattr(capacity, "_binomial_logpmf", skewed)
+    with pytest.raises(ConsistencyError, match="classical-capacity forms disagree"):
+        classical_capacity_grassmann(5, 0.3)  # block_weights calls with s = sin^2 0.3
 
 
 def test_domain_errors():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from grasschan import capacity, channels, cli, verify
-from grasschan.cli import SweepConfig, run_sweep
+from grasschan.cli import run_sweep
 from grasschan.errors import ConsistencyError, DomainError
 
 CLI = [sys.executable, "-m", "grasschan"]
@@ -91,6 +91,9 @@ def test_capacity_domain_error_exit_code(capsys, tmp_path):
     assert cli.main(["verify", "--suite", "factorization", "--r", "nan"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+    assert cli.main(["verify", "--suite", "factorization", "--r", "3.0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: squeezing parameter r=3.0 outside [0, pi/2)\n"
     out_path = str(tmp_path / "channel.json")
     assert cli.main(["dump-channel", "--d", "3", "--r", "nan", "--out", out_path]) == 1
     out, err = capsys.readouterr()
@@ -106,7 +109,7 @@ def test_arithmetic_error_exit_code(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err == "error: forms disagree\n"
 
-    def too_big(cfg):
+    def too_big(*args):
         raise MemoryError("Unable to allocate 745. GiB")
 
     monkeypatch.setattr(cli, "run_sweep", too_big)
@@ -116,9 +119,19 @@ def test_arithmetic_error_exit_code(monkeypatch, capsys, tmp_path):
     assert err == "error: Unable to allocate 745. GiB\n"
 
 
-def test_capacity_missing_parameter_exit_code():
+def test_capacity_missing_parameter_exit_code(capsys):
     res = run_cli("capacity", "quantum", "--d", "3")
     assert res.returncode == 1  # runtime-detected missing --r
+    # a kind's own parameter is required; another kind's does not stand in for it
+    for kind, flag, other in (("quantum", "r", "--z"), ("classical", "r", "--w"),
+                              ("unruh", "z", "--r"), ("unruh-approx", "z", "--w")):
+        assert cli.main(["capacity", kind, "--d", "3", other, "0.5"]) == 1
+        assert capsys.readouterr() == ("", f"error: {kind} capacity needs --{flag}\n")
+    # --w wins over --r for the quantum capacity
+    assert cli.main(["capacity", "quantum", "--d", "3", "--r", "0.4", "--w", "0.25", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["d", "w", "value", "base"]
+    assert doc["value"] == capacity.quantum_capacity_grassmann_w(3, 0.25)
 
 
 def test_usage_errors_exit_code_two():
@@ -191,13 +204,46 @@ def test_sweep_domain_errors(tmp_path):
 
 
 def test_run_sweep_invariants(monkeypatch):
-    cfg = SweepConfig("grassmann-q", [2], "r", 0.0, 0.5, 2, "d", "")
-    assert len(run_sweep(cfg)) == 3
+    sweep = ("grassmann-q", [2], "r", 0.0, 0.5, 2, "d")
+    assert len(run_sweep(*sweep)) == 3
     with pytest.raises(DomainError):  # the grid 0, 0, 5e-324 repeats 0.0
-        run_sweep(SweepConfig("grassmann-q", [2], "r", 0.0, 5e-324, 3, "d", ""))
+        run_sweep("grassmann-q", [2], "r", 0.0, 5e-324, 3, "d")
+    for family, param in (("grassmann-c", "w"), ("unruh-q", "r"), ("grassmann-q", "z")):
+        with pytest.raises(DomainError, match=f"{family} does not sweep over '{param}'"):
+            run_sweep(family, [2], param, 0.0, 0.5, 3, "d")
     monkeypatch.setattr(capacity, "quantum_capacity_grassmann", lambda *args: math.nan)
     with pytest.raises(DomainError):
-        run_sweep(cfg)
+        run_sweep(*sweep)
+
+
+@pytest.mark.parametrize("base", ["d", "2"])
+@pytest.mark.parametrize(
+    "family, param, stop, kind",
+    [
+        ("grassmann-q", "r", 1.2, "quantum"),
+        ("grassmann-q", "w", 1.0, "quantum"),
+        ("grassmann-c", "r", 1.2, "classical"),
+        ("unruh-q", "z", 0.9, "unruh"),
+        ("ratio", "d", None, "ratio"),
+    ],
+)
+def test_capacity_one_shot_prints_its_sweep_row(capsys, family, param, stop, kind, base):
+    if family == "ratio":
+        rows, grid = run_sweep(family, [2, 7, 1000], "r", 0.0, 0.0, 0, base), [None]
+    else:
+        rows = run_sweep(family, [2, 5, 1000], param, 0.0, stop, 3, base)
+        grid = [i * stop / 2 for i in range(3)]  # the sweep's grid, float for float
+    assert len(rows) == 1 + 3 * len(grid)
+    for i, row in enumerate(rows[1:]):  # rows run over the grid within each d
+        _, d, name, x, row_base, value = row.split(",")
+        arg = grid[i % len(grid)]
+        argv = ["capacity", kind, "--d", d, "--base", base]
+        if arg is not None:
+            assert x == f"{arg:.12f}"
+            argv += [f"--{param}", repr(arg)]
+        assert (name, row_base) == (param, base)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == value + "\n"
 
 
 def test_sweep_ratio_family(tmp_path):

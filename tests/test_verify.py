@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grasschan import capacity, channels, verify
+from grasschan import capacity, channels, fock, verify
 from grasschan.errors import DomainError, PreconditionError
 from helpers import random_density
 
@@ -603,7 +603,15 @@ def test_check_factorization():
     assert verify.check_factorization(0.7).passed
     rep = verify.check_factorization(math.pi / 4)
     assert rep.passed
-    sv = __import__("grasschan.fock", fromlist=["fock"]).squeezed_vacuum(1, math.pi / 4)
+    # an r outside [0, pi/2) is a domain error, not a failed report: at the float pi/2 the
+    # two oracles differ by 2.2, and at r = 3 they agree and the check passed
+    for r in (-1.0, math.pi / 2, 3.0):
+        for oracle in (fock.pair_generator, fock.factored_squeezing_unitary):
+            with pytest.raises(DomainError, match=r"outside \[0, pi/2\)"):
+                oracle(1, r)
+        with pytest.raises(DomainError, match=r"outside \[0, pi/2\)"):
+            verify.check_factorization(r)
+    sv = fock.squeezed_vacuum(1, math.pi / 4)
     amp = math.sqrt(2) / 2
     assert abs(sv.amplitude((0, 0)) - amp) < 1e-12
     assert abs(sv.amplitude((1, 1)) - amp) < 1e-12
