@@ -36,17 +36,12 @@ UNRUH_MAX_TERMS = 10_000_000
 
 
 def log_base_value(base, d: int) -> float:
-    """Resolve a log-base label ("2" | "d" | numeric) to a numeric base."""
-    if base in (2, "2", 2.0):
-        return 2.0
-    if base == "d":
-        if d < 2:
-            return 2.0  # log base 1 is degenerate; d=1 capacities are all 0
+    """Resolve a log-base label, "2" or "d", to a numeric base."""
+    if base == "d" and d >= 2:
         return float(d)
-    value = float(base)
-    if not 1.0 < value < math.inf:
-        raise DomainError(f"log base must be finite and exceed 1, got {base}")
-    return value
+    if base in ("2", "d"):
+        return 2.0  # at d=1 log base 1 is degenerate, and d=1 capacities are all 0
+    raise DomainError(f'log base must be "2" or "d", got {base!r}')
 
 
 # Stirling errors log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15; above 15

@@ -72,8 +72,8 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def is_normalized(self, atol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= 1e-12
 
     def amplitude(self, bits) -> complex:
         """Amplitude of the basis state given as a bit sequence or code."""
@@ -150,7 +150,7 @@ def squeezed_vacuum(d: int, r: float) -> StateVector:
     state = _exp_pair_vacuum(d, math.tan(r))
     c = math.cos(r) ** d
     out = StateVector(2 * d, {code: c * amp for code, amp in state.amplitudes.items()})
-    assert out.is_normalized(1e-12), "squeezed vacuum lost normalization"
+    assert out.is_normalized(), "squeezed vacuum lost normalization"
     return out
 
 
@@ -179,7 +179,7 @@ def isometry_apply(d: int, r: float, beta) -> StateVector:
             out[code] = out.get(code, 0.0) + beta[i] * amp
     c = math.cos(r) ** (d - 1)
     result = StateVector(2 * d, {code: c * amp for code, amp in out.items() if amp != 0})
-    assert result.is_normalized(1e-12), "isometry image lost normalization"
+    assert result.is_normalized(), "isometry image lost normalization"
     return result
 
 
@@ -209,13 +209,12 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 
 
-def ladder_matrix(num_modes: int, mode: int, dagger: bool = True) -> np.ndarray:
-    """Dense 2^m x 2^m ladder operator via the Jordan-Wigner construction."""
+def ladder_matrix(num_modes: int, mode: int) -> np.ndarray:
+    """Dense 2^m x 2^m creation operator via the Jordan-Wigner construction."""
     if not 0 <= mode < num_modes:
         raise DomainError(f"mode {mode} outside [0, {num_modes})")
     factors = [_PAULI_Z] * mode + [_SIGMA_RAISE] + [_ID2] * (num_modes - mode - 1)
-    mat = reduce(np.kron, factors)
-    return mat if dagger else mat.conj().T
+    return reduce(np.kron, factors)
 
 
 def _pair_sum(d: int) -> np.ndarray:

@@ -132,9 +132,7 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
     return float(-(evals * np.log(evals)).sum() / math.log(base))
 
 
-def _block_terms(
-    d: int, r: float, rho: np.ndarray, ln_base: float, logs: bool = True, complement: bool = True
-):
+def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complement: bool = True):
     """Yield, per group of ``channels._block_groups``: Q, the blocks B, S and w L.
 
     Output block i is w[i] B[i] with B = (Q rho) Q^T (Q is real), w being the
@@ -142,11 +140,13 @@ def _block_terms(
     check.  The group lists its forward blocks, then, with ``complement``, the
     complement blocks that mirror them, whose S and w L are negated so that
     sums give I_c and its gradient.  L = -log+(w B)/ln b, so dS = tr(L d(w B)),
-    and log+ floors as von_neumann_entropy does.  One eigh per group, or one
-    eigvalsh without ``logs`` (w L is then None).  A stack rho (..., d, d)
-    gives B of shape (..., i, n, n).
+    with b the base d of the oracles' closed forms, and log+ floors as
+    von_neumann_entropy does.  One eigh per group, or one eigvalsh without
+    ``logs`` (w L is then None).  A stack rho (..., d, d) gives B of shape
+    (..., i, n, n).
     """
     weights = np.square(channels._sector_amplitudes(d, r))
+    ln_base = math.log(log_base_value("d", d))
     for q, sectors in channels._block_groups(d):
         keep = len(q) if complement else len(q) // 2
         q, w = q[:keep], weights[sectors[:keep], None]
@@ -181,38 +181,39 @@ def _group_adjoint(d: int, q: np.ndarray, wl: np.ndarray) -> np.ndarray:
     return q.reshape(-1, d).T @ y.reshape(*y.shape[:-3], -1, d)
 
 
-def coherent_information(d: int, r: float, rho_in, base="d") -> float:
+def coherent_information(d: int, r: float, rho_in) -> float:
     """H(channel output) - H(complementary output) for the given input, block by block."""
     mat = np.asarray(rho_in, dtype=complex)
     if mat.shape != (d, d):
         raise PreconditionError(f"input shape {mat.shape} != ({d}, {d})")
-    terms = _block_terms(d, r, mat, math.log(log_base_value(base, d)), logs=False)
+    if not np.isfinite(mat).all():
+        raise PreconditionError("input entries must be finite")
+    terms = _block_terms(d, r, mat, logs=False)
     return float(sum(ents.sum() for _, _, ents, _ in terms))
 
 
-def holevo_quantity(d: int, r: float, ensemble, base="d") -> float:
+def holevo_quantity(d: int, r: float, ensemble) -> float:
     """Holevo chi of a (probability, state) ensemble through the channel."""
-    ln_base = math.log(log_base_value(base, d))
     probs = np.array([p for p, _ in ensemble], dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-10 or np.any(probs < -1e-15):
+    if not np.isfinite(probs).all() or abs(probs.sum() - 1.0) > 1e-10 or np.any(probs < -1e-15):
         raise PreconditionError("ensemble probabilities must form a distribution")
     states = [np.asarray(s, dtype=complex) for _, s in ensemble]
     for state in states:
         if state.shape != (d, d):
             raise PreconditionError(f"state shape {state.shape} != ({d}, {d})")
-    return float(_holevo_terms(d, r, probs, np.array(states), ln_base, logs=False)[0])
+        if not np.isfinite(state).all():
+            raise PreconditionError("state entries must be finite")
+    return float(_holevo_terms(d, r, probs, np.array(states), logs=False)[0])
 
 
-def _holevo_terms(
-    d: int, r: float, probs: np.ndarray, states: np.ndarray, ln_base: float, logs: bool = True
-):
+def _holevo_terms(d: int, r: float, probs: np.ndarray, states: np.ndarray, logs: bool = True):
     """chi, S of the average (index 0) and members, and the forward side's ``_block_terms``.
 
     The average input and the members go through the channel as one stack.
     """
     avg = (probs[:, None, None] * states).sum(axis=0)
     inputs = np.concatenate((avg[None], states))
-    terms = list(_block_terms(d, r, inputs, ln_base, logs, complement=False))
+    terms = list(_block_terms(d, r, inputs, logs, complement=False))
     ents = sum(s.sum(axis=-1) for _, _, s, _ in terms)
     return ents[0] - probs @ ents[1:], ents, terms
 
@@ -232,17 +233,16 @@ def _params_to_density(x: np.ndarray, d: int) -> np.ndarray:
     return gram / tr
 
 
-def _coherent_information_and_grad(x: np.ndarray, d: int, r: float, base="d"):
+def _coherent_information_and_grad(x: np.ndarray, d: int, r: float):
     """I_c at rho = F F^dag / tr(F F^dag) and its gradient in x = (Re F, Im F).
 
     With L = -log+(output)/ln b, dI_c = tr(G drho) for G = N^dag(L_A) -
     N^c^dag(L_C), summed block by block; through the parametrization the
     gradient in F is 2 (G - tr(G rho) I) F / tr(F F^dag).
     """
-    ln_base = math.log(log_base_value(base, d))
     rho = _params_to_density(x, d)
     value, g = 0.0, 0.0
-    for q, _, ents, wl in _block_terms(d, r, rho, ln_base):
+    for q, _, ents, wl in _block_terms(d, r, rho):
         value += ents.sum()
         g = g + _group_adjoint(d, q, wl)
     tr = float(x @ x)
@@ -277,17 +277,16 @@ def _params_to_ensemble(x: np.ndarray, d: int, size: int):
     return [(p, np.outer(u, u.conj())) for p, u in zip(probs, unit)]
 
 
-def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int, base="d"):
+def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int):
     """chi of the pure-state ensemble at x and its gradient in x.
 
     State i moves along p_i N^dag(L_avg - L_i) projected onto the tangent of
     v_i/|v_i|; the logits get the softmax chain rule on the marginal values
     tr(L_avg N(psi_i)) - S(N(psi_i)).
     """
-    ln_base = math.log(log_base_value(base, d))
     probs, unit, norms = _ensemble_parts(x, d, size)
     psi = unit[:, :, None] * unit.conj()[:, None, :]  # np.outer of each member
-    chi, ents, terms = _holevo_terms(d, r, probs, psi, ln_base)
+    chi, ents, terms = _holevo_terms(d, r, probs, psi)
     marginal, adjoint = -ents[1:], 0.0
     for q, blocks, _, wl in terms:
         marginal += (blocks[1:].reshape(size, -1) @ wl[0].conj().ravel()).real
@@ -402,37 +401,36 @@ def _maximize(value_and_grad, starts, maxiter: int):
     return float(best_val), best_x, {"nfev": nfev, "success": success, "grad_norm": grad_norm}
 
 
-def optimize_coherent_information(
-    d: int, r: float, restarts: int = 6, seed: int = 7, base="d"
-) -> tuple[float, np.ndarray, dict]:
-    """Multi-start L-BFGS ascent of the coherent information.
+def optimize_coherent_information(d: int, r: float, seed: int) -> tuple[float, np.ndarray, dict]:
+    """Multi-start L-BFGS ascent of the coherent information, in base d.
 
     Deterministic for a given seed.  The square-root parametrization keeps
-    iterates on the density-matrix manifold.  Each restart runs ``_lbfgs``
-    (weak Wolfe line searches) for at most 2000 iterations, and converges
-    once the largest gradient entry is at most 1e-10 or an iteration gains
-    at most 1e-15 max(|value|, 1).  Returns the best value, the input
-    attaining it, and ``{"nfev": total objective calls, "success":
+    iterates on the density-matrix manifold.  Each of 4 restarts runs
+    ``_lbfgs`` (weak Wolfe line searches) for at most 2000 iterations, and
+    converges once the largest gradient entry is at most 1e-10 or an
+    iteration gains at most 1e-15 max(|value|, 1).  Returns the best value,
+    the input attaining it, and ``{"nfev": total objective calls, "success":
     [converged flag per restart], "grad_norm": [largest gradient entry at
     each restart's end point]}``.
     """
     if not 1 <= d <= ORACLE_Q_MAX_D:
         raise DomainError(f"optimizer needs 1 <= d <= {ORACLE_Q_MAX_D}, got d={d}")
     rng = np.random.default_rng(seed)
-    starts = [rng.standard_normal(2 * d * d) for _ in range(restarts)]
+    starts = [rng.standard_normal(2 * d * d) for _ in range(4)]
     value, best_x, stats = _maximize(
-        lambda x: _coherent_information_and_grad(x, d, r, base), starts, maxiter=2000
+        lambda x: _coherent_information_and_grad(x, d, r), starts, maxiter=2000
     )
     return value, _params_to_density(best_x, d), stats
 
 
 def optimize_holevo(
-    d: int, r: float, ensemble_size: int | None = None, restarts: int = 4, seed: int = 11, base="d"
+    d: int, r: float, seed: int, ensemble_size: int | None = None
 ) -> tuple[float, list, dict]:
     """Multi-start L-BFGS ascent of chi over pure-state ensembles.
 
-    The method and stop rules are those of ``optimize_coherent_information``,
-    with at most 3000 iterations per restart.  Returns the best value, its
+    An ensemble has ``ensemble_size`` members, d + 1 by default.  The method,
+    base and stop rules are those of ``optimize_coherent_information``, with
+    3 restarts of at most 3000 iterations.  Returns the best value, its
     (probability, state) ensemble, and the same ``stats`` dict.
     """
     if not 1 <= d <= ORACLE_C_MAX_D:
@@ -441,9 +439,9 @@ def optimize_holevo(
     if size < d:
         raise PreconditionError(f"ensemble size {size} < d={d}")
     rng = np.random.default_rng(seed)
-    starts = [rng.standard_normal(size * 2 * d + size) for _ in range(restarts)]
+    starts = [rng.standard_normal(size * 2 * d + size) for _ in range(3)]
     value, best_x, stats = _maximize(
-        lambda x: _holevo_and_grad(x, d, r, size, base), starts, maxiter=3000
+        lambda x: _holevo_and_grad(x, d, r, size), starts, maxiter=3000
     )
     return value, _params_to_ensemble(best_x, d, size), stats
 
@@ -578,10 +576,9 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def check_covariance(
-    d: int, r: float, trials: int = 20, tol: float = 1e-9, seed: int = 5
-) -> VerificationReport:
+def check_covariance(d: int, r: float, seed: int) -> VerificationReport:
     """G(U psi U^dag) == R G(psi) R^dag with R the sector minor matrices."""
+    trials, tol = 20, 1e-9
     fwd = grassmann_channel(d, r)
     rng = np.random.default_rng(seed)
     residuals = []
@@ -605,17 +602,22 @@ def check_covariance(
     )
 
 
-def check_wolf_eisert_form(d: int, k: int, trials: int = 50, seed: int = 3) -> VerificationReport:
-    """I - (d'-m) G_{d,k}(pure) is a rank-m projection; spectra are flat."""
+def check_wolf_eisert_form(d: int, k: int, seed: int) -> VerificationReport:
+    """I - (d'-m) G_{d,k}(pure) is a rank-m projection; spectra are flat.
+
+    The projection's eigenvalues are 1 - (d'-m) lambda over the output's
+    eigenvalues lambda, so its rank is read from the output's spectrum.
+    """
+    trials = 50
     block = grassmann_block(d, k)
     d_out = math.comb(d, k)
     m = math.comb(d - 1, k)
     flat = 1.0 / math.comb(d - 1, k - 1)
     out = apply_kraus(block.kraus, _random_pure_projectors(d, trials, seed))
     proj = np.eye(d_out) - (d_out - m) * out
-    ranks_ok = bool(np.all((np.linalg.eigvalsh(proj) >= 0.5).sum(axis=-1) == m))
-    idem = np.abs(proj @ proj - proj).max(axis=(1, 2))
     out_evals = np.linalg.eigvalsh(out)[:, ::-1]
+    ranks_ok = bool(np.all(((d_out - m) * out_evals <= 0.5).sum(axis=-1) == m))
+    idem = np.abs(proj @ proj - proj).max(axis=(1, 2))
     flat_gap = np.abs(out_evals[:, : d_out - m] - flat).max(axis=1, initial=0.0)
     zero_gap = np.abs(out_evals[:, d_out - m :]).max(axis=1, initial=0.0)
     residuals = np.max([idem, flat_gap, zero_gap], axis=0).tolist()
@@ -629,10 +631,9 @@ def check_wolf_eisert_form(d: int, k: int, trials: int = 50, seed: int = 3) -> V
     )
 
 
-def check_complementary_spectra(
-    d: int, r: float, trials: int = 20, seed: int = 9
-) -> VerificationReport:
+def check_complementary_spectra(d: int, r: float, seed: int) -> VerificationReport:
     """Each complement sector is isospectral to its weighted block state."""
+    trials = 20
     comp = complementary_channel(d, r)
     weights = block_weights(d, r)
     psi = _random_pure_projectors(d, trials, seed)
@@ -652,12 +653,13 @@ def check_complementary_spectra(
     )
 
 
-def check_werner_holevo(d: int, tol: float = 1e-10) -> VerificationReport:
+def check_werner_holevo(d: int) -> VerificationReport:
     """Complement of the k=2 block equals the antisymmetric-Kraus channel.
 
     The complement rows live in the lexicographic 1-fermion C basis; the
     fixed rail identification maps them onto the computational basis.
     """
+    tol = 1e-10
     comp = complement_channel_rep(grassmann_block(d, 2))
     rail = channels.rail_reversal(d)
     aligned = ChannelRep(d, d, rail @ comp.kraus, None, label="rail-aligned")
@@ -673,8 +675,9 @@ def check_werner_holevo(d: int, tol: float = 1e-10) -> VerificationReport:
     )
 
 
-def check_factorization(r: float, tol: float = 1e-12) -> VerificationReport:
+def check_factorization(r: float) -> VerificationReport:
     """Dense exponential of the pair generator vs the three-factor product."""
+    tol = 1e-12
     delta = float(
         np.linalg.norm(fock.squeezing_unitary(1, r) - fock.factored_squeezing_unitary(1, r))
     )
@@ -712,8 +715,9 @@ def check_ppt_threshold(d: int) -> VerificationReport:
     )
 
 
-def check_approximation_rate(d: int, zs=(0.9, 0.99, 0.999, 0.9999)) -> VerificationReport:
+def check_approximation_rate(d: int) -> VerificationReport:
     """|Q - Q'| decays quadratically in (1 - z): log-log slope in [1.8, 2.2]."""
+    zs = (0.9, 0.99, 0.999, 0.9999)
     if d < 2:
         raise DomainError(f"the gap vanishes at d=1, so the rate check needs d >= 2; got d={d}")
     gaps = [
@@ -737,7 +741,7 @@ def check_approximation_rate(d: int, zs=(0.9, 0.99, 0.999, 0.9999)) -> Verificat
 
 def check_oracle_q(d: int, r: float, seed: int) -> VerificationReport:
     """Optimized coherent information, clamped at 0, within 1e-6 of the quantum capacity."""
-    value, _, stats = optimize_coherent_information(d, r, restarts=4, seed=seed)
+    value, _, stats = optimize_coherent_information(d, r, seed)
     closed = quantum_capacity_grassmann(d, r)
     gap = abs(max(0.0, value) - closed)
     trials = [{"optimized": value, "closed_form": closed, **stats}]
@@ -746,7 +750,7 @@ def check_oracle_q(d: int, r: float, seed: int) -> VerificationReport:
 
 def check_oracle_c(d: int, r: float, seed: int) -> VerificationReport:
     """Optimized Holevo chi at most 1e-6 above and 1e-4 below the classical capacity."""
-    value, _, stats = optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=seed)
+    value, _, stats = optimize_holevo(d, r, seed)
     closed = classical_capacity_grassmann(d, r)
     passed, gap = closed - 1e-4 <= value <= closed + 1e-6, abs(value - closed)
     trials = [{"optimized": value, "closed_form": closed, **stats}]
@@ -759,9 +763,9 @@ def check_oracle_c(d: int, r: float, seed: int) -> VerificationReport:
 SUITES = {
     "degradable": (lambda d: d in DEGRADABLE_DS,
                    lambda d, r, seed, tol: [check_degradable(d, r, tol=tol)]),
-    "covariance": (lambda d: True, lambda d, r, seed, tol: [check_covariance(d, r, seed=seed)]),
+    "covariance": (lambda d: True, lambda d, r, seed, tol: [check_covariance(d, r, seed)]),
     "wolf-eisert": (lambda d: True, lambda d, r, seed, tol: [
-        check_wolf_eisert_form(d, k, seed=seed) for k in range(1, d + 1)]),
+        check_wolf_eisert_form(d, k, seed) for k in range(1, d + 1)]),
     "werner-holevo": (lambda d: True, lambda d, r, seed, tol: [check_werner_holevo(max(d, 2))]),
     "factorization": (lambda d: True, lambda d, r, seed, tol: [check_factorization(r)]),
     "oracle-q": (lambda d: d <= ORACLE_Q_MAX_D,

@@ -122,7 +122,7 @@ def test_criterion_quantum_oracle():
         worst_excess = -np.inf
         for d in (2, 3, 4):
             for r in (0.2, 0.5, 0.7):
-                value, _, _ = verify.optimize_coherent_information(d, r, restarts=4, seed=7)
+                value, _, _ = verify.optimize_coherent_information(d, r, seed=7)
                 closed = quantum_capacity_grassmann_unclamped(d, r)
                 worst_gap = max(worst_gap, abs(value - closed))
                 bound = check_capacity_upper_bound(d, r, samples=500, seed=13)
@@ -139,7 +139,7 @@ def test_criterion_classical_oracle():
         worst = 0.0
         exceed = False
         for r in (0.0, 0.4, 0.8, 1.2):
-            value, _, _ = verify.optimize_holevo(2, r, ensemble_size=4, restarts=3, seed=11)
+            value, _, _ = verify.optimize_holevo(2, r, seed=11, ensemble_size=4)
             closed = classical_capacity_grassmann(2, r)
             worst = max(worst, abs(value - closed))
             exceed = exceed or value > closed + 1e-6
@@ -175,7 +175,7 @@ def test_criterion_covariance():
     with _Budget(30.0) as budget:
         worst = 0.0
         for d in (2, 3, 4):
-            rep = verify.check_covariance(d, 0.5, trials=20, tol=1e-9, seed=5)
+            rep = verify.check_covariance(d, 0.5, seed=5)
             worst = max(worst, rep.worst_residual)
     _report(
         "SU(d) covariance with sector minor matrices (1e-9)",
@@ -190,7 +190,7 @@ def test_criterion_wolf_eisert():
         worst = 0.0
         for d in range(2, 6):
             for k in range(1, d + 1):
-                rep = verify.check_wolf_eisert_form(d, k, trials=50, seed=3)
+                rep = verify.check_wolf_eisert_form(d, k, seed=3)
                 ok = ok and rep.passed
                 worst = max(worst, rep.worst_residual)
     _report(

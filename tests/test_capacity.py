@@ -334,7 +334,7 @@ def test_domain_errors():
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             quantum_capacity_unruh(3, 0.5, tol=tol)
-    for base in ("1", math.nan, math.inf):
+    for base in ("1", "e", 2.0, 3, math.nan, math.inf):
         with pytest.raises(DomainError):
             capacity.log_base_value(base, 3)
     with pytest.raises(DomainError):

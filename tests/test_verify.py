@@ -91,17 +91,22 @@ def test_coherent_information_purification_oracle(d):
 def test_coherent_information_shape_check():
     with pytest.raises(PreconditionError):
         verify.coherent_information(3, 0.5, np.eye(2) / 2)
+    rho = np.eye(2) / 2
+    rho[1, 0] = math.nan
+    for bad in (np.full((2, 2), math.nan), rho, np.diag([math.inf, 0.0])):
+        with pytest.raises(PreconditionError, match="finite"):
+            verify.coherent_information(2, 0.4, bad)
 
 
 def test_optimize_coherent_information_qubit():
-    value, rho, _ = verify.optimize_coherent_information(2, 0.3, restarts=3, seed=7)
+    value, rho, _ = verify.optimize_coherent_information(2, 0.3, seed=7)
     expected = 1.0 - 2.0 * math.sin(0.3) ** 2
     assert abs(value - expected) < 1e-6
     assert np.linalg.norm(rho - np.eye(2) / 2) < 1e-3
 
 
 def test_optimize_coherent_information_zero_point():
-    value, _, _ = verify.optimize_coherent_information(3, math.pi / 4, restarts=2, seed=7)
+    value, _, _ = verify.optimize_coherent_information(3, math.pi / 4, seed=7)
     assert abs(value) < 1e-6
 
 
@@ -111,22 +116,28 @@ def test_holevo_quantity_examples():
     assert abs(verify.holevo_quantity(2, 0.4, [(1.0, rho)])) < 1e-12
     for d in (2, 3):
         rails = [(1.0 / d, np.diag(np.eye(d)[i]).astype(complex)) for i in range(d)]
-        assert abs(verify.holevo_quantity(d, 0.0, rails, base="2") - math.log2(d)) < 1e-10
+        assert abs(verify.holevo_quantity(d, 0.0, rails) - 1.0) < 1e-10  # log_d d
     for r in (0.3, 0.8):
         rails = [(0.5, np.diag([1.0, 0.0]).astype(complex)), (0.5, np.diag([0.0, 1.0]).astype(complex))]
-        assert abs(verify.holevo_quantity(2, r, rails, base="2") - (1 - math.sin(r) ** 2)) < 1e-10
+        assert abs(verify.holevo_quantity(2, r, rails) - (1 - math.sin(r) ** 2)) < 1e-10
     with pytest.raises(PreconditionError):
         verify.holevo_quantity(2, 0.4, [(0.7, rho)])
+    for probs in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(PreconditionError, match="distribution"):
+            verify.holevo_quantity(2, 0.4, list(zip(probs, (rho, rho))))
+    nan_state = rho.copy()
+    nan_state[0, 1] = math.nan
+    for bad in (nan_state, np.full((2, 2), math.inf)):
+        with pytest.raises(PreconditionError, match="finite"):
+            verify.holevo_quantity(2, 0.4, [(0.5, rho), (0.5, bad)])
     for bad in (rho[:1], np.eye(3), np.zeros((2, 2, 2)), [[1.0]]):
         with pytest.raises(PreconditionError, match="state shape"):
             verify.holevo_quantity(2, 0.4, [(0.5, rho), (0.5, bad)])
 
 
 def test_optimize_holevo_qubit():
-    value, ensemble, _ = verify.optimize_holevo(
-        2, 0.5, ensemble_size=4, restarts=3, seed=11, base="2"
-    )
-    closed = capacity.classical_capacity_grassmann(2, 0.5, base="2")
+    value, ensemble, _ = verify.optimize_holevo(2, 0.5, seed=11, ensemble_size=4)
+    closed = capacity.classical_capacity_grassmann(2, 0.5)
     assert value <= closed + 1e-6
     assert abs(value - closed) < 1e-4
     probs = [p for p, _ in ensemble]
@@ -135,7 +146,7 @@ def test_optimize_holevo_qubit():
 
 def test_optimize_holevo_monotone_in_r():
     values = [
-        verify.optimize_holevo(2, r, ensemble_size=3, restarts=2, seed=11, base="2")[0]
+        verify.optimize_holevo(2, r, seed=11, ensemble_size=3)[0]
         for r in (0.0, 0.5, 1.0, 1.3)
     ]
     assert all(a >= b - 1e-6 for a, b in zip(values, values[1:]))
@@ -144,14 +155,14 @@ def test_optimize_holevo_monotone_in_r():
 
 def test_optimize_domain_caps():
     with pytest.raises(DomainError):
-        verify.optimize_holevo(8, 0.3)
+        verify.optimize_holevo(8, 0.3, seed=7)
     for d in (0, -2):
         with pytest.raises(DomainError):
-            verify.optimize_holevo(d, 0.3)
+            verify.optimize_holevo(d, 0.3, seed=7)
         with pytest.raises(DomainError):
-            verify.optimize_coherent_information(d, 0.3)
+            verify.optimize_coherent_information(d, 0.3, seed=7)
     with pytest.raises(PreconditionError):
-        verify.optimize_holevo(3, 0.3, ensemble_size=2)
+        verify.optimize_holevo(3, 0.3, seed=7, ensemble_size=2)
 
 
 def _concave_quadratic(n, seed):
@@ -262,9 +273,13 @@ def _scipy_maximize(value_and_grad, starts, maxiter):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("r", [0.3, 1.05])
 def test_oracles_match_scipy_lbfgsb(d, r, monkeypatch):
-    ours = (verify.optimize_coherent_information(d, r)[0], verify.optimize_holevo(d, r)[0])
+    def optima():
+        q = verify.optimize_coherent_information(d, r, seed=7)[0]
+        return q, verify.optimize_holevo(d, r, seed=11)[0]
+
+    ours = optima()
     monkeypatch.setattr(verify, "_maximize", _scipy_maximize)
-    ref = (verify.optimize_coherent_information(d, r)[0], verify.optimize_holevo(d, r)[0])
+    ref = optima()
     assert np.abs(np.subtract(ours, ref)).max() <= 1e-12
 
 
@@ -460,9 +475,9 @@ def test_objectives_allocate_no_stack_sized_temporary():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("r", [0.55, 1.05])
 def test_oracle_restarts_converge(d, r):
-    # the restarts and seed of the CLI's oracle-q and oracle-c suites
-    stats_q = verify.optimize_coherent_information(d, r, restarts=4, seed=7)[2]
-    stats_c = verify.optimize_holevo(d, r, ensemble_size=d + 1, restarts=3, seed=7)[2]
+    # the seed of the CLI's oracle-q and oracle-c suites
+    stats_q = verify.optimize_coherent_information(d, r, seed=7)[2]
+    stats_c = verify.optimize_holevo(d, r, seed=7)[2]
     assert stats_q["success"] == [True] * 4
     assert stats_c["success"] == [True] * 3
 
@@ -512,7 +527,7 @@ def test_check_degradable_fails_beyond_boundary():
 
 def test_check_covariance_random_and_diagonal():
     for d in (2, 3, 4):
-        rep = verify.check_covariance(d, 0.5, trials=20, seed=5)
+        rep = verify.check_covariance(d, 0.5, seed=5)
         assert rep.passed and rep.worst_residual < 1e-9
 
 
@@ -562,11 +577,8 @@ def test_check_covariance_diagonal_phases_exact():
 
 
 def test_check_wolf_eisert_examples():
-    assert verify.check_wolf_eisert_form(3, 2, trials=20).passed
-    assert verify.check_wolf_eisert_form(4, 2, trials=20).passed
-    assert verify.check_wolf_eisert_form(5, 3, trials=10).passed
-    assert verify.check_wolf_eisert_form(4, 1, trials=5).passed
-    assert verify.check_wolf_eisert_form(4, 4, trials=5).passed
+    for d, k in ((3, 2), (4, 2), (5, 3), (4, 1), (4, 4)):
+        assert verify.check_wolf_eisert_form(d, k, seed=3).passed
     # spot values: d=4, k=2 flat level is 1/3 with multiplicity 3
     block = channels.grassmann_block(4, 2)
     out = channels.apply_kraus(block.kraus, np.diag([1.0, 0, 0, 0]).astype(complex))
@@ -576,9 +588,8 @@ def test_check_wolf_eisert_examples():
 
 
 def test_check_complementary_spectra():
-    assert verify.check_complementary_spectra(3, 0.6, trials=10).passed
-    assert verify.check_complementary_spectra(2, 0.4, trials=10).passed
-    assert verify.check_complementary_spectra(4, 1.1, trials=5).passed
+    for d, r in ((3, 0.6), (2, 0.4), (4, 1.1)):
+        assert verify.check_complementary_spectra(d, r, seed=9).passed
     # at the self-complementary point the full outputs are globally isospectral
     rng = np.random.default_rng(8)
     fwd = channels.grassmann_channel(3, math.pi / 4)
@@ -692,6 +703,26 @@ def test_all_reports_in_table_order():
     assert all(rep.passed for rep in reports)
 
 
+def test_every_report_prints_its_check_settings():
+    # the settings are constants of each check; only degradable's tol and the seed come in
+    expected = [
+        {"d": 3, "r": 0.5, "tol": 1e-09},
+        {"d": 3, "r": 0.5, "trials": 20, "tol": 1e-09, "seed": 7},
+        {"d": 3, "k": 1, "trials": 50, "seed": 7},
+        {"d": 3, "k": 2, "trials": 50, "seed": 7},
+        {"d": 3, "k": 3, "trials": 50, "seed": 7},
+        {"d": 3, "tol": 1e-10},
+        {"r": 0.5, "tol": 1e-12},
+        {"d": 3, "r": 0.5, "seed": 7},
+        {"d": 3, "r": 0.5, "seed": 7},
+        {"d": 3},
+        {"d": 3, "z": [0.9, 0.99, 0.999, 0.9999]},
+    ]
+    reports = verify.suite_reports("all", 3, 0.5, 7, 1e-9)
+    # item lists, so the key order is pinned with the values
+    assert [list(rep.params.items()) for rep in reports] == [list(p.items()) for p in expected]
+
+
 @pytest.mark.parametrize("suite, d", [("degradable", 1), ("degradable", 5), ("oracle-q", 9),
                                       ("oracle-c", 8)])
 def test_suite_named_outside_its_range_raises(suite, d):
@@ -702,5 +733,5 @@ def test_suite_named_outside_its_range_raises(suite, d):
 def test_suites_look_their_checks_up_when_they_run(monkeypatch):
     # a tracer wraps check_* in this module's namespace after the table is built
     marker = verify.VerificationReport("factorization", {}, True, 0.0)
-    monkeypatch.setattr(verify, "check_factorization", lambda r, tol=1e-12: marker)
+    monkeypatch.setattr(verify, "check_factorization", lambda r: marker)
     assert verify.suite_reports("factorization", 3, 0.5, 7, 1e-9) == [marker]
