@@ -17,8 +17,8 @@ channel takes its C rows in use, the complement the A rows in use of its
 transpose, and nothing scans it.  Block channel k is sector k divided by
 sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the stack: they
 contract the sector tensors block by block (``_block_groups``).
-``fock.isometry_apply`` builds the same image rail by rail; the tests
-compare every Kraus set against it.
+``fock.isometry_apply`` builds the same image rail by rail; every Kraus set
+agrees with it exactly, entry for entry, and the tests check that.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in

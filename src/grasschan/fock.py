@@ -39,13 +39,6 @@ __all__ = [
 DENSE_ORACLE_MAX_MODES = 4
 
 
-def bits_to_code(bits) -> int:
-    code = 0
-    for b in bits:
-        code = (code << 1) | int(b)
-    return code
-
-
 def sector_codes(d: int, k: int) -> list[int]:
     """Integer codes of all C(d, k) states with k fermions, ascending.
 
@@ -74,15 +67,6 @@ class StateVector:
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) <= 1e-12
-
-    def amplitude(self, bits) -> complex:
-        """Amplitude of the basis state given as a bit sequence or code."""
-        code = bits if isinstance(bits, int) else bits_to_code(bits)
-        return self.amplitudes.get(code, 0.0 + 0.0j)
-
-    def cleaned(self, eps: float = 0.0) -> "StateVector":
-        amps = {c: a for c, a in self.amplitudes.items() if abs(a) > eps}
-        return StateVector(self.num_modes, amps)
 
     def dense(self) -> np.ndarray:
         vec = np.zeros(1 << self.num_modes, dtype=complex)
@@ -117,29 +101,20 @@ def apply_creation(state: StateVector, mode: int) -> StateVector:
     return StateVector(m, out)
 
 
-def _pair_creation_sum(state: StateVector, d: int) -> StateVector:
-    """Apply sum_i a_i^dag c_i^dag on a bipartite (2d-mode) state."""
-    out: dict[int, complex] = {}
-    for i in range(d):
-        term = apply_creation(apply_creation(state, d + i), i)
-        for code, amp in term.amplitudes.items():
-            out[code] = out.get(code, 0.0) + amp
-    return StateVector(2 * d, out)
-
-
 def _exp_pair_vacuum(d: int, t: float) -> StateVector:
-    """exp(t * sum_i a_i^dag c_i^dag)|vac> by sequential application.
+    """exp(t * sum_i a_i^dag c_i^dag)|vac> as the product of the factors (1 + t a_i^dag c_i^dag).
 
-    The exponent is nilpotent of order d+1, so the series is exact.
+    The pair operators commute and square to zero, so the product is exact.
+    Factor i adds pair i only to states that lack it, so its two terms never
+    share a code; a state with k pairs gets t**k times its unit sign.
     """
-    total: dict[int, complex] = {0: 1.0 + 0.0j}
-    power = vacuum(2 * d)
-    for k in range(1, d + 1):
-        power = _pair_creation_sum(power, d)
-        coeff = t**k / math.factorial(k)
-        for code, amp in power.amplitudes.items():
-            total[code] = total.get(code, 0.0) + coeff * amp
-    return StateVector(2 * d, total)
+    state = vacuum(2 * d)
+    for i in range(d):
+        paired = apply_creation(apply_creation(state, d + i), i)
+        state = StateVector(2 * d, state.amplitudes | paired.amplitudes)
+    mask = (1 << d) - 1
+    amps = {code: t ** (code & mask).bit_count() * amp for code, amp in state.amplitudes.items()}
+    return StateVector(2 * d, amps)
 
 
 def squeezed_vacuum(d: int, r: float) -> StateVector:
@@ -217,17 +192,17 @@ def ladder_matrix(num_modes: int, mode: int) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _pair_sum(d: int) -> np.ndarray:
-    """Dense S = sum_i a_i^dag c_i^dag on 2d modes; its adjoint is sum_i c_i a_i."""
+def _pair_operators(d: int) -> list[np.ndarray]:
+    """Dense pair operators a_i^dag c_i^dag on 2d modes; they commute and square to zero."""
     if d > DENSE_ORACLE_MAX_MODES:
         raise DomainError(f"dense oracle is capped at d={DENSE_ORACLE_MAX_MODES}")
-    return sum(ladder_matrix(2 * d, i) @ ladder_matrix(2 * d, d + i) for i in range(d))
+    return [ladder_matrix(2 * d, i) @ ladder_matrix(2 * d, d + i) for i in range(d)]
 
 
 def pair_generator(d: int, r: float) -> np.ndarray:
     """Dense generator r * sum_i (a_i^dag c_i^dag - c_i a_i) = r (S - S^dag) on 2d modes."""
     _check_r(r)
-    pairs = _pair_sum(d)
+    pairs = sum(_pair_operators(d))
     return r * (pairs - pairs.conj().T)
 
 
@@ -237,27 +212,21 @@ def squeezing_unitary(d: int, r: float) -> np.ndarray:
     return (vecs * np.exp(1j * lam)) @ vecs.conj().T
 
 
-def _nilpotent_exp(x: np.ndarray, order: int) -> np.ndarray:
-    """exp(x) as the finite Taylor sum, exact when x^(order+1) = 0."""
-    total = term = np.eye(len(x), dtype=complex)
-    for n in range(1, order + 1):
-        term = term @ x / n
-        total = total + term
-    return total
-
-
 def factored_squeezing_unitary(d: int, r: float) -> np.ndarray:
     """Three-factor product form of the squeezing unitary on 2d modes.
 
     cos^d(r) * exp(tan r * S) * exp(-ln cos r * sum N) * exp(-tan r * S^dag),
-    with S = sum a^dag c^dag assembled from dense ladder matrices.  S and S^dag
-    are nilpotent (S^(d+1) = 0), so both exponentials are finite Taylor sums.
+    with S = sum_i P_i and P_i = a_i^dag c_i^dag from dense ladder matrices.
+    The P_i commute and square to zero, so exp(tan r * S) is the product of
+    the (I + tan r * P_i), and exp(-tan r * S^dag) that of the (I - tan r * P_i^dag).
     """
     _check_r(r)
-    pairs = _pair_sum(d)
+    pairs = _pair_operators(d)
     t = math.tan(r)
+    eye = np.eye(len(pairs[0]), dtype=complex)
     # exp(-ln cos r * total number operator) is diagonal in occupation codes
-    number_diag = np.array([code.bit_count() for code in range(len(pairs))], dtype=float)
+    number_diag = np.array([code.bit_count() for code in range(len(eye))], dtype=float)
     middle = np.diag(math.cos(r) ** (-number_diag)).astype(complex)
-    create, annihilate = _nilpotent_exp(t * pairs, d), _nilpotent_exp(-t * pairs.conj().T, d)
+    create = reduce(np.matmul, [eye + t * p for p in pairs])
+    annihilate = reduce(np.matmul, [eye - t * p.conj().T for p in pairs])
     return math.cos(r) ** d * (create @ middle @ annihilate)

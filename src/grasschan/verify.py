@@ -181,13 +181,30 @@ def _group_adjoint(d: int, q: np.ndarray, wl: np.ndarray) -> np.ndarray:
     return q.reshape(-1, d).T @ y.reshape(*y.shape[:-3], -1, d)
 
 
+def _check_density(states: np.ndarray, what: str):
+    """Raise unless every (d, d) matrix of the stack is a density matrix within 1e-10.
+
+    Each must be finite, Hermitian and of unit trace within 1e-10, and rho + 1e-10 I
+    must have a Cholesky factor; no eigensolve is spent on the check.
+    """
+    if not np.isfinite(states).all():
+        raise PreconditionError(f"{what} entries must be finite")
+    if np.abs(states - states.conj().swapaxes(-1, -2)).max() > 1e-10:
+        raise PreconditionError(f"{what} must be Hermitian within 1e-10")
+    if np.abs(states.trace(axis1=-2, axis2=-1) - 1.0).max() > 1e-10:
+        raise PreconditionError(f"{what} must have unit trace within 1e-10")
+    try:
+        np.linalg.cholesky(states + 1e-10 * np.eye(states.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise PreconditionError(f"{what} must be positive semidefinite within 1e-10") from None
+
+
 def coherent_information(d: int, r: float, rho_in) -> float:
     """H(channel output) - H(complementary output) for the given input, block by block."""
     mat = np.asarray(rho_in, dtype=complex)
     if mat.shape != (d, d):
         raise PreconditionError(f"input shape {mat.shape} != ({d}, {d})")
-    if not np.isfinite(mat).all():
-        raise PreconditionError("input entries must be finite")
+    _check_density(mat, "input")
     terms = _block_terms(d, r, mat, logs=False)
     return float(sum(ents.sum() for _, _, ents, _ in terms))
 
@@ -201,9 +218,9 @@ def holevo_quantity(d: int, r: float, ensemble) -> float:
     for state in states:
         if state.shape != (d, d):
             raise PreconditionError(f"state shape {state.shape} != ({d}, {d})")
-        if not np.isfinite(state).all():
-            raise PreconditionError("state entries must be finite")
-    return float(_holevo_terms(d, r, probs, np.array(states), logs=False)[0])
+    states = np.array(states)
+    _check_density(states, "state")
+    return float(_holevo_terms(d, r, probs, states, logs=False)[0])
 
 
 def _holevo_terms(d: int, r: float, probs: np.ndarray, states: np.ndarray, logs: bool = True):
@@ -462,23 +479,25 @@ def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np
     return u @ wh
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _complement_intertwiners(d: int) -> tuple:
-    """Unitaries V_k aligning complement sector d-k with the block map k.
+    """(V_k, residual, T_k) per block map k: V_k aligns complement sector d-k with it.
 
     The target is the complement of block map d-k+1: the C-side sector with
     d-k fermions, normalized by its C(d-1, k-1) unit amplitudes per rail.
+    T_k is the block map's transfer matrix, read-only as the result is cached.
     """
     result = []
     for k in range(1, d + 1):
         t_block = transfer_matrix(grassmann_block(d, k))
+        t_block.flags.writeable = False
         n = math.comb(d, k)
         lhat = transfer_matrix(complement_channel_rep(grassmann_block(d, d - k + 1)))
         a_maps = [t_block[:, t].reshape(n, n) for t in range(d * d)]
         b_maps = [lhat[:, t].reshape(n, n) for t in range(d * d)]
         v = _solve_intertwiner(a_maps, b_maps)
         residual = max(np.linalg.norm(v @ a - b @ v) for a, b in zip(a_maps, b_maps))
-        result.append((v, float(residual)))
+        result.append((v, float(residual), t_block))
     return tuple(result)
 
 
@@ -503,7 +522,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     weights = block_weights(d, r)
     a_rows, c_rows = block_slices(fwd), block_slices(comp)
     inter = _complement_intertwiners(d)
-    inter_residual = max(res for _, res in inter)
+    inter_residual = max(res for _, res, _ in inter)
 
     # W maps forward sector k onto its complement sector through V_k
     w_mat = np.zeros((d_c, d_a), dtype=complex)
@@ -516,10 +535,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     r1[:, a_rows[1]] = channels.rail_reversal(d)
     pieces = [np.kron(w_mat, w_mat.conj())]
     for m in range(2, d + 1):
-        v = inter[m - 1][0]
-        embed = np.zeros((d_c, math.comb(d, m)), dtype=complex)
-        embed[c_rows[m], :] = v
-        t_block = transfer_matrix(grassmann_block(d, m))
+        embed, t_block = w_mat[:, a_rows[m]], inter[m - 1][2]
         pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / weights.p[0])
 
     columns = [(piece @ t_fwd).reshape(-1) for piece in pieces]

@@ -96,6 +96,14 @@ def test_coherent_information_shape_check():
     for bad in (np.full((2, 2), math.nan), rho, np.diag([math.inf, 0.0])):
         with pytest.raises(PreconditionError, match="finite"):
             verify.coherent_information(2, 0.4, bad)
+    # not density matrices: trace 2, not Hermitian, not positive semidefinite
+    for bad, reason in (
+        (np.eye(2), "unit trace"),
+        ([[0.5, 1.0], [0.0, 0.5]], "Hermitian"),
+        (np.diag([2.0, -1.0]), "positive semidefinite"),
+    ):
+        with pytest.raises(PreconditionError, match=reason):
+            verify.coherent_information(2, 0.4, bad)
 
 
 def test_optimize_coherent_information_qubit():
@@ -132,6 +140,13 @@ def test_holevo_quantity_examples():
             verify.holevo_quantity(2, 0.4, [(0.5, rho), (0.5, bad)])
     for bad in (rho[:1], np.eye(3), np.zeros((2, 2, 2)), [[1.0]]):
         with pytest.raises(PreconditionError, match="state shape"):
+            verify.holevo_quantity(2, 0.4, [(0.5, rho), (0.5, bad)])
+    for bad, reason in (
+        (np.eye(2), "unit trace"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+        (np.diag([2.0, -1.0]), "positive semidefinite"),
+    ):
+        with pytest.raises(PreconditionError, match=reason):
             verify.holevo_quantity(2, 0.4, [(0.5, rho), (0.5, bad)])
 
 
@@ -624,8 +639,8 @@ def test_check_factorization():
             verify.check_factorization(r)
     sv = fock.squeezed_vacuum(1, math.pi / 4)
     amp = math.sqrt(2) / 2
-    assert abs(sv.amplitude((0, 0)) - amp) < 1e-12
-    assert abs(sv.amplitude((1, 1)) - amp) < 1e-12
+    assert abs(sv.amplitudes[0b00] - amp) < 1e-12
+    assert abs(sv.amplitudes[0b11] - amp) < 1e-12
 
 
 def test_check_ppt():
