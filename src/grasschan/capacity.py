@@ -230,15 +230,32 @@ class UnruhCapacity(NamedTuple):
     terms: int
 
 
+def _nb_pmf(j: np.ndarray, n: int, z: float) -> np.ndarray:
+    """NB(j; n, z) over rows of consecutive j, with the Loader kernel at each row's first j only.
+
+    The row's first term is n/(n+j) Bin(n; n+j, 1-z); the rest follow by the
+    exact term ratio NB(j)/NB(j-1) = z (n+j-1)/j, multiplied in order: three
+    roundings a step, at most 3 * 63 beyond the anchor's own error in a row of
+    64.  An anchor that underflows to 0 keeps its row 0 (the ratios are finite,
+    so no inf * 0 appears); the next row starts again from its own anchor.
+    """
+    factor = np.empty(j.shape)
+    anchor = j[:, 0]
+    factor[:, 0] = n / (n + anchor) * np.exp(_binomial_logpmf(n, n + anchor, 1.0 - z, z))
+    factor[:, 1:] = z * (n - 1 + j[:, 1:]) / j[:, 1:]
+    return np.cumprod(factor, axis=1)
+
+
 def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> UnruhCapacity:
     """Quantum capacity of the d-dimensional bosonic squeezing channel.
 
     With j = k - 1, (1/d)(1-z)^(d+1) sum_{k>=1} k C(d+k-1,k) log((d+k-1)/k)
     z^(k-1) is the expectation of log1p((d-1)/(j+1)) under NB(j; d+1, z).  Its
-    terms, NB(j; n, z) = n/(n+j) Bin(n; n+j, 1-z) from the shared Loader
-    kernel, are summed in chunks of at most 4096.  Term ratios are bounded by
-    q = z (1 + d/(j+1)), so summing stops at the first term where q < 1 and the
-    tail bound term * q / (1 - q) is below ``tol``: the reported remainder.
+    terms are summed in chunks of 256 doubling to 4096, each a (chunk/64, 64)
+    block of ``_nb_pmf`` rows: the shared Loader kernel runs once every 64
+    terms.  Term ratios are bounded by q = z (1 + d/(j+1)), so summing stops
+    at the first term where q < 1 and the tail bound term * q / (1 - q) is
+    below ``tol``: the reported remainder.
     """
     if d < 1:
         raise DomainError(f"need d >= 1, got d={d}")
@@ -249,10 +266,12 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
     lb = math.log(log_base_value(base, d))
     cap, n = UNRUH_MAX_TERMS, d + 1
     total = 0.0
-    start, size = 0, 64
+    start, size = 0, 256
     while start < cap:
-        j = np.arange(start, min(start + size, cap))
-        pmf = n / (n + j) * np.exp(_binomial_logpmf(n, n + j, 1.0 - z, z))
+        m = min(size, cap - start)  # the chunk at the cap is padded to whole rows, then cut
+        j = np.arange(start, start + -(-m // 64) * 64)
+        pmf = _nb_pmf(j.reshape(-1, 64), n, z).ravel()[:m]
+        j = j[:m]
         term = pmf * np.log1p((d - 1) / (j + 1)) / lb
         q = z * (1.0 + d / (j + 1))
         with np.errstate(divide="ignore", invalid="ignore"):  # q == 1; masked below
@@ -263,7 +282,7 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
             return UnruhCapacity(total + float(term[: stop + 1].sum()), float(tail[stop]),
                                  start + stop + 1)
         total += float(term.sum())
-        start, size = start + j.size, min(2 * size, 4096)
+        start, size = start + m, min(2 * size, 4096)
     raise ConvergenceError(
         f"Unruh series did not certify tol={tol} within {cap} terms",
         partial=total,

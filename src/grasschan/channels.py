@@ -213,9 +213,10 @@ def _image_stack(d: int, r: float) -> tuple[np.ndarray, int, int]:
     fermion number.  The counts of C rows and A columns filled by nonzero
     sectors come with it: the rows the channel and its complement keep.
     """
+    amps = _sector_amplitudes(d, r)  # checks d before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
     c_rows = a_rows = 0
-    for amp, sector in zip(_sector_amplitudes(d, r), _pair_sectors(d)):
+    for amp, sector in zip(amps, _pair_sectors(d)):
         # only r = 0 or an underflowing tan^(k-1) r gives a zero amplitude, and every later one is
         # zero too: they do not increase with k when tan r < 1, and none is zero when tan r >= 1
         if amp == 0.0:
@@ -229,7 +230,7 @@ def _image_stack(d: int, r: float) -> tuple[np.ndarray, int, int]:
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
-    stack, c_rows, _ = _image_stack(d, r)  # rejects d outside [1, 8], then r outside [0, pi/2)
+    stack, c_rows, _ = _image_stack(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
     weights = block_weights(d, r)
     kraus = stack[:c_rows]
     blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
@@ -244,7 +245,7 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
     Block metadata labels the C-side sector with j fermions by the forward
     sector k = d - j it mirrors, so block k carries weight p~_k.
     """
-    stack, _, a_rows = _image_stack(d, r)  # rejects d outside [1, 8], then r outside [0, pi/2)
+    stack, _, a_rows = _image_stack(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
     weights = block_weights(d, r)
     kraus = stack.transpose(1, 0, 2)[:a_rows]
     blocks = [Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)]

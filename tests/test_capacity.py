@@ -199,7 +199,9 @@ def test_unruh_convergence_cap(monkeypatch):
 
 
 def test_unruh_cap_is_never_exceeded(monkeypatch):
-    # (3, 0.9) certifies tol=1e-12 at term 295, inside the third chunk (terms 193..448)
+    # (3, 0.9) certifies tol=1e-12 at term 295, inside the second chunk (terms 257..768, rows of
+    # 64 from term 257); a cap of 200 cuts the first chunk (terms 1..256) inside its fourth row,
+    # and 294 and 295 cut the second chunk inside its first row: a padded row is cut back
     monkeypatch.setattr(capacity, "UNRUH_MAX_TERMS", 200)
     with pytest.raises(ConvergenceError):
         quantum_capacity_unruh(3, 0.9, tol=1e-12)
@@ -208,6 +210,54 @@ def test_unruh_cap_is_never_exceeded(monkeypatch):
         quantum_capacity_unruh(3, 0.9, tol=1e-12)
     monkeypatch.setattr(capacity, "UNRUH_MAX_TERMS", 295)
     assert quantum_capacity_unruh(3, 0.9, tol=1e-12).terms == 295
+
+
+def _loader_nb(j, n, z):
+    """NB(j; n, z) = n/(n+j) Bin(n; n+j, 1-z) from the Loader kernel at every term, unanchored."""
+    return n / (n + j) * np.exp(capacity._binomial_logpmf(n, n + j, 1.0 - z, z))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 50, 1000, 10**6])
+def test_anchored_pmf_matches_the_per_term_kernel(d):
+    # The anchored pmf differs from the per-term kernel by the recurrence's roundings, at most
+    # 3 * 63 in a row, and by the kernel's own error at the anchor and at j.  That error is first
+    # order in the rounding of the binomial means (n+j)(1-z) and (n+j)z, which grows with their
+    # distance |n z - j (1-z)| from n, and in that of the O(|ln NB|) deviance sums.  Bound:
+    # relative u (192 + 16 |n z - j (1-z)| + 8 |ln NB|), u = 2^-53, asserted where NB > 1e-290.
+    # It is about 2.5e-14 near the mass at small d; the largest difference, 5.4e-12, is deep in
+    # the left tail at d = 10^6.
+    u, n, tol, piece = 2.0**-53, d + 1, 1e-12, 1 << 16
+    lb = math.log(capacity.log_base_value("d", d))
+    for z in (0.0, 1e-320, 0.3, 0.9, 0.999):
+        try:
+            res = quantum_capacity_unruh(d, z, tol=tol)
+        except ConvergenceError:
+            continue  # only d = 10^6, z = 0.999: past the term cap
+        ref_total, stop, underflowed, end = 0.0, None, 0, -(-res.terms // 64) * 64
+        for lo in range(0, end, piece):  # pieces of whole rows, as the series lays them out
+            j = np.arange(lo, min(lo + piece, end))
+            anchored = capacity._nb_pmf(j.reshape(-1, 64), n, z).ravel()
+            ref = _loader_nb(j, n, z)
+            assert np.all(np.isfinite(anchored)), (z, lo)
+            underflowed += int(np.count_nonzero(anchored[::64] == 0.0))
+            big = ref > 1e-290
+            spread = np.abs(n * z - j[big] * (1 - z))
+            bound = u * (192 + 16 * spread + 8 * np.abs(np.log(ref[big])))
+            assert np.all(np.abs(anchored[big] / ref[big] - 1.0) <= bound), (z, lo)
+            assert np.all(anchored[~big] <= 1e-280), (z, lo)
+            # the per-term series over the same terms, under the same stop rule
+            j, ref = j[j < res.terms], ref[j < res.terms]
+            term = ref * np.log1p((d - 1) / (j + 1)) / lb
+            q = z * (1.0 + d / (j + 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                done = np.flatnonzero((q < 1.0) & (term * q / (1.0 - q) < tol))
+            if stop is None and done.size:
+                stop = lo + int(done[0])
+            ref_total += float(term.sum())
+        assert stop == res.terms - 1, z
+        assert abs(res.value - ref_total) <= 1e-13, z
+        if d == 10**6 and z == 0.9:
+            assert underflowed > 0  # the left tail's anchors underflow to 0, and their rows stay 0
 
 
 def _unruh_recurrence(d, z, tol, base):

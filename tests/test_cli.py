@@ -100,6 +100,22 @@ def test_capacity_domain_error_exit_code(capsys, tmp_path):
     assert out == "" and err.startswith("error: ")
 
 
+def test_channel_dimension_is_checked_before_the_kraus_stack_is_allocated(capsys, tmp_path):
+    # the (2^d - 1)^2 d stack came first: 320 TiB at d = 20, a negative shift count at d = -2,
+    # and more elements than numpy allows under verify at d = 100
+    out_path = tmp_path / "channel.json"
+    capped = "error: explicit channel construction is capped at d=8\n"
+    for argv, message in (
+        (["dump-channel", "--d", "20", "--r", "0.3", "--out", str(out_path)], capped),
+        (["dump-channel", "--d", "-2", "--r", "0.3", "--out", str(out_path)],
+         "error: need d >= 1, got d=-2\n"),
+        (["verify", "--suite", "all", "--d", "100"], capped),
+    ):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not out_path.exists()
+
+
 def test_arithmetic_error_exit_code(monkeypatch, capsys, tmp_path):
     def disagree(*args):
         raise ConsistencyError("forms disagree")
