@@ -24,22 +24,27 @@ A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
 ``blocks``; ``block_slices`` reads each sector's output rows from there.
 ``apply_kraus``, ``choi_matrix``, ``transfer_matrix`` and the complement act
-on the whole stack at once.  ``dump_channel_json`` formats each distinct
-Kraus entry once, telling entries apart by their bytes, and joins the
-tokens into a file byte-identical to ``json.dumps`` of the nested-list
-document.  ``load_channel_json`` parses with ``json.loads`` while the cyclic
-garbage collector is paused, and copies the entries operator by operator into
-one preallocated stack.
+on the whole stack at once.  Both ends of the JSON wire format hold one Kraus
+operator's text or parse tree at a time.  ``dump_channel_json`` formats each
+distinct Kraus entry once, telling entries apart by their bytes, slices runs
+of zero entries from one repeated string, and writes the file operator by
+operator, byte-identical to ``json.dumps`` of the nested-list document.
+``load_channel_json`` walks the top-level object with
+``json.JSONDecoder.raw_decode`` as ``json.loads`` would decode it, and
+decodes the Kraus list one operator at a time, copying each into one float
+array before the next is parsed.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import json
 import math
+import os
+import re
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -332,61 +337,90 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # the characters json.loads skips between tokens
 
-def _kraus_text(kraus: np.ndarray) -> str:
-    """The stack as ``json.dumps`` writes its nested [re, im] lists.
 
-    Each distinct entry is formatted once.  Entries are told apart by their
-    16 bytes, so 0.0 and -0.0, or two NaNs, keep their own text.  The
-    all-zero entry, most of a Grassmann stack, skips the sort.
+def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
+    """The stack as ``json.dumps`` writes its nested [re, im] lists, one operator at a time.
+
+    Each distinct nonzero entry is formatted once, by one ``json.dumps`` call.
+    Entries are told apart by their 16 bytes, so 0.0 and -0.0, or two NaNs,
+    keep their own text.  Runs of all-zero entries, most of a Grassmann stack,
+    are slices of one repeated string.  The numpy work is done by the call;
+    each operator's text is joined as the iterator reaches it, and every
+    operator after the first is led by ", ".
     """
-    bits = np.ascontiguousarray(kraus).view(np.uint64).reshape(-1, 2)
-    nonzero = bits.any(axis=1)
-    keys, index = np.unique(bits[nonzero].view("V16"), return_inverse=True)
-    floats = json.dumps([0.0, 0.0, *keys.view(float).tolist()])[1:-1].split(", ")
-    tokens = [f"[{re}, {im}]" for re, im in zip(floats[::2], floats[1::2])]
-    ids = np.zeros(len(bits), np.intp)
-    ids[nonzero] = index.ravel() + 1
-    ops = ids.reshape(len(kraus), math.prod(kraus.shape[1:])).tolist()
-    return "[" + ", ".join("[" + ", ".join(map(tokens.__getitem__, op)) + "]" for op in ops) + "]"
+    m, size = len(kraus), math.prod(kraus.shape[1:])
+    bits = np.ascontiguousarray(kraus).view(np.uint64).reshape(m, size, 2)
+    nonzero = bits.any(axis=-1)
+    keys, index = np.unique(bits[nonzero].view("V16").ravel(), return_inverse=True)
+    floats = json.dumps(keys.view(float).tolist())[1:-1].split(", ")
+    # every operator gains one last entry, the empty token, led by the zeros that close it
+    tokens = [f"[{real}, {imag}], " for real, imag in zip(floats[::2], floats[1::2])] + [""]
+    entries = np.ones((m, size + 1), bool)
+    entries[:, :size] = nonzero
+    at = np.flatnonzero(entries)
+    column = at % (size + 1)
+    ids = np.full(len(at), len(keys))
+    ids[column < size] = index
+    zero = "[0.0, 0.0], "
+    zeros, pads = zero * size, (np.diff(at, prepend=-1) - 1) * len(zero)
+    ends = np.flatnonzero(column == size) + 1
+
+    def operators():
+        sep, start = "", 0
+        for end in ends.tolist():
+            runs = map(zeros.__getitem__, map(slice, pads[start:end].tolist()))
+            pairs = zip(runs, map(tokens.__getitem__, ids[start:end].tolist()))
+            yield f"{sep}[{''.join(itertools.chain.from_iterable(pairs))[:-2]}]"
+            sep, start = ", ", end
+
+    return operators()
 
 
 def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
+    """Write a channel file, byte-identical to ``json.dumps`` of its nested-list document.
+
+    All formatting but the join of each operator's text happens before the
+    file is opened, which is then written one operator at a time; a dump that
+    fails after the open removes the file.
+    """
     head = {"family": family, "d": d, "r": r, "in_dim": ch.in_dim, "out_dim": ch.out_dim}
     blocks = [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []]
-    kraus = _kraus_text(ch.kraus)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{json.dumps(head)[:-1]}, "kraus": {kraus}, "blocks": {json.dumps(blocks)}}}\n')
+    head, tail, ops = json.dumps(head)[:-1], json.dumps(blocks), _kraus_text(ch.kraus)
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(f'{head}, "kraus": [')
+            fh.writelines(ops)
+            fh.write(f'], "blocks": {tail}}}\n')
+    except BaseException:
+        os.remove(path)
+        raise
 
 
-def _kraus_stack(ops, out_dim, in_dim, literals: bool) -> np.ndarray:
-    """The (m, out_dim, in_dim) stack of a parsed "kraus" list, checked as the loader says.
+def _append_operator(rows: array, op, size: int | None, literals: bool) -> int:
+    """Append one parsed Kraus operator's floats to ``rows``; returns its entry count.
 
-    ``literals`` says whether the file holds a true or false literal; without
-    one no entry can be a bool, and the scan for bools is skipped.
+    The operator must be a list of [re, im] pairs, ``size`` of them once that
+    is known.  ``literals`` says whether the file holds a true or false
+    literal; without one no entry can be a bool, and the scan for bools is
+    skipped.  array("d") takes ints, floats and bools and refuses the rest.
     """
-    if any(type(n) is not int or n < 1 for n in (out_dim, in_dim)):
-        raise ValueError(f"in_dim, out_dim must be positive integers, not {in_dim!r}, {out_dim!r}")
     flat = itertools.chain.from_iterable
     try:
-        sized = all(len(op) == out_dim * in_dim for op in ops) and set(map(len, flat(ops))) == {2}
+        sized = set(map(len, op)) == {2} and size in (None, len(op))
     except TypeError:  # an operator or an entry that is a number
         sized = False
     if not sized:
-        raise ValueError(f"need one or more Kraus operators of {out_dim} x {in_dim} (re, im) pairs")
-    # one operator at a time into the stack; np.array on the nested lists would peak at 3x the
-    # stack.  array("d") takes ints, floats and bools and refuses everything else.
-    kraus = np.empty((len(ops), out_dim, in_dim), complex)
+        raise ValueError("each Kraus operator must be a list of [re, im] pairs, all of one length")
     try:
-        for row, op in zip(kraus.reshape(len(ops), -1).view(float), ops):
-            row[:] = array("d", list(flat(op)))
-        if literals and bool in map(type, flat(flat(ops))):
+        rows.fromlist(list(flat(op)))
+        if literals and bool in map(type, flat(op)):
             raise TypeError
     except (TypeError, OverflowError):
         raise ValueError("Kraus entries must be JSON numbers in float range") from None
-    if not np.isfinite(kraus).all():
-        raise ValueError("Kraus entries must be finite")
-    return kraus
+    return len(op)
 
 
 def _blocks(entries, out_dim: int) -> list[Block] | None:
@@ -409,6 +443,63 @@ def _blocks(entries, out_dim: int) -> list[Block] | None:
     return blocks or None
 
 
+def _channel_doc(text: str) -> dict:
+    """The top-level object of a channel file, decoded as ``json.loads`` decodes it.
+
+    The walk reads the object's punctuation itself and hands every key and
+    value to ``json.JSONDecoder.raw_decode``; a later key wins.  A "kraus"
+    list is decoded one operator at a time and each operator's parse tree is
+    dropped once ``_append_operator`` has copied it out, so the value is an
+    (m, 2 x entries) float array, or the ``ValueError`` that an operator
+    raised, kept for the case that this list is the one that counts.
+    """
+    decoder, literals = json.JSONDecoder(), "true" in text or "false" in text
+
+    def token(pos: int, allowed: str) -> tuple[int, str]:
+        """The position after the next token, which must be one of the characters ``allowed``."""
+        pos = _WHITESPACE.match(text, pos).end()
+        char = text[pos : pos + 1]
+        if not char or char not in allowed:
+            doc = json.loads(text)  # raises json's own error, unless the text is JSON but no object
+            raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
+        return pos + 1, char
+
+    def kraus_rows(pos: int) -> tuple[np.ndarray | ValueError, int]:
+        rows, count, size, error = array("d"), 0, None, None
+        pos, char = _WHITESPACE.match(text, pos + 1).end(), ","
+        if text.startswith("]", pos):
+            pos, char = pos + 1, "]"
+        while char == ",":
+            op, pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos).end())
+            if error is None:
+                try:
+                    size = _append_operator(rows, op, size, literals)
+                except ValueError as exc:
+                    error = exc
+            del op  # freed before the next operator is parsed
+            count += 1
+            pos, char = token(pos, ",]")
+        return error or np.frombuffer(rows).reshape(count, 2 * (size or 0)), pos
+
+    doc = {}
+    pos, _ = token(0, "{")
+    pos, char = token(pos, '"}')
+    while char != "}":
+        key, pos = decoder.raw_decode(text, pos - 1)
+        pos, _ = token(pos, ":")
+        pos = _WHITESPACE.match(text, pos).end()
+        if key == "kraus" and text.startswith("[", pos):
+            doc[key], pos = kraus_rows(pos)
+        else:
+            doc[key], pos = decoder.raw_decode(text, pos)
+        pos, char = token(pos, ",}")
+        if char == ",":
+            pos, char = token(pos, '"')
+    if _WHITESPACE.match(text, pos).end() != len(text):
+        json.loads(text)  # raises "Extra data"
+    return doc
+
+
 def load_channel_json(path) -> ChannelRep:
     """Read a channel file; a file that does not hold a channel raises ``ValueError``.
 
@@ -420,26 +511,22 @@ def load_channel_json(path) -> ChannelRep:
     with positive integer k and dim and a finite number as weight; no k
     repeats, and a nonempty block list has dims summing to out_dim.
     """
-    # the parse tree is acyclic lists and floats, all freed by reference counting; with the
-    # cyclic collector on, its rescans of the growing tree take longer than the parse itself
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        literals = "true" in text or "false" in text
-        doc = json.loads(text)
-        del text  # 7 MB at d = 8, freed before the floats are copied out
-        if type(doc) is not dict:
-            raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
-        missing = {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys()
-        if missing:
-            raise ValueError(f"channel file lacks the keys {sorted(missing)}")
-        in_dim, out_dim = doc["in_dim"], doc["out_dim"]
-        # popped, so the Kraus lists are freed as soon as the stack is filled
-        kraus = _kraus_stack(doc.pop("kraus"), out_dim, in_dim, literals)
-        blocks = _blocks(doc["blocks"], out_dim)
-        return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")
-    finally:
-        if collecting:
-            gc.enable()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    doc = _channel_doc(text)
+    del text  # about 6 MB at d = 8
+    missing = {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys()
+    if missing:
+        raise ValueError(f"channel file lacks the keys {sorted(missing)}")
+    in_dim, out_dim, rows = doc["in_dim"], doc["out_dim"], doc["kraus"]
+    if any(type(n) is not int or n < 1 for n in (out_dim, in_dim)):
+        raise ValueError(f"in_dim, out_dim must be positive integers, not {in_dim!r}, {out_dim!r}")
+    if isinstance(rows, ValueError):
+        raise rows
+    if type(rows) is not np.ndarray or not len(rows) or rows.shape[1] != 2 * out_dim * in_dim:
+        raise ValueError(f"need one or more Kraus operators of {out_dim} x {in_dim} (re, im) pairs")
+    kraus = rows.view(complex).reshape(len(rows), out_dim, in_dim)
+    if not np.isfinite(kraus).all():
+        raise ValueError("Kraus entries must be finite")
+    blocks = _blocks(doc["blocks"], out_dim)
+    return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,8 @@ def test_kraus_stack_shape_and_json_operator_size(tmp_path):
     bad_edits = (
         lambda bad: bad["kraus"][1].pop(),
         lambda bad: bad["kraus"][1].append([0.0, 0.0]),
+        # the entry count is right, so only each operator's length can tell
+        lambda bad: bad["kraus"][0].append(bad["kraus"][1].pop()),
         lambda bad: bad["kraus"][1][0].pop(),
         entry(True),
         entry(False),
@@ -642,3 +645,95 @@ def test_json_roundtrip_is_bitwise_for_every_family(tmp_path):
     family += [werner_holevo(d) for d in (2, 3, 5)] + [erasure_channel(p) for p in (0.0, 0.3, 1.0)]
     for ch in family:
         _assert_bitwise_roundtrip(tmp_path / "channel.json", ch)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one d = 8 Kraus stack; its file holds 520,200 [re, im] entries, 99.8% of them zero
+_D8_STACK = 255 * 255 * 8 * 16
+
+
+def test_json_dump_holds_one_operator_text_at_a_time(tmp_path):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(8, 0.7)
+    peak = _traced_peak(lambda: channels.dump_channel_json(ch, "grassmann", 8, 0.7, path))
+    assert peak < 0.5 * _D8_STACK
+
+
+def test_json_load_holds_one_operator_parse_tree_at_a_time(tmp_path):
+    path = tmp_path / "channel.json"
+    channels.dump_channel_json(grassmann_channel(8, 0.7), "grassmann", 8, 0.7, path)
+    assert _traced_peak(lambda: channels.load_channel_json(path)) < 3.5 * _D8_STACK
+
+
+def test_loader_decodes_as_json_loads(tmp_path):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(3, 0.4)
+    doc = json.loads(_reference_json(ch, "grassmann", 3, 0.4))
+    compact = json.dumps(doc, separators=(",", ":"))
+    spaced = json.dumps(doc, indent=" \t\r", separators=(" \n,\t ", "\r : \n"))
+    # a bad first "kraus" value must not count: the last key wins, as in json.loads
+    first = '{"kraus": [[[1.0, 2.0], true], 3], "kraus": null, "family"'
+    texts = (
+        json.dumps(doc, indent=2),
+        compact,
+        json.dumps(doc, sort_keys=True),
+        f"\n\t {spaced} \r\n",
+        json.dumps(doc).replace('{"family"', first, 1),
+        _reference_json(ch, 'x "kraus": [', 3, 0.4),
+    )
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        want = json.loads(text)
+        back = channels.load_channel_json(path)
+        assert back.kraus.tobytes() == np.array(want["kraus"]).view(complex).tobytes()
+        assert back.kraus.tobytes() == ch.kraus.tobytes()
+        assert back.blocks == ch.blocks and back.label == f"{want['family']}(json)"
+    body = compact.index('"kraus":[') + len('"kraus":[')
+    op_end = compact.index("]]", body) + 2
+    bad_texts = (
+        compact[:-1] + ",}",
+        compact.replace("]]],", "]],],", 1),
+        compact + compact,
+        compact + " 0",
+        "\ufeff" + compact,
+        compact.replace('"in_dim":', '"in_dim"', 1),
+        compact[:op_end],
+        compact.replace('{"family"', '{3:1,"family"', 1),
+    )
+    for text in bad_texts:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            json.loads(text)
+        with pytest.raises(ValueError):
+            channels.load_channel_json(path)
+
+
+def test_a_failed_dump_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(3, 0.4)
+    stream = channels._kraus_text
+
+    def fail_after_one_operator(kraus):
+        yield next(stream(kraus))
+        raise RuntimeError("formatting failed")
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("formatting failed")
+
+    patches = ((channels, "_kraus_text", fail_after_one_operator), (json, "dumps", fail))
+    for owner, name, patch in patches:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, patch)
+            with pytest.raises(RuntimeError, match="formatting failed"):
+                channels.dump_channel_json(ch, "grassmann", 3, 0.4, path)
+        assert not path.exists()
+    channels.dump_channel_json(ch, "grassmann", 3, 0.4, path)
+    assert path.read_text() == _reference_json(ch, "grassmann", 3, 0.4)
