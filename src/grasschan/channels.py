@@ -30,9 +30,12 @@ distinct Kraus entry once, telling entries apart by their bytes, slices runs
 of zero entries from one repeated string, and writes the file operator by
 operator, byte-identical to ``json.dumps`` of the nested-list document.
 ``load_channel_json`` walks the top-level object with
-``json.JSONDecoder.raw_decode`` as ``json.loads`` would decode it, and
-decodes the Kraus list one operator at a time, copying each into one float
-array before the next is parsed.
+``json.JSONDecoder.raw_decode`` as ``json.loads`` would decode it, and reads
+the Kraus list one operator at a time into one float array.  Inside an
+operator it counts each run of the writer's zero entries, where an entry must
+start, and appends it as zero bytes; only the other entries reach the
+decoder.  An operator the writer did not write, indented or dense, is decoded
+whole.
 """
 
 from __future__ import annotations
@@ -338,6 +341,8 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # the characters json.loads skips between tokens
+_ZERO_ENTRY = "[0.0, 0.0], "  # the writer's zero entry and the separator after it
+_ZERO_RUN = re.compile(f"(?:{re.escape(_ZERO_ENTRY)})*")
 
 
 def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
@@ -363,8 +368,7 @@ def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
     column = at % (size + 1)
     ids = np.full(len(at), len(keys))
     ids[column < size] = index
-    zero = "[0.0, 0.0], "
-    zeros, pads = zero * size, (np.diff(at, prepend=-1) - 1) * len(zero)
+    zeros, pads = _ZERO_ENTRY * size, (np.diff(at, prepend=-1) - 1) * len(_ZERO_ENTRY)
     ends = np.flatnonzero(column == size) + 1
 
     def operators():
@@ -448,10 +452,13 @@ def _channel_doc(text: str) -> dict:
 
     The walk reads the object's punctuation itself and hands every key and
     value to ``json.JSONDecoder.raw_decode``; a later key wins.  A "kraus"
-    list is decoded one operator at a time and each operator's parse tree is
-    dropped once ``_append_operator`` has copied it out, so the value is an
-    (m, 2 x entries) float array, or the ``ValueError`` that an operator
-    raised, kept for the case that this list is the one that counts.
+    list is read one operator at a time.  ``walked`` reads an operator in the
+    writer's own form, counting its runs of zero entries instead of parsing
+    them; any other operator, or one the walk stops short in, is decoded whole
+    and its parse tree dropped once ``_append_operator`` has copied it out.
+    So the value is an (m, 2 x entries) float array, or the ``ValueError``
+    that an operator raised, kept for the case that this list is the one
+    that counts.
     """
     decoder, literals = json.JSONDecoder(), "true" in text or "false" in text
 
@@ -464,19 +471,56 @@ def _channel_doc(text: str) -> dict:
             raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
         return pos + 1, char
 
+    def walked(pos: int, rows: array) -> tuple[int, int] | None:
+        """The end and entry count of the operator at ``pos``, its floats appended to ``rows``.
+
+        Each run of the writer's zero entries is counted and appended as zero
+        bytes, not parsed; the run is tried only where an entry must start.
+        Every other entry is decoded and checked on its own.  None where the
+        operator does not open with "[[", two decoded entries are adjacent (a
+        dense operator, which one ``raw_decode`` reads faster), or an entry or
+        a separator is not what the writer writes.
+        """
+        if not text.startswith("[[", pos):
+            return None
+        pos, count = pos + 1, 0
+        while True:
+            end = _ZERO_RUN.match(text, pos).end()
+            zeros = (end - pos) // len(_ZERO_ENTRY)
+            if not zeros and count:
+                return None
+            rows.frombytes(bytes(16 * zeros))
+            count += zeros + 1
+            try:
+                entry, pos = decoder.raw_decode(text, end)
+                _append_operator(rows, [entry], 1, literals)
+            except ValueError:
+                return None
+            if text.startswith("]", pos):
+                return pos + 1, count
+            if not text.startswith(", ", pos):
+                return None
+            pos += 2
+
     def kraus_rows(pos: int) -> tuple[np.ndarray | ValueError, int]:
         rows, count, size, error = array("d"), 0, None, None
         pos, char = _WHITESPACE.match(text, pos + 1).end(), ","
         if text.startswith("]", pos):
             pos, char = pos + 1, "]"
         while char == ",":
-            op, pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos).end())
-            if error is None:
-                try:
-                    size = _append_operator(rows, op, size, literals)
-                except ValueError as exc:
-                    error = exc
-            del op  # freed before the next operator is parsed
+            pos, start = _WHITESPACE.match(text, pos).end(), len(rows)
+            walk = walked(pos, rows)
+            if walk and size in (None, walk[1]):
+                pos, size = walk
+            else:  # another form, or an operator the walk stopped short in, is decoded whole
+                del rows[start:]
+                op, pos = decoder.raw_decode(text, pos)
+                if error is None:
+                    try:
+                        size = _append_operator(rows, op, size, literals)
+                    except ValueError as exc:
+                        error = exc
+                del op  # freed before the next operator is parsed
             count += 1
             pos, char = token(pos, ",]")
         return error or np.frombuffer(rows).reshape(count, 2 * (size or 0)), pos

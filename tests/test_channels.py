@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grasschan import capacity, channels, fock
 from grasschan.channels import (
@@ -714,6 +716,151 @@ def test_loader_decodes_as_json_loads(tmp_path):
             json.loads(text)
         with pytest.raises(ValueError):
             channels.load_channel_json(path)
+
+
+_ZERO = "[0.0, 0.0]"
+
+
+def _writer_parts(ch, family, path):
+    """A writer file's text split at its Kraus list: head, operator texts, tail."""
+    channels.dump_channel_json(ch, family, ch.in_dim, 0.5, path)
+    text = path.read_text(encoding="utf-8")
+    start = text.index('"kraus": [') + len('"kraus": [')
+    end = text.rindex('], "blocks": ')
+    ops = [op.removeprefix(", ") for op in channels._kraus_text(ch.kraus)]
+    assert ", ".join(ops) == text[start:end]
+    return text[:start], ops, text[end:]
+
+
+def _json_operator(op_text, ch):
+    """One operator as json.loads reads it; None where json rejects it or it is no operator."""
+    try:
+        op = json.loads(op_text)
+    except json.JSONDecodeError:
+        return None
+    size = ch.out_dim * ch.in_dim
+    pairs = all(type(e) is list and len(e) == 2 for e in op) and len(op) == size
+    if not pairs or any(type(x) not in (int, float) for e in op for x in e):
+        return None
+    return np.array(op, dtype=float).view(complex).reshape(ch.out_dim, ch.in_dim)
+
+
+def _zero_operator(ch, raw=()):
+    """An operator text of the writer's zero entries, with raw entry texts at some indices."""
+    entries = [_ZERO] * (ch.out_dim * ch.in_dim)
+    for at, entry in dict(raw).items():
+        entries[at] = entry
+    return f"[{', '.join(entries)}]"
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_loader_counts_zero_runs_only_at_entry_positions(tmp_path, d):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(d, 0.7)
+    head, ops, tail = _writer_parts(ch, "grassmann", path)
+    last = ch.out_dim * ch.in_dim - 1
+    spellings = ("[-0.0, 0.0]", "[0, 0.0]", "[0.00, 0.0]", "[0.0e0, 0.0]")
+    spellings += ("[0.0,0.0]", "[0.0, 0.0 ]")
+    # each zero spelling that is not the writer's sits between two runs of the writer's zeros
+    spelled = {2 * i + 1: entry for i, entry in enumerate((*spellings, "[0.0, -0.0]"))}
+    accepted = (
+        _zero_operator(ch),
+        _zero_operator(ch, {0: "[1.5, -2.5]", last // 2: "[3e-300, 0.0]", last: "[0.0, 7.0]"}),
+        _zero_operator(ch, {4: "[1.5, -2.5]", 5: "[-0.0, 1e308]", 6: "[5e-324, 0]"}),
+        _zero_operator(ch, spelled),
+    )
+    for i, op in enumerate(accepted):
+        at = 1 + i % (len(ops) - 1)
+        text = head + ", ".join([*ops[:at], op, *ops[at + 1 :]]) + tail
+        path.write_text(text, encoding="utf-8")
+        want = ch.kraus.copy()
+        want[at] = _json_operator(op, ch)
+        if d == 3:  # at d = 8 only the edited operator is not writer text, so json reads just that
+            assert np.array(json.loads(text)["kraus"]).view(complex).tobytes() == want.tobytes()
+        back = channels.load_channel_json(path).kraus
+        assert back.tobytes() == want.tobytes()
+    assert np.signbit(back[at].real.ravel()[1]) and np.signbit(back[at].imag.ravel()[13])
+
+    family = f'x {_ZERO}, {_ZERO}, "kraus": [[{_ZERO}, '
+    assert _writer_parts(ch, family, path)[1] == ops
+    loaded = channels.load_channel_json(path)
+    assert loaded.label == f"{family}(json)"
+    assert loaded.kraus.tobytes() == ch.kraus.tobytes()
+
+    # after a zero run, each of these is no entry, or leaves the operator the wrong length
+    no_entries = ("true", "null", f'"{_ZERO}"', f'"{_ZERO}, {_ZERO}, "', "[0.0, 0.0, 0.0]", "[0.0]")
+    rejected = [_zero_operator(ch, {3: entry}) for entry in no_entries]
+    few, many = _zero_operator(ch)[: -len(_ZERO) - 3] + "]", _zero_operator(ch)[:-1] + f", {_ZERO}]"
+    rejected += [few, many, _zero_operator(ch)[:-1] + ", ]"]
+    # one entry too few in one operator and too many in the next keep the file's entry count
+    for edit in [[op] for op in rejected] + [[few, many]]:
+        assert all(_json_operator(op, ch) is None for op in edit)
+        text = head + ", ".join([ops[0], *edit, *ops[1 + len(edit) :]]) + tail
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            channels.load_channel_json(path)
+    truncated = f"{head}{ops[0]}, {_zero_operator(ch)[: 1 + 5 * len(f'{_ZERO}, ') + 4]}"
+    assert truncated.endswith(f"{_ZERO}, [0.0")
+    path.write_text(truncated, encoding="utf-8")
+    with pytest.raises(ValueError):
+        json.loads(truncated)
+    with pytest.raises(ValueError):
+        channels.load_channel_json(path)
+
+
+_ENTRY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 7), st.integers(1, 3)),
+    indent=st.sampled_from([None, 0, 1, 2, "\t", " \r"]),
+    separators=st.sampled_from([(", ", ": "), (",", ":"), (" ,\n", " : "), (",\t", ":")]),
+)
+def test_loader_reads_sparse_stacks_as_json_loads(tmp_path, data, shape, indent, separators):
+    size = math.prod(shape)
+    nonzero = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    entries = st.tuples(_ENTRY_VALUES, _ENTRY_VALUES)
+    values = data.draw(st.lists(entries, min_size=size, max_size=size))
+    pairs = np.array([pair if keep else (0.0, 0.0) for keep, pair in zip(nonzero, values)])
+    ch = channels.ChannelRep(shape[2], shape[1], pairs.view(complex).reshape(shape))
+    path = tmp_path / "channel.json"
+    channels.dump_channel_json(ch, "sparse", shape[2], 0.5, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    copy = json.dumps(doc, indent=indent, separators=separators)
+    for text in (path.read_text(encoding="utf-8"), copy):
+        path.write_text(text, encoding="utf-8")
+        want = np.array(json.loads(text)["kraus"], dtype=float).view(complex)
+        assert channels.load_channel_json(path).kraus.tobytes() == want.tobytes()
+    assert want.tobytes() == ch.kraus.tobytes()
+
+
+def test_loader_counts_the_writer_zero_entries_without_decoding_them(tmp_path, monkeypatch):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(8, 0.7)
+    channels.dump_channel_json(ch, "grassmann", 8, 0.7, path)
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counted(self, s, idx=0):
+        value, end = raw_decode(self, s, idx)
+        decoded.append(end - idx)
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+    # json decodes the nonzero entries, each operator's last entry and the top-level values
+    assert sum(decoded) <= 0.05 * len(path.read_text(encoding="utf-8"))
 
 
 def test_a_failed_dump_leaves_no_file(tmp_path, monkeypatch):
