@@ -32,9 +32,9 @@ operator, byte-identical to ``json.dumps`` of the nested-list document.
 ``load_channel_json`` walks the top-level object with
 ``json.JSONDecoder.raw_decode`` as ``json.loads`` would decode it, and reads
 the Kraus list one operator at a time into one float array.  Inside an
-operator it counts each run of the writer's zero entries, where an entry must
-start, and appends it as zero bytes; only the other entries reach the
-decoder.  An operator the writer did not write, indented or dense, is decoded
+operator it counts the writer's zero entries where an entry must start and
+appends them as zero bytes; only the other entries reach the decoder, and each
+is checked on its own.  A dense operator, or one in another form, is decoded
 whole.
 """
 
@@ -342,29 +342,28 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # the characters json.loads skips between tokens
 _ZERO_ENTRY = "[0.0, 0.0], "  # the writer's zero entry and the separator after it
-_ZERO_RUN = re.compile(f"(?:{re.escape(_ZERO_ENTRY)})*")
+# runs of 2048, 1024, ..., 1 zero entries; the first spans a whole d = 8 operator (2,040 entries)
+_ZERO_RUNS = [_ZERO_ENTRY * (1 << k) for k in range(11, -1, -1)]
 
 
 def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
     """The stack as ``json.dumps`` writes its nested [re, im] lists, one operator at a time.
 
-    Each distinct nonzero entry is formatted once, by one ``json.dumps`` call.
-    Entries are told apart by their 16 bytes, so 0.0 and -0.0, or two NaNs,
-    keep their own text.  Runs of all-zero entries, most of a Grassmann stack,
-    are slices of one repeated string.  The numpy work is done by the call;
-    each operator's text is joined as the iterator reaches it, and every
-    operator after the first is led by ", ".
+    Each distinct nonzero entry is formatted once, by one ``json.dumps`` call;
+    entries are told apart by their 16 bytes, so 0.0 and -0.0, or two NaNs,
+    keep their own text.  Runs of zero entries, most of a Grassmann stack, are
+    slices of one repeated string.  The numpy work is done by the call; each
+    operator's text, led by ", " after the first, is joined when reached.
     """
     m, size = len(kraus), math.prod(kraus.shape[1:])
     bits = np.ascontiguousarray(kraus).view(np.uint64).reshape(m, size, 2)
-    nonzero = bits.any(axis=-1)
-    keys, index = np.unique(bits[nonzero].view("V16").ravel(), return_inverse=True)
+    # an entry is zero where both halves are: their two flags read as one 16-bit word is zero
+    nonzero = (bits != 0).view(np.uint16)[..., 0] != 0
+    keys, index = np.unique(bits.view("V16")[..., 0][nonzero], return_inverse=True)
     floats = json.dumps(keys.view(float).tolist())[1:-1].split(", ")
     # every operator gains one last entry, the empty token, led by the zeros that close it
     tokens = [f"[{real}, {imag}], " for real, imag in zip(floats[::2], floats[1::2])] + [""]
-    entries = np.ones((m, size + 1), bool)
-    entries[:, :size] = nonzero
-    at = np.flatnonzero(entries)
+    at = np.flatnonzero(np.pad(nonzero, ((0, 0), (0, 1)), constant_values=True))
     column = at % (size + 1)
     ids = np.full(len(at), len(keys))
     ids[column < size] = index
@@ -403,13 +402,12 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
         raise
 
 
-def _append_operator(rows: array, op, size: int | None, literals: bool) -> int:
+def _append_operator(rows: array, op, size: int | None) -> int:
     """Append one parsed Kraus operator's floats to ``rows``; returns its entry count.
 
     The operator must be a list of [re, im] pairs, ``size`` of them once that
-    is known.  ``literals`` says whether the file holds a true or false
-    literal; without one no entry can be a bool, and the scan for bools is
-    skipped.  array("d") takes ints, floats and bools and refuses the rest.
+    is known.  array("d") takes ints, floats and bools and refuses the rest,
+    so the bools are looked for after it.
     """
     flat = itertools.chain.from_iterable
     try:
@@ -420,7 +418,7 @@ def _append_operator(rows: array, op, size: int | None, literals: bool) -> int:
         raise ValueError("each Kraus operator must be a list of [re, im] pairs, all of one length")
     try:
         rows.fromlist(list(flat(op)))
-        if literals and bool in map(type, flat(op)):
+        if bool in map(type, flat(op)):
             raise TypeError
     except (TypeError, OverflowError):
         raise ValueError("Kraus entries must be JSON numbers in float range") from None
@@ -452,15 +450,13 @@ def _channel_doc(text: str) -> dict:
 
     The walk reads the object's punctuation itself and hands every key and
     value to ``json.JSONDecoder.raw_decode``; a later key wins.  A "kraus"
-    list is read one operator at a time.  ``walked`` reads an operator in the
-    writer's own form, counting its runs of zero entries instead of parsing
-    them; any other operator, or one the walk stops short in, is decoded whole
-    and its parse tree dropped once ``_append_operator`` has copied it out.
-    So the value is an (m, 2 x entries) float array, or the ``ValueError``
-    that an operator raised, kept for the case that this list is the one
-    that counts.
+    list is read one operator at a time, by ``walked`` if it is in the
+    writer's own form, else decoded whole and its parse tree dropped once
+    ``_append_operator`` has checked and copied it out.  The value is an
+    (m, 2 x entries) float array, or the ``ValueError`` that an operator
+    raised, kept for the case that this list is the one that counts.
     """
-    decoder, literals = json.JSONDecoder(), "true" in text or "false" in text
+    decoder = json.JSONDecoder()
 
     def token(pos: int, allowed: str) -> tuple[int, str]:
         """The position after the next token, which must be one of the characters ``allowed``."""
@@ -474,26 +470,31 @@ def _channel_doc(text: str) -> dict:
     def walked(pos: int, rows: array) -> tuple[int, int] | None:
         """The end and entry count of the operator at ``pos``, its floats appended to ``rows``.
 
-        Each run of the writer's zero entries is counted and appended as zero
-        bytes, not parsed; the run is tried only where an entry must start.
-        Every other entry is decoded and checked on its own.  None where the
-        operator does not open with "[[", two decoded entries are adjacent (a
-        dense operator, which one ``raw_decode`` reads faster), or an entry or
-        a separator is not what the writer writes.
+        Where an entry must start, a run of the writer's zero entries, matched
+        largest power of two first, is counted and appended as zero bytes, not
+        parsed.  Every other entry is decoded and checked on its own.  None
+        where the operator does not open with "[[", its decoded entries
+        outnumber its zero entries by more than a Grassmann operator's d <= 8
+        nonzero entries (a dense operator, which one ``raw_decode`` reads
+        faster), or an entry or a separator is not what the writer writes.
         """
         if not text.startswith("[[", pos):
             return None
-        pos, count = pos + 1, 0
+        pos, count, lead = pos + 1, 0, 0
         while True:
-            end = _ZERO_RUN.match(text, pos).end()
+            end = pos
+            for run in _ZERO_RUNS:
+                while text.startswith(run, end):
+                    end += len(run)
             zeros = (end - pos) // len(_ZERO_ENTRY)
-            if not zeros and count:
-                return None
             rows.frombytes(bytes(16 * zeros))
             count += zeros + 1
+            lead += 1 - zeros
+            if lead > CHANNEL_MAX_D:
+                return None
             try:
                 entry, pos = decoder.raw_decode(text, end)
-                _append_operator(rows, [entry], 1, literals)
+                _append_operator(rows, [entry], 1)
             except ValueError:
                 return None
             if text.startswith("]", pos):
@@ -517,7 +518,7 @@ def _channel_doc(text: str) -> dict:
                 op, pos = decoder.raw_decode(text, pos)
                 if error is None:
                     try:
-                        size = _append_operator(rows, op, size, literals)
+                        size = _append_operator(rows, op, size)
                     except ValueError as exc:
                         error = exc
                 del op  # freed before the next operator is parsed
@@ -556,9 +557,7 @@ def load_channel_json(path) -> ChannelRep:
     repeats, and a nonempty block list has dims summing to out_dim.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    doc = _channel_doc(text)
-    del text  # about 6 MB at d = 8
+        doc = _channel_doc(fh.read())  # the text, about 6 MB at d = 8, is freed on return
     missing = {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys()
     if missing:
         raise ValueError(f"channel file lacks the keys {sorted(missing)}")

@@ -1,6 +1,8 @@
 """Channel construction: Kraus sets, blocks, complements, reference channels."""
 
+import copy
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -607,11 +609,18 @@ def test_dump_bytes_match_the_reference_writer_off_family(tmp_path):
     dense = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
     # 0.0 and -0.0 share a value but not their text; NaN and inf print as JSON constants
     odd = np.array([[0.0, -0.0], [-0.0, 0.0], [math.nan, -math.inf], [math.inf, -math.nan]])
+    # the same among zero runs, as bit patterns: a -0.0 half, NaNs with distinct payloads
+    # (quiet, negative, signaling), each a distinct entry, all printed as NaN
+    neg0, inf, nan = 1 << 63, 0x7FF << 52, 0x7FF8 << 48
+    halves = [(0, neg0), (neg0, 0), (neg0, neg0), (nan, 0), (0, nan + 1), (nan | neg0, inf + 1)]
+    sparse = np.zeros((3 * 4 * 2, 2), np.uint64)
+    sparse[[1, 3, 4, 9, 10, 14, 23]] = [*halves, (inf, inf | neg0)]
     cases = (
         (werner_holevo(4), "werner-holevo", 4, 0.0),
         (erasure_channel(0.3), "erasure", 2, 0.3),
         (channels.ChannelRep(3, 5, dense), "dense", 3, 0.1),
         (channels.ChannelRep(1, 2, odd.view(complex).reshape(2, 2, 1)), "odd", 1, 0.5),
+        (channels.ChannelRep(2, 4, sparse.view(complex).reshape(3, 4, 2)), "sparse", 2, 0.5),
         (channels.ChannelRep(2, 3, dense[:2, :3, :2], blocks=[]), "no-blocks", 2, 0.2),
     )
     for ch, family, d, r in cases:
@@ -629,12 +638,17 @@ def _assert_bitwise_roundtrip(path, ch):
 
 def test_json_roundtrip_is_bitwise_at_d8(tmp_path):
     signed = np.array([[0.0, -0.0], [-0.0, 0.0], [1e-300, -5e-324]]).view(complex).reshape(1, 3, 1)
+    # signed zeros among the writer's zeros, in either half and next to an operator's closing zero
+    sparse = np.zeros((2 * 5 * 3, 2))
+    signs = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1e-300, -0.0]]
+    sparse[[0, 1, 7, 12, 13, 16, 28, 29]] = signs * 2
     rng = np.random.default_rng(8)
     dense = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
     for ch in (
         grassmann_channel(8, 0.7),
         complementary_channel(8, 1.2),
         channels.ChannelRep(1, 3, signed),
+        channels.ChannelRep(3, 5, sparse.view(complex).reshape(2, 5, 3)),
         channels.ChannelRep(2, 3, dense),
     ):
         _assert_bitwise_roundtrip(tmp_path / "channel.json", ch)
@@ -808,6 +822,28 @@ def test_loader_counts_zero_runs_only_at_entry_positions(tmp_path, d):
         channels.load_channel_json(path)
 
 
+def test_loader_rejects_bool_entries_in_every_operator_form(tmp_path):
+    path = tmp_path / "channel.json"
+    rng = np.random.default_rng(5)
+    # the walk gives up on the dense operators, 15 nonzero entries each, at their ninth entry
+    dense = channels.ChannelRep(3, 5, rng.standard_normal((2, 5, 3)) + 0j)
+    for ch in (grassmann_channel(3, 0.4), dense):
+        doc = json.loads(_reference_json(ch, "true", ch.in_dim, 0.5))
+        last = ch.out_dim * ch.in_dim - 1
+        for at, half, literal in itertools.product((0, last // 2, last), (0, 1), (True, False)):
+            bad = copy.deepcopy(doc)
+            bad["kraus"][1][at][half] = literal
+            # walked (the writer's form), and decoded whole: indented, compact
+            compact = json.dumps(bad, separators=(",", ":"))
+            for text in (json.dumps(bad), json.dumps(bad, indent=1), compact):
+                path.write_text(text, encoding="utf-8")
+                with pytest.raises(ValueError, match="must be JSON numbers"):
+                    channels.load_channel_json(path)
+        # literals outside the Kraus list are no entries
+        path.write_text(json.dumps(dict(doc, note=[True, False])), encoding="utf-8")
+        assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+
+
 _ENTRY_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -845,22 +881,40 @@ def test_loader_reads_sparse_stacks_as_json_loads(tmp_path, data, shape, indent,
     assert want.tobytes() == ch.kraus.tobytes()
 
 
+def _decoded(monkeypatch) -> list:
+    """Record each (value, character count) that ``json.JSONDecoder.raw_decode`` returns."""
+    decoded, raw_decode = [], json.JSONDecoder.raw_decode
+
+    def counted(self, s, idx=0):
+        value, end = raw_decode(self, s, idx)
+        decoded.append((value, end - idx))
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    return decoded
+
+
 def test_loader_counts_the_writer_zero_entries_without_decoding_them(tmp_path, monkeypatch):
     path = tmp_path / "channel.json"
     ch = grassmann_channel(8, 0.7)
     channels.dump_channel_json(ch, "grassmann", 8, 0.7, path)
-    decoded = []
-    raw_decode = json.JSONDecoder.raw_decode
-
-    def counted(self, s, idx=0):
-        value, end = raw_decode(self, s, idx)
-        decoded.append(end - idx)
-        return value, end
-
-    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    decoded = _decoded(monkeypatch)
     assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
     # json decodes the nonzero entries, each operator's last entry and the top-level values
-    assert sum(decoded) <= 0.05 * len(path.read_text(encoding="utf-8"))
+    assert sum(n for _, n in decoded) <= 0.05 * len(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_loader_walks_every_operator_of_a_writer_file(tmp_path, monkeypatch, d):
+    path = tmp_path / "channel.json"
+    decoded = _decoded(monkeypatch)
+    for r in (0.0, 0.3, math.pi / 4, 1.2, 1.5707):
+        for ch in (grassmann_channel(d, r), complementary_channel(d, r)):
+            channels.dump_channel_json(ch, ch.label, d, r, path)
+            decoded.clear()
+            assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+            # an operator decoded whole is a list of [re, im] lists; an entry or a block is not
+            assert not [op for op, _ in decoded if type(op) is list and op and type(op[0]) is list]
 
 
 def test_a_failed_dump_leaves_no_file(tmp_path, monkeypatch):
