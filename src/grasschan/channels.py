@@ -11,14 +11,14 @@ forward sector k = d - j.
 
 Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
 the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
-number sectors.  Both builders fill one zero-padded [C code, A code, rail]
-stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r, and slice it: the
-channel takes its C rows in use, the complement the A rows in use of its
-transpose, and nothing scans it.  Block channel k is sector k divided by
-sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the stack: they
-contract the sector tensors block by block (``_block_groups``).
-``fock.isometry_apply`` builds the same image rail by rail; every Kraus set
-agrees with it exactly, entry for entry, and the tests check that.
+number sectors.  ``_image`` fills one read-only zero-padded [C code, A code,
+rail] stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r, and keeps it
+with the block weights for the last (d, r).  The channel is a view of its C
+rows in use and the complement of the A rows in use of its transpose, so a
+pair at one (d, r) shares one stack, and nothing scans it.  Block channel k
+is sector k / sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives contract
+the sector tensors block by block instead (``_block_groups``).  Every Kraus
+set equals the image ``fock.isometry_apply`` builds, entry for entry.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
@@ -35,7 +35,7 @@ the Kraus list one operator at a time into one float array.  Inside an
 operator it counts the writer's zero entries where an entry must start and
 appends them as zero bytes; only the other entries reach the decoder, and each
 is checked on its own.  A dense operator, or one in another form, is decoded
-whole.
+whole, and its numbers are checked for bools only if its text holds t or f.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .capacity import _check_r, block_weights
+from .capacity import BlockWeights, _check_r, block_weights
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -101,7 +101,8 @@ class ChannelRep:
 
     ``kraus`` may be given as any sequence of (out_dim, in_dim) matrices; it
     is held as one complex array of shape (m, out_dim, in_dim).  Values are
-    immutable after construction and safe to share.
+    immutable after construction and safe to share: a Grassmann channel's
+    stack is read-only and shared with its complement at the same (d, r).
     """
 
     in_dim: int
@@ -213,13 +214,13 @@ def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
     return kraus if nonzero.all() else kraus[nonzero]
 
 
-def _image_stack(d: int, r: float) -> tuple[np.ndarray, int, int]:
-    """Zero-padded [C code, A code, rail] Kraus stack of the isometry image, with its rows in use.
+@functools.lru_cache(maxsize=1)
+def _image(d: int, r: float) -> tuple[np.ndarray, int, int, BlockWeights]:
+    """The isometry image at (d, r): its Kraus stack, C and A rows in use, and block weights.
 
-    Sector k, scaled by cos^(d-1) r tan^(k-1) r, fills the C rows with k - 1
-    fermions and the A columns with k; both registers stack their sectors by
-    fermion number.  The counts of C rows and A columns filled by nonzero
-    sectors come with it: the rows the channel and its complement keep.
+    In the zero-padded [C code, A code, rail] stack, sector k times cos^(d-1) r tan^(k-1) r
+    fills the C rows with k - 1 fermions and the A columns with k.  Read-only, and cached
+    for the last (d, r) only: a channel and its complement at one r share it.
     """
     amps = _sector_amplitudes(d, r)  # checks d before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
@@ -231,15 +232,14 @@ def _image_stack(d: int, r: float) -> tuple[np.ndarray, int, int]:
             break
         n_a, n_c = sector.shape[:2]
         kraus[c_rows : c_rows + n_c, a_rows : a_rows + n_a] = amp * sector.transpose(1, 0, 2)
-        c_rows += n_c
-        a_rows += n_a
-    return kraus, c_rows, a_rows
+        c_rows, a_rows = c_rows + n_c, a_rows + n_a
+    kraus.flags.writeable = False
+    return kraus, c_rows, a_rows, block_weights(d, r)
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
-    stack, c_rows, _ = _image_stack(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
-    weights = block_weights(d, r)
+    stack, c_rows, _, weights = _image(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
     kraus = stack[:c_rows]
     blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann(d={d},r={r:.12g})")
@@ -253,8 +253,7 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
     Block metadata labels the C-side sector with j fermions by the forward
     sector k = d - j it mirrors, so block k carries weight p~_k.
     """
-    stack, _, a_rows = _image_stack(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
-    weights = block_weights(d, r)
+    stack, _, a_rows, weights = _image(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
     kraus = stack.transpose(1, 0, 2)[:a_rows]
     blocks = [Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann-comp(d={d},r={r:.12g})")
@@ -402,12 +401,12 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
         raise
 
 
-def _append_operator(rows: array, op, size: int | None) -> int:
+def _append_operator(rows: array, op, size: int | None, literals: bool = True) -> int:
     """Append one parsed Kraus operator's floats to ``rows``; returns its entry count.
 
     The operator must be a list of [re, im] pairs, ``size`` of them once that
     is known.  array("d") takes ints, floats and bools and refuses the rest,
-    so the bools are looked for after it.
+    so the bools are looked for after it, unless ``literals`` rules them out.
     """
     flat = itertools.chain.from_iterable
     try:
@@ -418,7 +417,7 @@ def _append_operator(rows: array, op, size: int | None) -> int:
         raise ValueError("each Kraus operator must be a list of [re, im] pairs, all of one length")
     try:
         rows.fromlist(list(flat(op)))
-        if bool in map(type, flat(op)):
+        if literals and bool in map(type, flat(op)):
             raise TypeError
     except (TypeError, OverflowError):
         raise ValueError("Kraus entries must be JSON numbers in float range") from None
@@ -509,16 +508,17 @@ def _channel_doc(text: str) -> dict:
         if text.startswith("]", pos):
             pos, char = pos + 1, "]"
         while char == ",":
-            pos, start = _WHITESPACE.match(text, pos).end(), len(rows)
-            walk = walked(pos, rows)
+            at, start = _WHITESPACE.match(text, pos).end(), len(rows)
+            walk = walked(at, rows)
             if walk and size in (None, walk[1]):
                 pos, size = walk
             else:  # another form, or an operator the walk stopped short in, is decoded whole
                 del rows[start:]
-                op, pos = decoder.raw_decode(text, pos)
+                op, pos = decoder.raw_decode(text, at)
                 if error is None:
-                    try:
-                        size = _append_operator(rows, op, size)
+                    try:  # a list of numbers holds bools only where its text holds "t" or "f"
+                        literals = text.find("t", at, pos) >= 0 or text.find("f", at, pos) >= 0
+                        size = _append_operator(rows, op, size, literals)
                     except ValueError as exc:
                         error = exc
                 del op  # freed before the next operator is parsed

@@ -181,10 +181,16 @@ def test_block_matches_full_channel_sectors(d, k):
         assert np.linalg.norm(sector - p_k * apply_kraus(block.kraus, rho)) < 1e-12
 
 
+def _bytes(ch):
+    """Every field of a Grassmann channel to the bit, block weights included."""
+    blocks = [(b.k, b.weight.hex(), b.dim) for b in ch.blocks]
+    return ch.kraus.shape, ch.kraus.tobytes(), blocks, ch.label
+
+
 def _channel_bytes(d, r):
     chans = (grassmann_channel(d, r), complementary_channel(d, r))
     chans += tuple(grassmann_block(d, k) for k in range(1, d + 1))
-    return [(ch.kraus.shape, ch.kraus.tobytes(), ch.blocks, ch.label) for ch in chans]
+    return [_bytes(ch) for ch in chans]
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
@@ -201,6 +207,80 @@ def test_pair_sectors_cache_is_shared_and_read_only(d):
         with pytest.raises(ValueError):
             sector[0, 0, 0] = 2.0
     assert _channel_bytes(d, 0.7) == fresh
+
+
+_BUILDERS = (grassmann_channel, complementary_channel)
+_IMAGE_RS = [0.0, -0.0, 1e-160, 0.3, math.pi / 4, 1.2, 1.5707]
+
+
+def _fresh(build, d, r):
+    channels._image.cache_clear()
+    return _bytes(build(d, r))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_shared_image_builds_match_a_fresh_cache_in_every_order(d):
+    # each r is interleaved with the next one on the grid, so no stale entry can leak
+    for r, other in zip(_IMAGE_RS, _IMAGE_RS[1:] + _IMAGE_RS[:1]):
+        fresh = {(build, repr(x)): _fresh(build, d, x) for build in _BUILDERS for x in (r, other)}
+        orders = (
+            [(grassmann_channel, r), (complementary_channel, r)],
+            [(complementary_channel, r), (grassmann_channel, r)],
+            [(build, x) for x in (r, other, r) for build in _BUILDERS],
+        )
+        for order in orders:
+            channels._image.cache_clear()
+            for build, x in order:
+                assert _bytes(build(d, x)) == fresh[build, repr(x)]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_channel_and_complement_share_one_read_only_stack(d):
+    fwd, comp = grassmann_channel(d, 0.7), complementary_channel(d, 0.7)
+    assert np.shares_memory(fwd.kraus, comp.kraus)
+    for ch in (fwd, comp):
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[0, 0, 0] = 1.0
+    assert _bytes(fwd) == _fresh(grassmann_channel, d, 0.7)
+
+
+def test_a_complement_built_after_its_channel_allocates_no_stack():
+    fwd = grassmann_channel(8, 0.7)
+    peak = _traced_peak(lambda: complementary_channel(8, 0.7))
+    assert peak < 0.01 * fwd.kraus.base.nbytes  # the stack is 8.3 MB
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("r, twin", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
+def test_equal_keys_share_the_image_and_keep_their_own_label(d, r, twin):
+    for build in _BUILDERS:
+        want = _fresh(build, d, twin)
+        channels._image.cache_clear()
+        first, hit = build(d, r), build(d, twin)
+        assert np.shares_memory(first.kraus, hit.kraus)
+        assert _bytes(hit) == want  # the label prints twin, the caller's own r
+
+
+def test_rejected_inputs_raise_on_every_call_and_leave_the_cache_correct():
+    # d is checked before r, as before the cache, and before the stack is allocated
+    cases = [
+        (0, 0.3, "need d >= 1, got d=0"),
+        (0, math.nan, "need d >= 1, got d=0"),
+        (9, math.nan, "explicit channel construction is capped at d=8"),
+        (3, math.nan, "squeezing parameter r=nan outside [0, pi/2)"),
+        (3, math.pi / 2, f"squeezing parameter r={math.pi / 2} outside [0, pi/2)"),
+    ]
+    want = {build: _fresh(build, 3, 0.3) for build in _BUILDERS}
+    for build, (d, r, message) in itertools.product(_BUILDERS, cases):
+        build(3, 0.3)
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                build(d, r)
+            assert str(info.value) == message
+            assert [_bytes(b(3, 0.3)) for b in _BUILDERS] == list(want.values())
+    # a d = 9 stack would take 511 x 511 x 9 x 16 B = 37.6 MB
+    for build in _BUILDERS:
+        assert _traced_peak(lambda: pytest.raises(DomainError, build, 9, 0.3)) < 2**20
 
 
 def test_block_kraus_entry_magnitudes():
@@ -822,26 +902,48 @@ def test_loader_counts_zero_runs_only_at_entry_positions(tmp_path, d):
         channels.load_channel_json(path)
 
 
-def test_loader_rejects_bool_entries_in_every_operator_form(tmp_path):
-    path = tmp_path / "channel.json"
+def _texts_with_entry(value):
+    """Channel files with ``value`` in one Kraus entry, and the documents they came from.
+
+    A d = 3 Grassmann channel and a dense (2, 5, 3) stack get it in either half
+    of the first, middle and last entry of operator 1.  Each file is in the
+    writer's form, which is walked, and indented and compact, which are decoded
+    whole; the walk gives up on the dense operators, 15 nonzero entries each,
+    at their ninth entry, so those are decoded whole in every form.
+    """
     rng = np.random.default_rng(5)
-    # the walk gives up on the dense operators, 15 nonzero entries each, at their ninth entry
     dense = channels.ChannelRep(3, 5, rng.standard_normal((2, 5, 3)) + 0j)
     for ch in (grassmann_channel(3, 0.4), dense):
         doc = json.loads(_reference_json(ch, "true", ch.in_dim, 0.5))
         last = ch.out_dim * ch.in_dim - 1
-        for at, half, literal in itertools.product((0, last // 2, last), (0, 1), (True, False)):
+        for at, half in itertools.product((0, last // 2, last), (0, 1)):
             bad = copy.deepcopy(doc)
-            bad["kraus"][1][at][half] = literal
-            # walked (the writer's form), and decoded whole: indented, compact
+            bad["kraus"][1][at][half] = value
             compact = json.dumps(bad, separators=(",", ":"))
             for text in (json.dumps(bad), json.dumps(bad, indent=1), compact):
-                path.write_text(text, encoding="utf-8")
-                with pytest.raises(ValueError, match="must be JSON numbers"):
-                    channels.load_channel_json(path)
-        # literals outside the Kraus list are no entries
-        path.write_text(json.dumps(dict(doc, note=[True, False])), encoding="utf-8")
-        assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+                yield ch, doc, text
+
+
+def test_loader_rejects_bool_entries_in_every_operator_form(tmp_path):
+    path = tmp_path / "channel.json"
+    for literal in (True, False):
+        for ch, doc, text in _texts_with_entry(literal):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match="must be JSON numbers"):
+                channels.load_channel_json(path)
+            # literals outside the Kraus list are no entries
+            path.write_text(json.dumps(dict(doc, note=[True, False])), encoding="utf-8")
+            assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+
+
+def test_loader_rejects_nonfinite_entries_in_every_operator_form(tmp_path):
+    # "Infinity" holds a "t" and an "f", so its operator is scanned for bools; "NaN" does not
+    path = tmp_path / "channel.json"
+    for value in (math.inf, -math.inf, math.nan):
+        for _, _, text in _texts_with_entry(value):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match="^Kraus entries must be finite$"):
+                channels.load_channel_json(path)
 
 
 _ENTRY_VALUES = st.one_of(
