@@ -16,9 +16,10 @@ rail] stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r, and keeps it
 with the block weights for the last (d, r).  The channel is a view of its C
 rows in use and the complement of the A rows in use of its transpose, so a
 pair at one (d, r) shares one stack, and nothing scans it.  Block channel k
-is sector k / sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives contract
-the sector tensors block by block instead (``_block_groups``).  Every Kraus
-set equals the image ``fock.isometry_apply`` builds, entry for entry.
+is sector k / sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the
+stacks: they gather each output block from the input's entries through index
+tables that they read off the sector tensors' nonzeros.  Every Kraus set
+equals the image ``fock.isometry_apply`` builds, entry for entry.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
@@ -165,40 +166,6 @@ def _pair_sectors(d: int) -> tuple[np.ndarray, ...]:
     for sector in sectors:
         sector.flags.writeable = False
     return tuple(sectors)
-
-
-# Blocks of up to this many rows cost more in numpy calls than in padded
-# products, so they share one zero-padded stack; at d <= 4 that is all of them.
-_SHARED_STACK_ROWS = 8
-
-
-@functools.lru_cache(maxsize=None)
-def _block_groups(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Groups (Q, s) of output-block operands; block i is weighted by sector s[i] + 1.
-
-    Forward block k contracts tensor k of ``_pair_sectors`` with itself over
-    (C code, rail).  The complement block with d - k fermions on C, which
-    mirrors it, contracts tensor d - k + 1 over (A code, rail).  Both operands
-    are C(d, k) x C(d, k-1) d.  A group stacks forward operands, then their
-    mirrors: the pairs with at most ``_SHARED_STACK_ROWS`` rows share one
-    group, zero-padded to its largest operand, and every other pair is a group
-    of its own.  The entries are signs, so Q is its own conjugate.  Cached per
-    d (3.0 MB at d = 8), so the arrays are read-only.
-    """
-    sectors = _pair_sectors(d)
-    assert not any(sector.imag.any() for sector in sectors)
-    small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
-    groups = []
-    for run in [small] + [[k] for k in range(1, d + 1) if k not in small]:
-        n, m = (max(math.comb(d, k - j) for k in run) for j in (0, 1))
-        q = np.zeros((2, len(run), n, m, d), dtype=complex)
-        for i, k in enumerate(run):
-            fwd = sectors[k - 1]
-            q[:, i, : len(fwd), : fwd.shape[1]] = (fwd, sectors[d - k].transpose(1, 0, 2))
-        q = q.reshape(2 * len(run), n, m * d)
-        q.flags.writeable = False
-        groups.append((q, np.array([k - 1 for k in run] + [d - k for k in run])))
-    return tuple(groups)
 
 
 def _sector_amplitudes(d: int, r: float) -> list[float]:

@@ -18,8 +18,8 @@ from . import capacity, channels
 from .errors import ConvergenceError, DomainError
 
 # argparse's choices, without importing verify: "all", then the names of verify.SUITES
-SUITES = ("all", "degradable", "covariance", "wolf-eisert", "werner-holevo", "factorization",
-          "oracle-q", "oracle-c", "ppt", "rate")
+SUITES = ("all", "degradable", "covariance", "complementary-spectra", "wolf-eisert",
+          "werner-holevo", "factorization", "oracle-q", "oracle-c", "ppt", "rate")
 
 TOL = 1e-12  # the Unruh series' certified remainder: the capacity --tol default, and every sweep's
 

@@ -6,9 +6,13 @@ non-degradability beyond r = pi/4) passes when the failure occurs.
 
 Every output of the channel and of its complement is block diagonal by
 fermion number, so the capacity objectives (coherent information, Holevo
-quantity and their gradients) work block by block: each block is a product
-of an r-free sector tensor of ``channels`` with the input, scaled by its
-sector amplitude, and the entropies are sums of per-block eigensolves.
+quantity and their gradients) work block by block: each block is gathered
+from the input's entries through r-free index tables (``_block_tables``) read
+off the nonzeros of the sector tensors of ``channels`` (an entry off the
+diagonal is one signed entry of the input, a diagonal entry a sum of its
+diagonal over rails), scaled by its sector amplitude, and the entropies are
+sums of per-block eigensolves.  The gradients apply the adjoint of that
+gather through a fixed-width table of the same terms.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +74,7 @@ __all__ = [
 
 # Dimension caps of the checks; ``--suite all`` skips a check outside them.
 ORACLE_Q_MAX_D = 8
-ORACLE_C_MAX_D = 7
+ORACLE_C_MAX_D = 8
 DEGRADABLE_DS = range(2, 5)
 
 
@@ -132,33 +137,161 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
     return float(-(evals * np.log(evals)).sum() / math.log(base))
 
 
-def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complement: bool = True):
-    """Yield, per group of ``channels._block_groups``: Q, the blocks B, S and w L.
+# Blocks of up to this many rows cost more in numpy calls than in padded
+# gathers, so they share one zero-padded stack; at d <= 4 that is all of them.
+_SHARED_STACK_ROWS = 8
 
-    Output block i is w[i] B[i] with B = (Q rho) Q^T (Q is real), w being the
-    squared sector amplitudes, never the closed-form weights the oracles
-    check.  The group lists its forward blocks, then, with ``complement``, the
-    complement blocks that mirror them, whose S and w L are negated so that
-    sums give I_c and its gradient.  L = -log+(w B)/ln b, so dS = tr(L d(w B)),
-    with b the base d of the oracles' closed forms, and log+ floors as
-    von_neumann_entropy does.  One eigh per group, or one eigvalsh without
-    ``logs`` (w L is then None).  A stack rho (..., d, d) gives B of shape
-    (..., i, n, n).
+
+class _BlockGroup(NamedTuple):
+    """Index tables of one group of output blocks, all read from the sector tensors.
+
+    The group holds G blocks of size n x n: its forward blocks, then the complement
+    blocks that mirror them, block i being weighted by sector ``sectors[i]`` + 1.
+    With flat = rho.ravel() and the diagonal sums diag(rho) @ rails of
+    ``_block_tables``, the unit-weight blocks are [0, flat, -flat, sums][gather].
+    The adjoint of that map takes W of the group's shape to
+    (signs * W.ravel()[adjoint]).sum(0), reshaped to d x d.  The forward half of
+    the group reads gather[:G/2] and the first ``forward`` rows of adjoint and signs.
+    """
+
+    sectors: np.ndarray  # (G,) sector index of each block's squared amplitude
+    gather: np.ndarray  # (G, n, n) index of each block entry into [0, flat, -flat, sums]
+    adjoint: np.ndarray  # (W, d^2) position of each term of rho[i, j] in the flat blocks
+    signs: np.ndarray  # (W, d^2) the sign of that term; 0 where a column has fewer than W
+    forward: int  # rows of adjoint and signs that hold the forward blocks' terms
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Start of each of the segments of the given lengths, laid end to end."""
+    return np.cumsum(lengths) - lengths
+
+
+@lru_cache(maxsize=None)
+def _block_tables(d: int) -> tuple[np.ndarray, tuple[_BlockGroup, ...]]:
+    """Gather tables of the capacity objectives' output blocks: rails, and one group each.
+
+    Forward block k contracts tensor k of ``channels._pair_sectors`` with itself over
+    (C code, rail): B[a, a'] = sum_c T[a, c, i] T[a', c, j] rho[i, j].  The complement
+    block with d - k fermions on C, which mirrors it, contracts tensor d - k + 1 over
+    (A code, rail).  A nonzero [A, C, i] needs A = C + {i}, so an entry off the
+    diagonal has at most one term, a signed entry of rho, and a diagonal entry sums
+    rho[i, i] over its k (or d - k + 1) rails.  The pairs with at most
+    ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to its largest block,
+    and every other pair is a group of its own.  ``rails`` (d x E, 0/1, complex) takes
+    the diagonal of rho to the diagonal entries of every group's blocks, so one
+    product serves them all.  The terms of every block are listed once, and each
+    kind of table is filled for all groups at once.  Cached per d (0.5 MB at d = 8),
+    so the arrays are read-only.
+    """
+    small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
+    runs = [small] + [[k] for k in range(1, d + 1) if k not in small]
+    count = np.array([2 * len(run) for run in runs])  # blocks per group
+    size = np.array([max(math.comb(d, k) for k in run) for run in runs])  # their padded size
+    # blocks are numbered group by group, a group listing its forward blocks, then their mirrors
+    number = np.zeros((2, d + 1), dtype=np.intp)  # [0, k]: forward block k; [1, k]: its mirror
+    for run, first in zip(runs, _offsets(count)):
+        number[:, run] = first + np.arange(2 * len(run)).reshape(2, -1)
+
+    # A term B[block, p, q] += sign rho[i, j] pairs two entries of one operand that share a
+    # summed code: forward block s + 1 sums sector s over C codes, and the mirror of forward
+    # block d - s sums it over A codes.  Every summed code meets the same number of entries,
+    # so an operand's entries fill a matrix with one row per summed code.
+    entries, rows, start = [], [], 0
+    for s, sector in enumerate(channels._pair_sectors(d)):
+        nonzero = np.flatnonzero(sector != 0)  # [A code, C code, rail], ordered by A code
+        unit = sector.ravel()[nonzero]
+        assert not unit.imag.any()
+        a, c, i = np.unravel_index(nonzero, sector.shape)
+        by_c = np.argsort(c.astype(np.uint16), kind="stable")
+        for half, out, order in ((0, a, by_c), (1, c, np.arange(len(a)))):
+            block = number[half, s + 1 if half == 0 else d - s]
+            entries.append((np.full(len(a), block), out, i, unit.real))
+            rows.append((order + start).reshape(sector.shape[1 - half], -1))
+            start += len(a)
+    block, out, rail, sign = map(np.concatenate, zip(*entries))
+    left = np.concatenate([np.repeat(matrix, matrix.shape[1]) for matrix in rows])
+    right = np.concatenate(
+        [np.repeat(matrix[:, None], matrix.shape[1], axis=1).ravel() for matrix in rows]
+    )
+
+    # per entry: its block's group and slot there, and its row of the group's (G, n, n) blocks
+    group = np.repeat(np.arange(len(runs)), count)[block]
+    slot, n = block - _offsets(count)[group], size[group]
+    row = slot * n + out
+    # A term's first entry fixes its block entry's row and rail i, the second its column and j.
+    position = (row * n)[left] + out[right]  # in the group's flattened blocks
+    target, sign = (rail * d)[left] + rail[right], sign[left] * sign[right]
+
+    # each kind of table holds the groups' tables end to end; the diagonal terms are the
+    # pairs of an entry with itself, and overwrite their block entry
+    gather = np.zeros(count @ size**2, dtype=np.intp)
+    gather[_offsets(count * size**2)[group[left]] + position] = 1 + target + d * d * (sign < 0)
+    diagonal = _offsets(count * size)[group] + row  # the entry's column of rails
+    gather[_offsets(count * size**2)[group] + row * n + out] = 1 + 2 * d * d + diagonal
+    rails = np.zeros((d, count @ size), dtype=complex)
+    rails[rail, diagonal] = 1.0
+    rails.flags.writeable = False
+    # a group's adjoint table lists the terms of its forward half, then those of its mirrors,
+    # each in W rows of d^2 columns: the terms of rho[i, j] go down column i d + j in the
+    # order listed, and the column is padded with zeros
+    key = (2 * group + slot // (count[group] // 2))[left] * d * d + target
+    order = np.argsort(key.astype(np.uint16), kind="stable")  # radix sort: key < 2 d^3 <= 1024
+    per_key = np.bincount(key, minlength=2 * len(runs) * d * d)
+    width = per_key.reshape(-1, d * d).max(axis=1)
+    rank = np.arange(len(key)) - np.repeat(_offsets(per_key), per_key)
+    at = (_offsets(width)[key[order] // (d * d)] + rank) * d * d + target[order]
+    adjoint, signs = np.zeros(width.sum() * d * d, dtype=np.intp), np.zeros(width.sum() * d * d)
+    adjoint[at], signs[at] = position[order], sign[order]
+
+    heights = (width[::2] + width[1::2]) * d * d
+    gather, adjoint, signs = (
+        np.split(flat, np.cumsum(lengths)[:-1])
+        for flat, lengths in ((gather, count * size**2), (adjoint, heights), (signs, heights))
+    )
+    groups = []
+    for j, run in enumerate(runs):
+        parts = (
+            np.array([k - 1 for k in run] + [d - k for k in run]),
+            gather[j].reshape(count[j], size[j], size[j]),
+            adjoint[j].reshape(-1, d * d),
+            signs[j].reshape(-1, d * d),
+        )
+        for array in parts:
+            array.flags.writeable = False
+        groups.append(_BlockGroup(*parts, int(width[2 * j])))
+    return rails, tuple(groups)
+
+
+def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complement: bool = True):
+    """Yield, per group of ``_block_tables``: its tables, the blocks B, S and w L.
+
+    Output block i is w[i] B[i], B being gathered from the entries of rho (the
+    diagonal entries of B are sums over rails), w being the squared sector
+    amplitudes, never the closed-form weights the oracles check.  The group lists
+    its forward blocks, then, with ``complement``, the complement blocks that
+    mirror them, whose S and w L are negated so that sums give I_c and its
+    gradient.  L = -log+(w B)/ln b, so dS = tr(L d(w B)), with b the base d of the
+    oracles' closed forms, and log+ floors as von_neumann_entropy does.  One eigh
+    per group, or one eigvalsh without ``logs`` (w L is then None).  A stack rho
+    (..., d, d) gives B of shape (..., i, n, n).
     """
     weights = np.square(channels._sector_amplitudes(d, r))
     ln_base = math.log(log_base_value("d", d))
-    for q, sectors in channels._block_groups(d):
-        keep = len(q) if complement else len(q) // 2
-        q, w = q[:keep], weights[sectors[:keep], None]
-        x = q.reshape(keep, -1, d) @ rho[..., None, :, :]
-        blocks = x.reshape(*x.shape[:-2], q.shape[1], -1) @ q.swapaxes(-1, -2)
+    rails, groups = _block_tables(d)
+    lead = rho.shape[:-2]
+    flat = rho.reshape(*lead, d * d)
+    source = np.concatenate((np.zeros((*lead, 1)), flat, -flat, flat[..., :: d + 1] @ rails), -1)
+    for tables in groups:
+        keep = len(tables.gather) if complement else len(tables.gather) // 2
+        w = weights[tables.sectors[:keep], None]
+        blocks = source[..., tables.gather[:keep]]
         evals, vecs = _eigh(blocks, logs)
         evals *= w
         coef = np.log(evals, out=np.zeros_like(evals), where=evals > _EIG_FLOOR) / -ln_base
         if complement:
             coef[..., keep // 2 :, :] *= -1.0
         wl = (vecs * (w * coef)[..., None, :]) @ vecs.conj().swapaxes(-1, -2) if logs else None
-        yield q, blocks, (evals * coef).sum(axis=-1), wl
+        yield tables, blocks, (evals * coef).sum(axis=-1), wl
 
 
 def _eigh(blocks: np.ndarray, vectors: bool):
@@ -175,10 +308,15 @@ def _eigh(blocks: np.ndarray, vectors: bool):
         return evals - 1.0, (vecs if vectors else None)
 
 
-def _group_adjoint(d: int, q: np.ndarray, wl: np.ndarray) -> np.ndarray:
-    """sum_i N_i^dag(wl[..., i, :, :]) over the unit-weight block maps of operands ``q``."""
-    y = wl @ q
-    return q.reshape(-1, d).T @ y.reshape(*y.shape[:-3], -1, d)
+def _group_adjoint(d: int, tables, wl: np.ndarray) -> np.ndarray:
+    """sum_i N_i^dag(wl[..., i, :, :]) over the unit-weight block maps of one group.
+
+    ``wl`` holds the group's blocks, or only its forward half, flattened to the
+    positions that the adjoint table of ``tables`` points at.
+    """
+    rows = len(tables.adjoint) if wl.shape[-3] == len(tables.gather) else tables.forward
+    terms = wl.reshape(*wl.shape[:-3], -1)[..., tables.adjoint[:rows]]
+    return (terms * tables.signs[:rows]).sum(axis=-2).reshape(*wl.shape[:-3], d, d)
 
 
 def _check_density(states: np.ndarray, what: str):
@@ -259,9 +397,9 @@ def _coherent_information_and_grad(x: np.ndarray, d: int, r: float):
     """
     rho = _params_to_density(x, d)
     value, g = 0.0, 0.0
-    for q, _, ents, wl in _block_terms(d, r, rho):
+    for tables, _, ents, wl in _block_terms(d, r, rho):
         value += ents.sum()
-        g = g + _group_adjoint(d, q, wl)
+        g = g + _group_adjoint(d, tables, wl)
     tr = float(x @ x)
     if tr < 1e-12:
         return value, np.zeros_like(x)
@@ -305,9 +443,9 @@ def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int):
     psi = unit[:, :, None] * unit.conj()[:, None, :]  # np.outer of each member
     chi, ents, terms = _holevo_terms(d, r, probs, psi)
     marginal, adjoint = -ents[1:], 0.0
-    for q, blocks, _, wl in terms:
+    for tables, blocks, _, wl in terms:
         marginal += (blocks[1:].reshape(size, -1) @ wl[0].conj().ravel()).real
-        adjoint = adjoint + _group_adjoint(d, q, wl[:1] - wl[1:])
+        adjoint = adjoint + _group_adjoint(d, tables, wl[:1] - wl[1:])
     adjoint = probs[:, None, None] * adjoint
     hu = (adjoint @ unit[..., None])[..., 0]
     w = (2.0 / norms)[:, None] * (hu - (unit.conj() * hu).sum(axis=1).real[:, None] * unit)
@@ -353,8 +491,10 @@ def _lbfgs(fun, x: np.ndarray, maxiter: int):
     the end point and whether a stop rule of scipy's L-BFGS-B was met: the
     largest gradient entry is at most 1e-10, or one iteration lowers f by at
     most 1e-15 max(|f|, 1).  A failed line search clears the memory and
-    retries along -g; a second failure in a row, or ``maxiter`` iterations,
-    return False.
+    retries along -g.  If that search fails too, the restart ends there, and
+    it converged only if the gain that search predicted, |g|^2, was at most
+    1e-15 max(|f|, 1), which no search can tell from rounding; ``maxiter``
+    iterations return False.
     """
     f, g = fun(x)
     pairs, scale, iters = [], 1.0, 0
@@ -373,7 +513,7 @@ def _lbfgs(fun, x: np.ndarray, maxiter: int):
             step = _line_search(fun, x, f, p, slope, first)
         if step is None:
             if not pairs:
-                return x, f, g, False
+                return x, f, g, bool(-slope <= 1e-15 * max(abs(f), 1.0))
             pairs, scale = [], 1.0
             continue
         x1, f1, g1 = step
@@ -395,10 +535,10 @@ def _maximize(value_and_grad, starts, maxiter: int):
     """Best of the L-BFGS ascents (``_lbfgs`` on the negated objective) from each start.
 
     The stats count every objective call in ``nfev``.  ``success`` holds, per
-    restart, whether a stop rule was met; a restart that ends on a failed line
-    search or at ``maxiter`` reads False and does not raise, and its
-    ``grad_norm`` entry (largest gradient entry at the end point) tells a stop
-    at float precision from a real failure.
+    restart, whether a stop rule was met; a restart that ends at ``maxiter``,
+    or on a failed line search that predicted more than float precision, reads
+    False and does not raise.  Its ``grad_norm`` entry is the largest gradient
+    entry at the end point.
     """
     nfev = 0
 
@@ -424,8 +564,9 @@ def optimize_coherent_information(d: int, r: float, seed: int) -> tuple[float, n
     Deterministic for a given seed.  The square-root parametrization keeps
     iterates on the density-matrix manifold.  Each of 4 restarts runs
     ``_lbfgs`` (weak Wolfe line searches) for at most 2000 iterations, and
-    converges once the largest gradient entry is at most 1e-10 or an
-    iteration gains at most 1e-15 max(|value|, 1).  Returns the best value,
+    converges once the largest gradient entry is at most 1e-10, or an
+    iteration gains, or a failed search along the gradient predicted a gain
+    of, at most 1e-15 max(|value|, 1).  Returns the best value,
     the input attaining it, and ``{"nfev": total objective calls, "success":
     [converged flag per restart], "grad_norm": [largest gradient entry at
     each restart's end point]}``.
@@ -780,6 +921,8 @@ SUITES = {
     "degradable": (lambda d: d in DEGRADABLE_DS,
                    lambda d, r, seed, tol: [check_degradable(d, r, tol=tol)]),
     "covariance": (lambda d: True, lambda d, r, seed, tol: [check_covariance(d, r, seed)]),
+    "complementary-spectra": (lambda d: True, lambda d, r, seed, tol: [
+        check_complementary_spectra(d, r, seed)]),
     "wolf-eisert": (lambda d: True, lambda d, r, seed, tol: [
         check_wolf_eisert_form(d, k, seed) for k in range(1, d + 1)]),
     "werner-holevo": (lambda d: True, lambda d, r, seed, tol: [check_werner_holevo(max(d, 2))]),

@@ -302,6 +302,7 @@ def test_verify_all_suite_reference_point():
     for expected in (
         "degradable",
         "covariance",
+        "complementary-spectra",
         "wolf-eisert",
         "werner-holevo",
         "factorization",
@@ -332,7 +333,7 @@ def test_capacity_unruh_approx_cli():
 
 def test_verify_suite_respects_dimension_caps(capsys):
     # requesting a capped check beyond its cap is a runtime error ...
-    res = run_cli("verify", "--suite", "oracle-c", "--d", "8", "--r", "0.3")
+    res = run_cli("verify", "--suite", "oracle-c", "--d", "9", "--r", "0.3")
     assert res.returncode == 1
     res = run_cli("verify", "--suite", "degradable", "--d", "5", "--r", "0.3")
     assert res.returncode == 1
@@ -374,12 +375,14 @@ for args in (
     ["verify", "--suite", "rate"],
     ["verify", "--suite", "oracle-q", "--d", "2"],
     ["verify", "--suite", "oracle-c", "--d", "2"],
-    ["verify", "--suite", "all", "--d", "2"],
+    ["verify", "--suite", "all", "--d", "2", "--r", "0.55", "--seed", "7"],
 ):
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         assert cli.main(args) == 0, args
     assert "scipy" not in sys.modules, args
+    # nor numpy.ma, which np.unique imports on first use
+    assert "numpy.ma" not in sys.modules, args
     # capacity, sweep and dump-channel never load verify; the verify command does
     assert ("grasschan.verify" in sys.modules) == (args[0] == "verify"), args
 assert grasschan.verify is sys.modules["grasschan.verify"]
