@@ -9,6 +9,7 @@ bits.  Quantum-capacity values are clamped at zero for reporting; the raw
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,6 +102,17 @@ def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
     return logpmf - np.where((0 < x) & (x < n), half_log, 0.0)
 
 
+def _check_d(d, least: int = 1) -> int:
+    """d as an int; DomainError unless it is an integer (Python or numpy) of at least ``least``."""
+    try:
+        n = operator.index(d)
+    except TypeError:
+        raise DomainError(f"d must be an integer, got d={d!r}") from None
+    if n < least:
+        raise DomainError(f"need d >= {least}, got d={n}")
+    return n
+
+
 def _check_r(r: float):
     if not 0.0 <= r < math.pi / 2:
         raise DomainError(f"squeezing parameter r={r} outside [0, pi/2)")
@@ -122,8 +134,7 @@ def block_weights(d: int, r: float) -> BlockWeights:
     p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r, and p~_k has the tangent
     exponent 2(d-k): the Binomial(d-1, sin^2 r) pmf and its reversal.
     """
-    if d < 1:
-        raise DomainError(f"need d >= 1, got d={d}")
+    d = _check_d(d)
     _check_r(r)
     p = np.exp(_binomial_logpmf(np.arange(d), d - 1, math.sin(r) ** 2, math.cos(r) ** 2))
     assert abs(p.sum() - 1.0) < 1e-12
@@ -188,8 +199,7 @@ def quantum_capacity_grassmann_w(d: int, w: float, base="d") -> float:
     Evaluates two independent algebraic forms of the rewritten capacity and
     raises ConsistencyError if they disagree beyond 1e-12.
     """
-    if d < 1:
-        raise DomainError(f"need d >= 1, got d={d}")
+    d = _check_d(d)
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"w={w} outside [0, 1]")
     base_val = log_base_value(base, d)
@@ -261,8 +271,7 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
     at the first term where q < 1 and the tail bound term * q / (1 - q) is
     below ``tol``: the reported remainder.
     """
-    if d < 1:
-        raise DomainError(f"need d >= 1, got d={d}")
+    d = _check_d(d)
     if not 0.0 <= z < 1.0:
         raise DomainError(f"z={z} outside [0, 1)")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -295,8 +304,7 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
 
 def unruh_capacity_approx(d: int, z: float, base="d") -> float:
     """Closed-form large-acceleration approximation of the Unruh capacity."""
-    if d < 1:
-        raise DomainError(f"need d >= 1, got d={d}")
+    d = _check_d(d)
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z={z} outside (0, 1]")
     base_val = log_base_value(base, d)
@@ -312,8 +320,7 @@ def unruh_capacity_approx(d: int, z: float, base="d") -> float:
 
 def capacity_ratio(d: int) -> float:
     """Infinite-acceleration ratio r_d of the fermionic to bosonic capacity."""
-    if d < 2:
-        raise DomainError(f"ratio needs d >= 2, got d={d}")
+    d = _check_d(d, least=2)
     # C(d-1,k) / 2^(d-1) is the Binomial(d-1, 1/2) pmf
     k = np.arange((d - 1) // 2 + 1)
     pmf = np.exp(_binomial_logpmf(k, d - 1, 0.5, 0.5))

@@ -10,8 +10,9 @@ quantity and their gradients) work block by block: each block is gathered
 from the input's entries through r-free index tables (``_block_tables``) read
 off the nonzeros of the sector tensors of ``channels`` (an entry off the
 diagonal is one signed entry of the input, a diagonal entry a sum of its
-diagonal over rails), scaled by its sector amplitude, and the entropies are
-sums of per-block eigensolves.  The gradients apply the adjoint of that
+diagonal over rails) and scaled by its sector amplitude.  The blocks of one
+size make one group, solved by one eigensolve, and the eigenvalues of every
+group go through one entropy pass.  The gradients apply the adjoint of that
 gather through a fixed-width table of the same terms.
 """
 
@@ -131,8 +132,18 @@ _EIG_FLOOR = 1e-14
 
 
 def von_neumann_entropy(rho, base: float = 2.0) -> float:
-    """-sum lambda log lambda over eigenvalues above 1e-14."""
-    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    """-sum lambda log lambda over eigenvalues above 1e-14, in the given log base.
+
+    Raises DomainError unless the base is finite, positive and not 1, and
+    PreconditionError for a non-finite entry, whose eigenvalues would otherwise
+    fail the floor test and drop out.
+    """
+    if not (math.isfinite(base) and base > 0.0 and base != 1.0):
+        raise DomainError(f"log base must be finite, positive and not 1, got {base}")
+    mat = np.asarray(rho, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise PreconditionError("density matrix entries must be finite")
+    evals = np.linalg.eigvalsh(mat)
     evals = evals[evals > _EIG_FLOOR]
     return float(-(evals * np.log(evals)).sum() / math.log(base))
 
@@ -161,30 +172,48 @@ class _BlockGroup(NamedTuple):
     forward: int  # rows of adjoint and signs that hold the forward blocks' terms
 
 
+class _Tables(NamedTuple):
+    """The groups of ``_block_tables`` and the tables that their eigenvalues share.
+
+    The eigenvalues of the forward halves of every group, laid end to end in group
+    order, are followed by those of the mirror halves in the same order; the forward
+    ones alone are the prefix of half the length.  ``sectors`` and ``signs`` give
+    each of those eigenvalues the sector index of its squared amplitude and its sign
+    in I_c: +1 forward, -1 complement.
+    """
+
+    rails: np.ndarray  # (d, E) 0/1: diag(rho) @ rails are the diagonal sums of every group
+    groups: tuple[_BlockGroup, ...]
+    sectors: np.ndarray  # (2 F,) sector index per eigenvalue; F = forward eigenvalues
+    signs: np.ndarray  # (2 F,) +1 on the forward half, -1 on the mirror half
+
+
 def _offsets(lengths: np.ndarray) -> np.ndarray:
     """Start of each of the segments of the given lengths, laid end to end."""
     return np.cumsum(lengths) - lengths
 
 
 @lru_cache(maxsize=None)
-def _block_tables(d: int) -> tuple[np.ndarray, tuple[_BlockGroup, ...]]:
-    """Gather tables of the capacity objectives' output blocks: rails, and one group each.
+def _block_tables(d: int) -> _Tables:
+    """Gather tables of the capacity objectives' output blocks, one group per block size.
 
     Forward block k contracts tensor k of ``channels._pair_sectors`` with itself over
     (C code, rail): B[a, a'] = sum_c T[a, c, i] T[a', c, j] rho[i, j].  The complement
     block with d - k fermions on C, which mirrors it, contracts tensor d - k + 1 over
     (A code, rail).  A nonzero [A, C, i] needs A = C + {i}, so an entry off the
     diagonal has at most one term, a signed entry of rho, and a diagonal entry sums
-    rho[i, i] over its k (or d - k + 1) rails.  The pairs with at most
-    ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to its largest block,
-    and every other pair is a group of its own.  ``rails`` (d x E, 0/1, complex) takes
-    the diagonal of rho to the diagonal entries of every group's blocks, so one
-    product serves them all.  The terms of every block are listed once, and each
-    kind of table is filled for all groups at once.  Cached per d (0.5 MB at d = 8),
-    so the arrays are read-only.
+    rho[i, i] over its k (or d - k + 1) rails.  Forward blocks k and d - k have the
+    same size C(d, k), so they and their mirrors make one group and one eigensolve;
+    the blocks of at most ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to
+    its largest block.  ``rails`` (d x E, 0/1, complex) takes the diagonal of rho to
+    the diagonal entries of every group's blocks, so one product serves them all.
+    The terms of every block are listed once, and each kind of table is filled for
+    all groups at once.  Cached per d (0.5 MB at d = 8), so the arrays are read-only.
     """
     small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
-    runs = [small] + [[k] for k in range(1, d + 1) if k not in small]
+    runs = [small] + [
+        [k, d - k][: 1 + (2 * k < d)] for k in range(1, d // 2 + 1) if k not in small
+    ]
     count = np.array([2 * len(run) for run in runs])  # blocks per group
     size = np.array([max(math.comb(d, k) for k in run) for run in runs])  # their padded size
     # blocks are numbered group by group, a group listing its forward blocks, then their mirrors
@@ -259,39 +288,63 @@ def _block_tables(d: int) -> tuple[np.ndarray, tuple[_BlockGroup, ...]]:
         for array in parts:
             array.flags.writeable = False
         groups.append(_BlockGroup(*parts, int(width[2 * j])))
-    return rails, tuple(groups)
+    # per eigenvalue: its block's sector, the forward halves of every group first
+    sectors = np.concatenate(
+        [np.repeat(g.sectors.reshape(2, -1), g.gather.shape[-1], axis=1) for g in groups], axis=1
+    ).ravel()
+    signs = np.repeat([1.0, -1.0], len(sectors) // 2)
+    for array in (sectors, signs):
+        array.flags.writeable = False
+    return _Tables(rails, tuple(groups), sectors, signs)
 
 
 def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complement: bool = True):
-    """Yield, per group of ``_block_tables``: its tables, the blocks B, S and w L.
+    """S per input, and per group of ``_block_tables``: its tables, the blocks B and w L.
 
     Output block i is w[i] B[i], B being gathered from the entries of rho (the
     diagonal entries of B are sums over rails), w being the squared sector
-    amplitudes, never the closed-form weights the oracles check.  The group lists
+    amplitudes, never the closed-form weights the oracles check.  A group lists
     its forward blocks, then, with ``complement``, the complement blocks that
-    mirror them, whose S and w L are negated so that sums give I_c and its
-    gradient.  L = -log+(w B)/ln b, so dS = tr(L d(w B)), with b the base d of the
-    oracles' closed forms, and log+ floors as von_neumann_entropy does.  One eigh
-    per group, or one eigvalsh without ``logs`` (w L is then None).  A stack rho
-    (..., d, d) gives B of shape (..., i, n, n).
+    mirror them, which enter S and w L negated, so that S is I_c and w L gives its
+    gradient.  One eigh per group, or one eigvalsh without ``logs`` (w L is then
+    None); the eigenvalues of every group then go through one entropy pass, laid
+    out as the tables of ``_block_tables`` list them.  L = -log+(w B)/ln b, so
+    dS = tr(L d(w B)), with b the base d of the oracles' closed forms, and log+
+    floors as von_neumann_entropy does.  A stack rho (..., d, d) gives S of shape
+    (...) and B of shape (..., i, n, n).
     """
     weights = np.square(channels._sector_amplitudes(d, r))
     ln_base = math.log(log_base_value("d", d))
-    rails, groups = _block_tables(d)
-    lead = rho.shape[:-2]
+    tables = _block_tables(d)
+    lead, halves = rho.shape[:-2], 1 + complement
     flat = rho.reshape(*lead, d * d)
-    source = np.concatenate((np.zeros((*lead, 1)), flat, -flat, flat[..., :: d + 1] @ rails), -1)
-    for tables in groups:
-        keep = len(tables.gather) if complement else len(tables.gather) // 2
-        w = weights[tables.sectors[:keep], None]
-        blocks = source[..., tables.gather[:keep]]
-        evals, vecs = _eigh(blocks, logs)
-        evals *= w
-        coef = np.log(evals, out=np.zeros_like(evals), where=evals > _EIG_FLOOR) / -ln_base
-        if complement:
-            coef[..., keep // 2 :, :] *= -1.0
-        wl = (vecs * (w * coef)[..., None, :]) @ vecs.conj().swapaxes(-1, -2) if logs else None
-        yield tables, blocks, (evals * coef).sum(axis=-1), wl
+    source = np.concatenate(
+        (np.zeros((*lead, 1)), flat, -flat, flat[..., :: d + 1] @ tables.rails), -1
+    )
+    groups = tables.groups
+    blocks = [source[..., group.gather[: len(group.gather) * halves // 2]] for group in groups]
+    solved = [_eigh(stack, logs) for stack in blocks]
+    evals = np.concatenate([e.reshape(*lead, halves, -1) for e, _ in solved], -1)
+    count = halves * evals.shape[-1]
+    w = weights[tables.sectors[:count]]
+    evals = evals.reshape(*lead, count) * w
+    kept = np.where(evals > _EIG_FLOOR, evals, 1.0)  # an eigenvalue on the floor adds 1 log 1 = 0
+    log = np.log(kept)
+    ents = (kept * log) @ tables.signs[:count] / -ln_base
+    if not logs:
+        return ents, [(group, stack, None) for group, stack in zip(groups, blocks)]
+    coef = (log * (w * tables.signs[:count] / -ln_base)).reshape(*lead, halves, -1)
+    parts, at = [], 0
+    for group, stack in zip(groups, blocks):
+        e, vecs = solved.pop(0)  # so each group's eigenvectors go once its w L is built
+        n, width = e.shape[-1], e.shape[-2] * e.shape[-1] // halves
+        c = coef[..., at : at + width].reshape(*lead, halves, -1, 1, n)  # a view, by half
+        v = vecs.reshape(*lead, halves, -1, n, n)
+        scaled = v * c
+        wl = scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)  # eigh's own array, used up here
+        parts.append((group, stack, wl.reshape(stack.shape)))
+        at += width
+    return ents, parts
 
 
 def _eigh(blocks: np.ndarray, vectors: bool):
@@ -343,8 +396,7 @@ def coherent_information(d: int, r: float, rho_in) -> float:
     if mat.shape != (d, d):
         raise PreconditionError(f"input shape {mat.shape} != ({d}, {d})")
     _check_density(mat, "input")
-    terms = _block_terms(d, r, mat, logs=False)
-    return float(sum(ents.sum() for _, _, ents, _ in terms))
+    return float(_block_terms(d, r, mat, logs=False)[0])
 
 
 def holevo_quantity(d: int, r: float, ensemble) -> float:
@@ -368,8 +420,7 @@ def _holevo_terms(d: int, r: float, probs: np.ndarray, states: np.ndarray, logs:
     """
     avg = (probs[:, None, None] * states).sum(axis=0)
     inputs = np.concatenate((avg[None], states))
-    terms = list(_block_terms(d, r, inputs, logs, complement=False))
-    ents = sum(s.sum(axis=-1) for _, _, s, _ in terms)
+    ents, terms = _block_terms(d, r, inputs, logs, complement=False)
     return ents[0] - probs @ ents[1:], ents, terms
 
 
@@ -396,10 +447,8 @@ def _coherent_information_and_grad(x: np.ndarray, d: int, r: float):
     gradient in F is 2 (G - tr(G rho) I) F / tr(F F^dag).
     """
     rho = _params_to_density(x, d)
-    value, g = 0.0, 0.0
-    for tables, _, ents, wl in _block_terms(d, r, rho):
-        value += ents.sum()
-        g = g + _group_adjoint(d, tables, wl)
+    value, terms = _block_terms(d, r, rho)
+    g = sum(_group_adjoint(d, tables, wl) for tables, _, wl in terms)
     tr = float(x @ x)
     if tr < 1e-12:
         return value, np.zeros_like(x)
@@ -443,7 +492,7 @@ def _holevo_and_grad(x: np.ndarray, d: int, r: float, size: int):
     psi = unit[:, :, None] * unit.conj()[:, None, :]  # np.outer of each member
     chi, ents, terms = _holevo_terms(d, r, probs, psi)
     marginal, adjoint = -ents[1:], 0.0
-    for tables, blocks, _, wl in terms:
+    for tables, blocks, wl in terms:
         marginal += (blocks[1:].reshape(size, -1) @ wl[0].conj().ravel()).real
         adjoint = adjoint + _group_adjoint(d, tables, wl[:1] - wl[1:])
     adjoint = probs[:, None, None] * adjoint

@@ -361,6 +361,50 @@ def test_capacity_ratio_values():
         capacity_ratio(1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: quantum_capacity_grassmann(d, 0.3),
+        lambda d: quantum_capacity_grassmann_unclamped(d, 0.3),
+        lambda d: quantum_capacity_grassmann_w(d, 0.3),
+        lambda d: classical_capacity_grassmann(d, 0.3),
+        lambda d: block_weights(d, 0.3),
+        lambda d: degrading_weights(d, 0.3),
+        lambda d: quantum_capacity_unruh(d, 0.5),
+        lambda d: unruh_capacity_approx(d, 0.5),
+        capacity_ratio,
+    ],
+)
+@pytest.mark.parametrize("d", [2.5, 3.0, np.float64(3.0), "3", None])
+def test_closed_forms_reject_a_non_integer_d(call, d):
+    # 2.5 and 3.0 raised IndexError, or read a value (unruh_capacity_approx(2.5, 0.5) = 0.539)
+    with pytest.raises(DomainError, match="d must be an integer"):
+        call(d)
+
+
+def test_closed_forms_take_numpy_integer_d():
+    for d in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert quantum_capacity_grassmann(d, 0.3) == quantum_capacity_grassmann(3, 0.3)
+        assert quantum_capacity_grassmann_w(d, 0.3) == quantum_capacity_grassmann_w(3, 0.3)
+        assert quantum_capacity_unruh(d, 0.5) == quantum_capacity_unruh(3, 0.5)
+        assert unruh_capacity_approx(d, 0.5) == unruh_capacity_approx(3, 0.5)
+        assert capacity_ratio(d) == capacity_ratio(3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_capacity_ratio_is_the_limit_of_the_two_capacities(d):
+    # w = tan^2 r and z = tanh^2 r_B are one acceleration axis, and infinite acceleration
+    # is x -> 1, where both capacities vanish; their quotient tends to capacity_ratio(d)
+    # with an error of order eps^2 in eps = 1 - x
+    errors = []
+    for eps in (1e-2, 1e-3):
+        fermionic = quantum_capacity_grassmann_w(d, 1.0 - eps)
+        bosonic = quantum_capacity_unruh(d, 1.0 - eps, tol=1e-14).value
+        errors.append(abs(fermionic / bosonic - capacity_ratio(d)))
+        assert errors[-1] <= 2 * eps**2
+    assert errors[1] * 50 <= errors[0]
+
+
 def test_classical_cross_check_fires(monkeypatch):
     # skew log C(d, k) alone, the s = 1/2 call with n = d: the same shift of every s = 1/2
     # call would cancel between log C(d, k) and log C(d-1, k-1), as H({p_k}) does

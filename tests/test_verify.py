@@ -1,5 +1,6 @@
 """Entropy utilities, optimizers, and structural verification checks."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -21,6 +22,24 @@ def test_entropy_pure_and_mixed():
     got = verify.von_neumann_entropy(np.diag([0.75, 0.25]).astype(complex), base=2.0)
     assert abs(got - expected) < 1e-12
     assert abs(got - 0.8112781244591328) < 1e-12
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_entropy_rejects_non_finite_entries(entry):
+    # NaN eigenvalues fail the floor test, so without the check the entropy read -0.0
+    with pytest.raises(PreconditionError, match="finite"):
+        verify.von_neumann_entropy(np.full((2, 2), entry))
+    rho = np.eye(3, dtype=complex) / 3
+    rho[0, 2] = entry
+    with pytest.raises(PreconditionError, match="finite"):
+        verify.von_neumann_entropy(rho)
+
+
+@pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf, 1.0, 0.0, -2.0])
+def test_entropy_rejects_a_bad_log_base(base):
+    # base nan read nan, and base 1 read inf with a RuntimeWarning
+    with pytest.raises(DomainError, match="log base"):
+        verify.von_neumann_entropy(np.eye(2) / 2, base=base)
 
 
 def test_entropy_additive_on_products():
@@ -481,8 +500,8 @@ def test_block_tables_match_the_dense_sector_contraction(d):
     stack /= np.trace(stack, axis1=-2, axis2=-1).real[..., None, None]
     for rho in ((one + one.conj().T) / 2, stack):
         for complement in (True, False):
-            terms = verify._block_terms(d, 0.4, rho, logs=False, complement=complement)
-            for tables, blocks, _, _ in terms:
+            _, terms = verify._block_terms(d, 0.4, rho, logs=False, complement=complement)
+            for tables, blocks, _ in terms:
                 keep, n = blocks.shape[-3], blocks.shape[-1]
                 want = _sector_contraction(d, tables, rho, keep)
                 off = ~np.eye(n, dtype=bool)
@@ -496,6 +515,34 @@ def test_block_tables_match_the_dense_sector_contraction(d):
                 lhs = np.einsum("...iab,...iba->...", blocks, w)
                 rhs = np.einsum("...ab,...ba->...", rho, verify._group_adjoint(d, tables, w))
                 assert np.abs(lhs - rhs).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_block_spectra_are_the_subset_sums_of_the_input_spectrum(d):
+    # The spectral identity: forward block k of a state with spectrum lam has spectrum
+    # a_k {sum_{i in S} lam_i : |S| = k}, and the complement block with j fermions
+    # a_(j+1) {1 - sum_{i in S} lam_i : |S| = j}, a_k = cos^(2(d-1)) r tan^(2(k-1)) r.
+    # The eigenvalues are taken in the layout of the entropy pass, times the squared
+    # amplitudes that its per-eigenvalue tables name; the padding of shared groups adds zeros.
+    rng = np.random.default_rng(90 + d)
+    rho = random_density(d, rng)
+    lam = np.linalg.eigvalsh(rho)
+    tables = verify._block_tables(d)
+    for r in (0.4, 1.1):
+        _, terms = verify._block_terms(d, r, rho, logs=False)
+        halves = [np.linalg.eigvalsh(blocks).reshape(2, -1) for _, blocks, _ in terms]
+        evals = np.concatenate(halves, axis=1).ravel()
+        a = [math.cos(r) ** (2 * (d - 1)) * math.tan(r) ** (2 * k) for k in range(d)]
+        scaled = evals * np.take(a, tables.sectors)
+        assert len(scaled) == len(tables.sectors) == len(tables.signs)
+        for sector in range(d):
+            for sign, size in ((1.0, sector + 1), (-1.0, sector)):
+                got = np.sort(scaled[(tables.sectors == sector) & (tables.signs == sign)])
+                sums = [lam[list(s)].sum() for s in itertools.combinations(range(d), size)]
+                want = a[sector] * (np.array(sums) if sign > 0 else 1.0 - np.array(sums))
+                assert len(got) >= len(want)
+                want = np.sort(np.concatenate((want, np.zeros(len(got) - len(want)))))
+                assert np.abs(got - want).max() < 1e-13
 
 
 def _fail_once(monkeypatch, name, at):
