@@ -315,25 +315,22 @@ def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complemen
     """
     weights = np.square(channels._sector_amplitudes(d, r))
     ln_base = math.log(log_base_value("d", d))
-    tables = _block_tables(d)
+    rails, groups, sectors, signs = _block_tables(d)
     lead, halves = rho.shape[:-2], 1 + complement
     flat = rho.reshape(*lead, d * d)
-    source = np.concatenate(
-        (np.zeros((*lead, 1)), flat, -flat, flat[..., :: d + 1] @ tables.rails), -1
-    )
-    groups = tables.groups
+    source = np.concatenate((np.zeros((*lead, 1)), flat, -flat, flat[..., :: d + 1] @ rails), -1)
     blocks = [source[..., group.gather[: len(group.gather) * halves // 2]] for group in groups]
     solved = [_eigh(stack, logs) for stack in blocks]
     evals = np.concatenate([e.reshape(*lead, halves, -1) for e, _ in solved], -1)
     count = halves * evals.shape[-1]
-    w = weights[tables.sectors[:count]]
+    w = weights[sectors[:count]]
     evals = evals.reshape(*lead, count) * w
     kept = np.where(evals > _EIG_FLOOR, evals, 1.0)  # an eigenvalue on the floor adds 1 log 1 = 0
     log = np.log(kept)
-    ents = (kept * log) @ tables.signs[:count] / -ln_base
+    ents = (kept * log) @ signs[:count] / -ln_base
     if not logs:
         return ents, [(group, stack, None) for group, stack in zip(groups, blocks)]
-    coef = (log * (w * tables.signs[:count] / -ln_base)).reshape(*lead, halves, -1)
+    coef = (log * (w * signs[:count] / -ln_base)).reshape(*lead, halves, -1)
     parts, at = [], 0
     for group, stack in zip(groups, blocks):
         e, vecs = solved.pop(0)  # so each group's eigenvectors go once its w L is built
