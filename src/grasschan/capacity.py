@@ -8,6 +8,7 @@ bits.  Quantum-capacity values are clamped at zero for reporting; the raw
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -76,6 +77,36 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(np.abs(diff) < 0.1 * (x + m), series, direct)
 
 
+# ``_binomial_logpmf`` and ``block_weights`` evaluate the Loader terms under this state.  They
+# divide by zero, overflow or form 0/0 only where the result is dropped or right: 0 log 0 at
+# the ends and at n = 0, s = 0 (D = inf, zero mass) off x = 0, and x/m past the largest float
+# at subnormal m (D = inf, dropping a mass below m).
+_LOADER_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
+class _LoaderTerms(NamedTuple):
+    """The part of the Loader kernel free of s and c, at broadcast integer arrays x and n."""
+
+    xy: np.ndarray  # x and n - x, stacked
+    n: np.ndarray
+    stirling: np.ndarray  # e(n) - (e(x) + e(n - x))
+    half_log: np.ndarray  # log(2 pi x (n - x) / n) / 2, 0 at x = 0 and n
+
+
+def _loader_terms(x, n) -> _LoaderTerms:
+    y = n - x
+    n, x = x + y, n - y  # both take the shape of y, exactly in integers
+    st = _stirlerr(np.stack((n, x, y)))  # one call, not three: small n is call-bound
+    half_log = np.where((0 < x) & (x < n), 0.5 * np.log(2.0 * math.pi * (x * y / n)), 0.0)
+    return _LoaderTerms(np.stack((x, y)), n, st[0] - (st[1] + st[2]), half_log)
+
+
+def _loader_logpmf(terms: _LoaderTerms, s: float, c: float) -> np.ndarray:
+    """``_binomial_logpmf`` from its terms free of s and c: only the two deviances are left."""
+    dev = _bd0(terms.xy, np.stack((terms.n * s, terms.n * c)))
+    return terms.stirling - (dev[0] + dev[1]) - terms.half_log
+
+
 def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
     """Log Binomial(n, s) pmf at x, elementwise over broadcast integer arrays x and n.
 
@@ -89,17 +120,11 @@ def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
     s = 0.1, a pmf of 3e-226 in the Unruh series' tail.  To first order it
     does not see the rounding of s and of c = 1 - s, passed in its own.
     s == c gives a bitwise symmetric result: antisymmetric sums cancel exactly.
+    The terms free of s and c come from ``_loader_terms``, the deviances from
+    ``_loader_logpmf``.
     """
-    y = n - x
-    n, x = x + y, n - y  # both take the shape of y, exactly in integers
-    st = _stirlerr(np.stack((n, x, y)))  # one call, not three: small n is call-bound
-    # 0 log 0 at the ends, s = 0 (D = inf, zero mass) off x = 0, and x/m past the
-    # largest float at subnormal m (D = inf, dropping a mass below m)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dev = _bd0(np.stack((x, y)), np.stack((n * s, n * c)))
-        half_log = 0.5 * np.log(2.0 * math.pi * (x * y / n))
-    logpmf = st[0] - (st[1] + st[2]) - (dev[0] + dev[1])
-    return logpmf - np.where((0 < x) & (x < n), half_log, 0.0)
+    with np.errstate(**_LOADER_ERRSTATE):
+        return _loader_logpmf(_loader_terms(x, n), s, c)
 
 
 def _check_d(d, least: int = 1) -> int:
@@ -128,15 +153,39 @@ class BlockWeights:
     p_tilde: np.ndarray
 
 
+# block_weights keeps the r-free Loader terms of every d up to this one: five rows of d
+# entries, about 3 KB at the bound.  Past it they are recomputed on each call, so the cache
+# never grows with d.
+_WEIGHT_TERMS_MAX_D = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_terms(d: int) -> _LoaderTerms:
+    """The r-free Loader terms of Binomial(d - 1, .) at 0..d-1, read-only; d at most the bound.
+
+    ``block_weights`` calls it under ``_LOADER_ERRSTATE``.
+    """
+    terms = _loader_terms(np.arange(d), d - 1)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
+
+
 def block_weights(d: int, r: float) -> BlockWeights:
     """Sector weights p_k and complementary weights p~_k, k = 1..d.
 
     p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r, and p~_k has the tangent
-    exponent 2(d-k): the Binomial(d-1, sin^2 r) pmf and its reversal.
+    exponent 2(d-k): the Binomial(d-1, sin^2 r) pmf and its reversal, bitwise
+    ``_binomial_logpmf``'s.  Up to d = ``_WEIGHT_TERMS_MAX_D`` its r-free terms
+    (Stirling errors and half-log) are computed once per d, and only the
+    deviances once per call.
     """
     d = _check_d(d)
     _check_r(r)
-    p = np.exp(_binomial_logpmf(np.arange(d), d - 1, math.sin(r) ** 2, math.cos(r) ** 2))
+    with np.errstate(**_LOADER_ERRSTATE):
+        terms = _weight_terms(d) if d <= _WEIGHT_TERMS_MAX_D else _loader_terms(np.arange(d), d - 1)
+        logpmf = _loader_logpmf(terms, math.sin(r) ** 2, math.cos(r) ** 2)
+    p = np.exp(logpmf)
     assert abs(p.sum() - 1.0) < 1e-12
     return BlockWeights(d, r, p, p[::-1].copy())
 

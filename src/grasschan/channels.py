@@ -12,13 +12,14 @@ forward sector k = d - j.
 Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
 the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
 number sectors.  ``_image`` fills one read-only zero-padded [C code, A code,
-rail] stack from it, sector k scaled by cos^(d-1) r tan^(k-1) r, and keeps it
-with the block weights for the last (d, r).  The channel is a view of its C
+rail] stack from it, scattering the nonzeros of sector k, which
+``_sector_nonzeros`` lists once per d, scaled by cos^(d-1) r tan^(k-1) r, and
+keeps it with the block weights for the last (d, r).  The channel is a view of its C
 rows in use and the complement of the A rows in use of its transpose, so a
 pair at one (d, r) shares one stack, and nothing scans it.  Block channel k
 is sector k / sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the
 stacks: they gather each output block from the input's entries through index
-tables that they read off the sector tensors' nonzeros.  Every Kraus set
+tables that they read off the same listing.  Every Kraus set
 equals the image ``fock.isometry_apply`` builds, entry for entry.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
@@ -55,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .capacity import BlockWeights, _check_r, block_weights
+from .capacity import BlockWeights, _check_d, _check_r, block_weights
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -136,11 +137,12 @@ def block_slices(ch: ChannelRep) -> dict[int, slice]:
     return {b.k: slice(end - b.dim, end) for b, end in zip(blocks, ends)}
 
 
-def _check_channel_d(d: int):
-    if d < 1:
-        raise DomainError(f"need d >= 1, got d={d}")
+def _check_channel_d(d: int, least: int = 1) -> int:
+    """d as an int; DomainError unless it is an integer in [least, CHANNEL_MAX_D]."""
+    d = _check_d(d, least)
     if d > CHANNEL_MAX_D:
         raise DomainError(f"explicit channel construction is capped at d={CHANNEL_MAX_D}")
+    return d
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,6 +170,38 @@ def _pair_sectors(d: int) -> tuple[np.ndarray, ...]:
     return tuple(sectors)
 
 
+class _SectorNonzeros(NamedTuple):
+    """The nonzero entries of one sector tensor of ``_pair_sectors``, ordered by A code."""
+
+    a: np.ndarray  # A code of each entry
+    c: np.ndarray  # C code of each entry
+    rail: np.ndarray
+    unit: np.ndarray  # its value, of unit magnitude
+    flat: np.ndarray  # its position in the flattened zero-padded [C code, A code, rail] stack
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_nonzeros(d: int) -> tuple[_SectorNonzeros, ...]:
+    """Where the nonzeros of every sector tensor lie, and their values: d 2^(d-1) entries in all.
+
+    Sector k fills the C rows with k - 1 fermions and the A columns with k of the stack that
+    ``_image`` scales it into, so ``flat`` is r-free.  Cached per d (49 KB at d = 8), so the
+    arrays are read-only.
+    """
+    side, listing = (1 << d) - 1, []
+    c_rows = a_rows = 0
+    for sector in _pair_sectors(d):
+        nonzero = np.flatnonzero(sector != 0)  # [A code, C code, rail]
+        a, c, rail = np.unravel_index(nonzero, sector.shape)
+        flat = ((c_rows + c) * side + a_rows + a) * d + rail
+        entries = _SectorNonzeros(a, c, rail, sector.ravel()[nonzero], flat)
+        for array in entries:
+            array.flags.writeable = False
+        listing.append(entries)
+        c_rows, a_rows = c_rows + sector.shape[1], a_rows + sector.shape[0]
+    return tuple(listing)
+
+
 def _sector_amplitudes(d: int, r: float) -> list[float]:
     """cos^(d-1) r tan^(k-1) r for sector k = 1..d; rejects the d and r the builders reject."""
     _check_channel_d(d)
@@ -186,27 +220,29 @@ def _image(d: int, r: float) -> tuple[np.ndarray, int, int, BlockWeights]:
     """The isometry image at (d, r): its Kraus stack, C and A rows in use, and block weights.
 
     In the zero-padded [C code, A code, rail] stack, sector k times cos^(d-1) r tan^(k-1) r
-    fills the C rows with k - 1 fermions and the A columns with k.  Read-only, and cached
-    for the last (d, r) only: a channel and its complement at one r share it.
+    fills the C rows with k - 1 fermions and the A columns with k: one scatter of its
+    nonzeros (``_sector_nonzeros``) into the zeroed stack.  Read-only, and cached for the
+    last (d, r) only: a channel and its complement at one r share it.
     """
     amps = _sector_amplitudes(d, r)  # checks d before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
+    flat = kraus.reshape(-1)
     c_rows = a_rows = 0
-    for amp, sector in zip(amps, _pair_sectors(d)):
+    for amp, sector, entries in zip(amps, _pair_sectors(d), _sector_nonzeros(d)):
         # only r = 0 or an underflowing tan^(k-1) r gives a zero amplitude, and every later one is
         # zero too: they do not increase with k when tan r < 1, and none is zero when tan r >= 1
         if amp == 0.0:
             break
-        n_a, n_c = sector.shape[:2]
-        kraus[c_rows : c_rows + n_c, a_rows : a_rows + n_a] = amp * sector.transpose(1, 0, 2)
-        c_rows, a_rows = c_rows + n_c, a_rows + n_a
+        flat[entries.flat] = amp * entries.unit
+        c_rows, a_rows = c_rows + sector.shape[1], a_rows + sector.shape[0]
     kraus.flags.writeable = False
     return kraus, c_rows, a_rows, block_weights(d, r)
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
-    stack, c_rows, _, weights = _image(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
+    d = _check_channel_d(d)  # before the cache, which would take 3.0 for 3
+    stack, c_rows, _, weights = _image(d, r)  # rejects r
     kraus = stack[:c_rows]
     blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann(d={d},r={r:.12g})")
@@ -220,7 +256,8 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
     Block metadata labels the C-side sector with j fermions by the forward
     sector k = d - j it mirrors, so block k carries weight p~_k.
     """
-    stack, _, a_rows, weights = _image(d, r)  # rejects d outside [1, CHANNEL_MAX_D], then r
+    d = _check_channel_d(d)  # before the cache, which would take 3.0 for 3
+    stack, _, a_rows, weights = _image(d, r)  # rejects r
     kraus = stack.transpose(1, 0, 2)[:a_rows]
     blocks = [Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)]
     return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann-comp(d={d},r={r:.12g})")
@@ -232,7 +269,7 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
     Sector k of the pair-state decomposition, sliced by C code; each rail
     has C(d-1, k-1) unit-magnitude amplitudes there, hence the normalization.
     """
-    _check_channel_d(d)
+    d = _check_channel_d(d)
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     sector = _pair_sectors(d)[k - 1] / math.sqrt(math.comb(d - 1, k - 1))
@@ -252,9 +289,7 @@ def complement_channel_rep(ch: ChannelRep) -> ChannelRep:
 
 def werner_holevo(d: int) -> ChannelRep:
     """Antisymmetric-Kraus channel sigma -> (Tr sigma I - sigma^T)/(d-1)."""
-    if d < 2:
-        raise DomainError(f"need d >= 2, got d={d}")
-    _check_channel_d(d)
+    d = _check_channel_d(d, least=2)
     i, j = np.triu_indices(d, 1)
     m = np.arange(len(i))
     kraus = np.zeros((len(i), d, d), dtype=complex)
@@ -267,11 +302,11 @@ def transpose_depolarizing(d: int, t: float) -> np.ndarray:
     """Choi matrix of sigma -> t sigma^T + (1-t) Tr(sigma) I/d.
 
     The matrix is PSD exactly on -1/(d-1) <= t <= 1/(d+1); a ``t`` outside
-    that window is not an error.
+    that window is not an error; a non-finite one is.
     """
-    if d < 2:
-        raise DomainError(f"need d >= 2, got d={d}")
-    _check_channel_d(d)
+    d = _check_channel_d(d, least=2)
+    if not math.isfinite(t):
+        raise DomainError(f"transpose-depolarizing parameter t={t} is not finite")
     swap = np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]  # |ij> -> |ji>
     return t * swap + (1.0 - t) / d * np.eye(d * d)
 

@@ -207,7 +207,8 @@ def _block_tables(d: int) -> _Tables:
     the blocks of at most ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to
     its largest block.  ``rails`` (d x E, 0/1, complex) takes the diagonal of rho to
     the diagonal entries of every group's blocks, so one product serves them all.
-    The terms of every block are listed once, and each kind of table is filled for
+    The terms are read off the tensors' nonzeros as ``channels._sector_nonzeros`` lists
+    them; every block's terms are listed once, and each kind of table is filled for
     all groups at once.  Cached per d (0.5 MB at d = 8), so the arrays are read-only.
     """
     small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
@@ -226,16 +227,14 @@ def _block_tables(d: int) -> _Tables:
     # block d - s sums it over A codes.  Every summed code meets the same number of entries,
     # so an operand's entries fill a matrix with one row per summed code.
     entries, rows, start = [], [], 0
-    for s, sector in enumerate(channels._pair_sectors(d)):
-        nonzero = np.flatnonzero(sector != 0)  # [A code, C code, rail], ordered by A code
-        unit = sector.ravel()[nonzero]
+    for s, (a, c, i, unit, _) in enumerate(channels._sector_nonzeros(d)):  # ordered by A code
         assert not unit.imag.any()
-        a, c, i = np.unravel_index(nonzero, sector.shape)
         by_c = np.argsort(c.astype(np.uint16), kind="stable")
         for half, out, order in ((0, a, by_c), (1, c, np.arange(len(a)))):
             block = number[half, s + 1 if half == 0 else d - s]
             entries.append((np.full(len(a), block), out, i, unit.real))
-            rows.append((order + start).reshape(sector.shape[1 - half], -1))
+            # sector s + 1 has C(d, s) C codes and C(d, s + 1) A codes
+            rows.append((order + start).reshape(math.comb(d, s + half), -1))
             start += len(a)
     block, out, rail, sign = map(np.concatenate, zip(*entries))
     left = np.concatenate([np.repeat(matrix, matrix.shape[1]) for matrix in rows])
@@ -702,6 +701,8 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     if d not in DEGRADABLE_DS:
         low, high = DEGRADABLE_DS[0], DEGRADABLE_DS[-1]
         raise DomainError(f"degradability check supports {low} <= d <= {high}, got d={d}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance {tol} must be positive and finite")
     fwd, comp = grassmann_channel(d, r), complementary_channel(d, r)
     t_fwd = transfer_matrix(fwd)
     t_comp = transfer_matrix(comp)

@@ -110,6 +110,33 @@ def test_block_weights_sum_and_reversal():
     assert np.allclose(w0.p_tilde, [0, 0, 0, 1])
 
 
+_TERMS_BOUND = capacity._WEIGHT_TERMS_MAX_D
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), _TERMS_BOUND, _TERMS_BOUND + 1])
+def test_block_weights_are_the_binomial_kernel_bitwise(d):
+    # the cached r-free Loader terms change no bit of the weights, on either side of the bound
+    for r in (0.0, 5e-324, 1e-160, 0.7, math.pi / 4, 1.5707963):
+        want = np.exp(
+            capacity._binomial_logpmf(np.arange(d), d - 1, math.sin(r) ** 2, math.cos(r) ** 2)
+        )
+        w = block_weights(d, r)
+        assert w.p.tobytes() == want.tobytes()
+        assert w.p_tilde.tobytes() == want[::-1].tobytes()
+
+
+def test_block_weight_terms_are_kept_only_up_to_the_bound():
+    block_weights(_TERMS_BOUND, 0.3)
+    before = capacity._weight_terms.cache_info()
+    for d in (_TERMS_BOUND + 1, 1000, 100_000):
+        block_weights(d, 0.3)
+    after = capacity._weight_terms.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
+    for array in capacity._weight_terms(3):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def _degrading_weights_binomial(d, r):
     # q_k = C(d-1,k-1) cos^(2(d-1)) r (tan^(2(d-k)) r - tan^(2(d+k-2)) r), term by term
     t2, c2 = math.tan(r) ** 2, math.cos(r) ** 2

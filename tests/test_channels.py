@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grasschan import capacity, channels, fock
+from grasschan import capacity, channels, fock, verify
 from grasschan.channels import (
     apply_kraus,
     choi_matrix,
@@ -281,6 +281,65 @@ def test_rejected_inputs_raise_on_every_call_and_leave_the_cache_correct():
     # a d = 9 stack would take 511 x 511 x 9 x 16 B = 37.6 MB
     for build in _BUILDERS:
         assert _traced_peak(lambda: pytest.raises(DomainError, build, 9, 0.3)) < 2**20
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sector_nonzeros_list_every_nonzero_of_the_sector_tensors(d):
+    listing = channels._sector_nonzeros(d)
+    assert channels._sector_nonzeros(d) is listing
+    assert sum(len(entries.unit) for entries in listing) == d << (d - 1)
+    n = (1 << d) - 1
+    scattered, placed = np.zeros(n * n * d, dtype=complex), np.zeros((n, n, d), dtype=complex)
+    c_row = a_row = 0
+    for sector, entries in zip(channels._pair_sectors(d), listing):
+        rebuilt = np.zeros_like(sector)
+        rebuilt[entries.a, entries.c, entries.rail] = entries.unit
+        assert rebuilt.tobytes() == sector.tobytes()
+        assert np.all(np.diff(entries.a) >= 0)  # ordered by A code
+        for array in entries:
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        # the flat positions place the sector where the dense fill of the padded stack does
+        scattered[entries.flat] = entries.unit
+        n_a, n_c = sector.shape[:2]
+        placed[c_row : c_row + n_c, a_row : a_row + n_a] = sector.transpose(1, 0, 2)
+        c_row, a_row = c_row + n_c, a_row + n_a
+    assert scattered.tobytes() == placed.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: grassmann_channel(d, 0.3),
+        lambda d: complementary_channel(d, 0.3),
+        lambda d: grassmann_block(d, 1),
+        werner_holevo,
+        lambda d: transpose_depolarizing(d, 0.1),
+        lambda d: verify.check_ppt_threshold(d),
+    ],
+)
+@pytest.mark.parametrize("d", [2.0, 3.0, 2.5, np.float64(3.0), "3", None])
+def test_builders_reject_a_non_integer_d(call, d):
+    # 1 << d and np.triu_indices raised a bare TypeError from inside the builders; the image
+    # cache, warm at d = 3, must not take 3.0 for 3
+    call(3)
+    with pytest.raises(DomainError, match="d must be an integer"):
+        call(d)
+
+
+def test_builders_take_numpy_integer_d():
+    for d in (np.int64(3), np.uint8(3)):
+        assert _bytes(grassmann_channel(d, 0.3)) == _bytes(grassmann_channel(3, 0.3))
+        assert _bytes(grassmann_block(d, 2)) == _bytes(grassmann_block(3, 2))
+        assert werner_holevo(d).kraus.tobytes() == werner_holevo(3).kraus.tobytes()
+        assert transpose_depolarizing(d, 0.1).tobytes() == transpose_depolarizing(3, 0.1).tobytes()
+
+
+def test_transpose_depolarizing_rejects_a_non_finite_t():
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="not finite"):
+            transpose_depolarizing(3, t)
+    assert np.isfinite(transpose_depolarizing(3, 5.0)).all()  # outside the PSD window: no error
 
 
 def test_block_kraus_entry_magnitudes():

@@ -651,6 +651,13 @@ def test_check_degradable_inside_boundary():
     assert detail["q_gap"] < 1e-10
 
 
+def test_check_degradable_rejects_a_bad_tolerance():
+    # the CLI's --tol check, now in the check itself: nan and -1 returned a report
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            verify.check_degradable(2, 0.3, tol=tol)
+
+
 def test_check_degradable_self_complementary_point():
     rep = verify.check_degradable(3, math.pi / 4)
     detail = rep.trials[0]
