@@ -153,10 +153,11 @@ class BlockWeights:
     p_tilde: np.ndarray
 
 
-# block_weights keeps the r-free Loader terms of every d up to this one: five rows of d
-# entries, about 3 KB at the bound.  Past it they are recomputed on each call, so the cache
-# never grows with d.
-_WEIGHT_TERMS_MAX_D = 64
+# The largest d at which ``channels`` builds a channel explicitly.  The builders call
+# block_weights at every (d, r) they build, so it keeps the r-free Loader terms of each d up
+# to this one (five rows of d entries, 320 bytes of arrays at the bound); past it they are
+# recomputed on each call, so the cache never grows with d.
+CHANNEL_MAX_D = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,14 +177,14 @@ def block_weights(d: int, r: float) -> BlockWeights:
 
     p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r, and p~_k has the tangent
     exponent 2(d-k): the Binomial(d-1, sin^2 r) pmf and its reversal, bitwise
-    ``_binomial_logpmf``'s.  Up to d = ``_WEIGHT_TERMS_MAX_D`` its r-free terms
-    (Stirling errors and half-log) are computed once per d, and only the
-    deviances once per call.
+    ``_binomial_logpmf``'s.  Up to d = ``CHANNEL_MAX_D``, the d the channel
+    builders reach, its r-free terms (Stirling errors and half-log) are computed
+    once per d, and only the deviances once per call.
     """
     d = _check_d(d)
     _check_r(r)
     with np.errstate(**_LOADER_ERRSTATE):
-        terms = _weight_terms(d) if d <= _WEIGHT_TERMS_MAX_D else _loader_terms(np.arange(d), d - 1)
+        terms = _weight_terms(d) if d <= CHANNEL_MAX_D else _loader_terms(np.arange(d), d - 1)
         logpmf = _loader_logpmf(terms, math.sin(r) ** 2, math.cos(r) ** 2)
     p = np.exp(logpmf)
     assert abs(p.sum() - 1.0) < 1e-12

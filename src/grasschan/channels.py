@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .capacity import BlockWeights, _check_d, _check_r, block_weights
+from .capacity import CHANNEL_MAX_D, BlockWeights, _check_d, _check_r, block_weights
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -76,8 +76,6 @@ __all__ = [
     "dump_channel_json",
     "load_channel_json",
 ]
-
-CHANNEL_MAX_D = 8
 
 
 def rail_reversal(d: int) -> np.ndarray:
@@ -203,8 +201,7 @@ def _sector_nonzeros(d: int) -> tuple[_SectorNonzeros, ...]:
 
 
 def _sector_amplitudes(d: int, r: float) -> list[float]:
-    """cos^(d-1) r tan^(k-1) r for sector k = 1..d; rejects the d and r the builders reject."""
-    _check_channel_d(d)
+    """cos^(d-1) r tan^(k-1) r for sector k = 1..d, d already checked; rejects a bad r."""
     _check_r(r)
     return [math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) for k in range(1, d + 1)]
 
@@ -224,17 +221,17 @@ def _image(d: int, r: float) -> tuple[np.ndarray, int, int, BlockWeights]:
     nonzeros (``_sector_nonzeros``) into the zeroed stack.  Read-only, and cached for the
     last (d, r) only: a channel and its complement at one r share it.
     """
-    amps = _sector_amplitudes(d, r)  # checks d before the (2^d - 1)^2 d stack is allocated
+    amps = _sector_amplitudes(d, r)  # checks r before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
     flat = kraus.reshape(-1)
     c_rows = a_rows = 0
-    for amp, sector, entries in zip(amps, _pair_sectors(d), _sector_nonzeros(d)):
+    for k, (amp, entries) in enumerate(zip(amps, _sector_nonzeros(d)), 1):
         # only r = 0 or an underflowing tan^(k-1) r gives a zero amplitude, and every later one is
         # zero too: they do not increase with k when tan r < 1, and none is zero when tan r >= 1
         if amp == 0.0:
             break
         flat[entries.flat] = amp * entries.unit
-        c_rows, a_rows = c_rows + sector.shape[1], a_rows + sector.shape[0]
+        c_rows, a_rows = c_rows + math.comb(d, k - 1), a_rows + math.comb(d, k)
     kraus.flags.writeable = False
     return kraus, c_rows, a_rows, block_weights(d, r)
 

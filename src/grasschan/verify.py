@@ -312,6 +312,7 @@ def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complemen
     floors as von_neumann_entropy does.  A stack rho (..., d, d) gives S of shape
     (...) and B of shape (..., i, n, n).
     """
+    channels._check_channel_d(d)
     weights = np.square(channels._sector_amplitudes(d, r))
     ln_base = math.log(log_base_value("d", d))
     rails, groups, sectors, signs = _block_tables(d)

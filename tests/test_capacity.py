@@ -110,10 +110,10 @@ def test_block_weights_sum_and_reversal():
     assert np.allclose(w0.p_tilde, [0, 0, 0, 1])
 
 
-_TERMS_BOUND = capacity._WEIGHT_TERMS_MAX_D
+_TERMS_BOUND = capacity.CHANNEL_MAX_D
 
 
-@pytest.mark.parametrize("d", [*range(1, 9), _TERMS_BOUND, _TERMS_BOUND + 1])
+@pytest.mark.parametrize("d", [*range(1, _TERMS_BOUND + 2), 64])
 def test_block_weights_are_the_binomial_kernel_bitwise(d):
     # the cached r-free Loader terms change no bit of the weights, on either side of the bound
     for r in (0.0, 5e-324, 1e-160, 0.7, math.pi / 4, 1.5707963):

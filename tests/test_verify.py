@@ -125,6 +125,18 @@ def test_coherent_information_shape_check():
             verify.coherent_information(2, 0.4, bad)
 
 
+def test_objectives_reject_a_whole_float_d():
+    # (3, 3) == (3.0, 3.0), so the shape check passes; the block tables, warm at d = 3, must
+    # not take 3.0 for 3
+    rho = np.eye(3) / 3
+    verify.coherent_information(3, 0.4, rho)
+    for d in (3.0, np.float64(3.0)):
+        with pytest.raises(DomainError, match="d must be an integer"):
+            verify.coherent_information(d, 0.4, rho)
+        with pytest.raises(DomainError, match="d must be an integer"):
+            verify.holevo_quantity(d, 0.4, [(1.0, rho)])
+
+
 def test_optimize_coherent_information_qubit():
     value, rho, _ = verify.optimize_coherent_information(2, 0.3, seed=7)
     expected = 1.0 - 2.0 * math.sin(0.3) ** 2
