@@ -2,7 +2,7 @@
 
 import importlib
 
-from . import capacity, channels, fock
+from . import capacity
 from .errors import ConsistencyError, ConvergenceError, DomainError, PreconditionError
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    # verify loads on first use: the capacity, sweep and dump-channel commands never call it
-    if name == "verify":
-        return importlib.import_module(f"{__name__}.verify")
+    # PEP 562: these load on first access, as the capacity and sweep commands use none of them
+    if name in ("channels", "fock", "verify"):
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

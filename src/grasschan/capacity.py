@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -143,8 +142,7 @@ def _check_r(r: float):
         raise DomainError(f"squeezing parameter r={r} outside [0, pi/2)")
 
 
-@dataclass(frozen=True)
-class BlockWeights:
+class BlockWeights(NamedTuple):
     """Forward and complementary sector weights of the d-dimensional channel."""
 
     d: int
@@ -191,8 +189,7 @@ def block_weights(d: int, r: float) -> BlockWeights:
     return BlockWeights(d, r, p, p[::-1].copy())
 
 
-@dataclass(frozen=True)
-class DegradingWeights:
+class DegradingWeights(NamedTuple):
     """Convex weights of the degrading map, valid iff all are nonnegative."""
 
     d: int

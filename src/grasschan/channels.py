@@ -46,6 +46,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 from array import array
@@ -267,6 +268,10 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
     has C(d-1, k-1) unit-magnitude amplitudes there, hence the normalization.
     """
     d = _check_channel_d(d)
+    try:
+        k = operator.index(k)  # numpy integers too, as _check_d takes d
+    except TypeError:
+        raise DomainError(f"sector k must be an integer, got k={k!r}") from None
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     sector = _pair_sectors(d)[k - 1] / math.sqrt(math.comb(d - 1, k - 1))

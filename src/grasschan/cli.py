@@ -8,13 +8,12 @@ separator so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import capacity, channels
+from . import capacity
 from .errors import ConvergenceError, DomainError
 
 # argparse's choices, without importing verify: "all", then the names of verify.SUITES
@@ -96,6 +95,8 @@ def _cmd_capacity(args) -> int:
         payload.update(value=result.value, terms=result.terms, remainder=result.remainder)
     if args.kind == "ratio":
         del payload["base"]  # r_d is a ratio of capacities: no log base
+    if args.json:
+        import json  # only JSON output needs it, so plain one-shots skip its import
     print(json.dumps(payload) if args.json else _fmt(payload["value"]))
     return 0
 
@@ -115,6 +116,8 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"squeezing parameter r={args.r} is not finite")
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"tolerance {args.tol} must be positive and finite")
+    import json
+
     from . import verify  # only this command needs it, so the others skip its import
 
     reports = verify.suite_reports(args.suite, args.d, args.r, args.seed, args.tol)
@@ -130,6 +133,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_channel(args) -> int:
+    from . import channels  # only this command builds a channel
+
     ch = channels.grassmann_channel(args.d, args.r)
     channels.dump_channel_json(ch, "grassmann", args.d, args.r, args.out)
     return 0

@@ -146,6 +146,17 @@ def _degrading_weights_binomial(d, r):
     return np.array(q)
 
 
+def test_weight_records_are_read_only_named_tuples():
+    w, q = block_weights(4, 0.3), degrading_weights(4, 0.3)
+    assert type(w)._fields == ("d", "r", "p", "p_tilde")
+    assert type(q)._fields == ("d", "r", "q", "valid")
+    assert tuple(w)[:2] == (4, 0.3) and w[2] is w.p and w[3] is w.p_tilde
+    assert tuple(q)[:2] == (4, 0.3) and q[2] is q.q and q[3] is q.valid
+    for record, field in ((w, "p"), (w, "d"), (q, "q"), (q, "valid")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_degrading_weights_against_linear_solve():
     # oracles: q_1 p_k + q_k = p~_k solved directly from the weight vectors,
     # and the term-by-term binomial expansion

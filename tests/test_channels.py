@@ -335,6 +335,19 @@ def test_builders_take_numpy_integer_d():
         assert transpose_depolarizing(d, 0.1).tobytes() == transpose_depolarizing(3, 0.1).tobytes()
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(2.0), "2", None])
+def test_grassmann_block_rejects_a_non_integer_k(k):
+    # k indexed the sector tuple and was compared with ints: 1.5 and 2.0 raised a bare
+    # TypeError from the index, "2" from the comparison
+    with pytest.raises(DomainError, match="sector k must be an integer"):
+        grassmann_block(3, k)
+    for k in (0, 4):
+        with pytest.raises(DomainError, match=rf"sector k={k} outside \[1, 3\]"):
+            grassmann_block(3, k)
+    for k in (np.int64(2), np.uint8(2)):
+        assert _bytes(grassmann_block(3, k)) == _bytes(grassmann_block(3, 2))
+
+
 def test_transpose_depolarizing_rejects_a_non_finite_t():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="not finite"):

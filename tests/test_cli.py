@@ -364,7 +364,8 @@ import grasschan
 from grasschan import cli
 
 assert "scipy" not in sys.modules, "import grasschan"
-assert "grasschan.verify" not in sys.modules, "import grasschan"
+for name in ("channels", "fock", "verify"):
+    assert f"grasschan.{name}" not in sys.modules, "import grasschan"
 out = sys.argv[1]
 for args in (
     ["capacity", "quantum", "--d", "10", "--r", "0.5"],
@@ -396,6 +397,61 @@ def test_no_command_loads_scipy(tmp_path):
     # command imports grasschan.verify
     res = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+
+
+_LAZY_IMPORT_SCRIPT = """
+import contextlib, io, sys
+import numpy, argparse
+
+baseline = set(sys.modules)  # a numpy that imports json itself does not count against a command
+import grasschan
+from grasschan import cli
+
+out = sys.argv[1]
+never = {"grasschan.channels", "grasschan.fock", "grasschan.verify", "json", "dataclasses"}
+never -= baseline
+sweep = ["--start", "0", "--stop", "0.9", "--points", "3", "--out", out + "/sweep.csv"]
+for args in (
+    ["capacity", "quantum", "--d", "4", "--r", "0.4"],
+    ["capacity", "quantum", "--d", "4", "--w", "0.5"],
+    ["capacity", "classical", "--d", "4", "--r", "0.4"],
+    ["capacity", "unruh", "--d", "4", "--z", "0.5"],
+    ["capacity", "unruh-approx", "--d", "4", "--z", "0.5"],
+    ["capacity", "ratio", "--d", "4"],
+    ["sweep", "--family", "grassmann-q", "--d", "2,3", "--param", "r", *sweep],
+    ["sweep", "--family", "grassmann-q", "--d", "2,3", "--param", "w", *sweep],
+    ["sweep", "--family", "grassmann-c", "--d", "2,3", "--param", "r", *sweep],
+    ["sweep", "--family", "unruh-q", "--d", "2,3", "--param", "z", *sweep],
+    ["sweep", "--family", "ratio", "--d", "2,3", "--out", out + "/ratio.csv"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+    assert not never & set(sys.modules), (args, sorted(never & set(sys.modules)))
+
+# the lazy names resolve to their own modules, on first access and through the commands
+assert grasschan.fock is sys.modules["grasschan.fock"], grasschan.fock
+assert "grasschan.channels" not in sys.modules
+assert cli.main(["dump-channel", "--d", "2", "--r", "0.5", "--out", out + "/d2.json"]) == 0
+assert grasschan.channels is sys.modules["grasschan.channels"], grasschan.channels
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "all", "--d", "2"]) == 0
+assert grasschan.verify is sys.modules["grasschan.verify"], grasschan.verify
+try:
+    grasschan.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("grasschan.no_such_name resolved")
+"""
+
+
+def test_capacity_and_sweep_load_only_what_they_run(tmp_path):
+    # one fresh interpreter: no closed form needs the channel builders, the Fock
+    # isometry, verify, json or dataclasses; dump-channel and verify load theirs on use
+    res = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_SCRIPT, str(tmp_path)], capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr
 
