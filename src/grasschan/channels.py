@@ -11,16 +11,18 @@ forward sector k = d - j.
 
 Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
 the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
-number sectors.  ``_image`` fills one read-only zero-padded [C code, A code,
-rail] stack from it, scattering the nonzeros of sector k, which
-``_sector_nonzeros`` lists once per d, scaled by cos^(d-1) r tan^(k-1) r, and
-keeps it with the block weights for the last (d, r).  The channel is a view of its C
-rows in use and the complement of the A rows in use of its transpose, so a
-pair at one (d, r) shares one stack, and nothing scans it.  Block channel k
-is sector k / sqrt(C(d-1, k-1)).  ``verify``'s capacity objectives skip the
-stacks: they gather each output block from the input's entries through index
-tables that they read off the same listing.  Every Kraus set
-equals the image ``fock.isometry_apply`` builds, entry for entry.
+number sectors.  ``_sector_nonzeros`` lists the nonzeros of every sector once
+per d, their signs from a closed rule.  ``_image`` fills one read-only
+zero-padded [C code, A code, rail] stack from it, scattering the nonzeros of
+sector k scaled by cos^(d-1) r tan^(k-1) r, and keeps it with the block
+weights for the last (d, r).  The channel is a view of its C rows in use and
+the complement of the A rows in use of its transpose, so a pair at one (d, r)
+shares one stack, and nothing scans it.  Block channel k is sector k /
+sqrt(C(d-1, k-1)), scattered from the same listing.  ``verify``'s capacity
+objectives skip the stacks: they gather each output block from the input's
+entries through index tables that they read off the same listing.  Every
+Kraus set equals, entry for entry, the image that ``fock.isometry_apply``
+builds by ladder application, which this module does not use.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
@@ -56,7 +58,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fock
 from .capacity import CHANNEL_MAX_D, BlockWeights, _check_d, _check_r, block_weights
 from .errors import DomainError, PreconditionError
 
@@ -144,60 +145,49 @@ def _check_channel_d(d: int, least: int = 1) -> int:
     return d
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_sectors(d: int) -> tuple[np.ndarray, ...]:
-    """Sector tensors of the unit pair state, the r-free core of every Kraus set.
-
-    Rail i maps to a_i^dag exp(sum_j a_j^dag c_j^dag)|vac>, the isometry
-    image without its r-dependent factors.  Its part with k fermions in A
-    (and k - 1 in C) is tensor k - 1, with entries [A code, C code, rail] in
-    ``fock.sector_codes`` order; every nonzero entry has unit magnitude.
-    Cached per d (1.9 MB for all d <= 8 together), so the tensors are read-only.
-    """
-    pairs = fock._exp_pair_vacuum(d, 1.0)
-    index = {c: n for k in range(d + 1) for n, c in enumerate(fock.sector_codes(d, k))}
-    mask = (1 << d) - 1
-    sectors = [
-        np.zeros((math.comb(d, k), math.comb(d, k - 1), d), dtype=complex) for k in range(1, d + 1)
-    ]
-    for i in range(d):
-        for code, amp in fock.apply_creation(pairs, i).amplitudes.items():
-            a_code, c_code = code >> d, code & mask
-            sectors[a_code.bit_count() - 1][index[a_code], index[c_code], i] = amp
-    for sector in sectors:
-        sector.flags.writeable = False
-    return tuple(sectors)
-
-
 class _SectorNonzeros(NamedTuple):
-    """The nonzero entries of one sector tensor of ``_pair_sectors``, ordered by A code."""
+    """The nonzero entries of one sector of the unit pair state, listed by A code, then rail."""
 
-    a: np.ndarray  # A code of each entry
-    c: np.ndarray  # C code of each entry
+    a: np.ndarray  # index of each entry's A code among the sector's A codes
+    c: np.ndarray  # index of its C code among the codes with one fermion fewer
     rail: np.ndarray
-    unit: np.ndarray  # its value, of unit magnitude
+    unit: np.ndarray  # its value, +1.0 or -1.0
     flat: np.ndarray  # its position in the flattened zero-padded [C code, A code, rail] stack
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_nonzeros(d: int) -> tuple[_SectorNonzeros, ...]:
-    """Where the nonzeros of every sector tensor lie, and their values: d 2^(d-1) entries in all.
+    """The nonzero entries of every sector of the unit pair state: d 2^(d-1) in all.
 
-    Sector k fills the C rows with k - 1 fermions and the A columns with k of the stack that
-    ``_image`` scales it into, so ``flat`` is r-free.  Cached per d (49 KB at d = 8), so the
-    arrays are read-only.
+    Rail i maps to a_i^dag exp(sum_j a_j^dag c_j^dag)|vac>, the isometry image
+    without its r-dependent factors.  Sector k is its part with k fermions in A
+    and m = k - 1 in C, an [A, C, rail] tensor over each register's ascending
+    occupation codes, mode 0 the most significant bit.  Its entry [A, C, i] is
+    nonzero exactly when mode i is in A and C = A - {i}, and then equals
+    (-1)^(m(m-1)/2 + #{j in C : j < i}): moving the a^dag of the m pairs left of
+    their c^dag gives the first sign, and a_i^dag passing the occupied A modes
+    before mode i the second.  Entries are listed by A code, then by i ascending,
+    which is C code ascending.  Sector k fills the C rows with k - 1 fermions and
+    the A columns with k of the stack that ``_image`` scales it into, so ``flat``
+    is r-free.  Cached per d (40 KB at d = 8), so the arrays are read-only.
     """
+    codes = np.arange(1 << d)
+    bits = codes[:, None] >> np.arange(d - 1, -1, -1) & 1  # [code, mode]
+    fermions, before = bits.sum(axis=1), np.cumsum(bits, axis=1) - bits
     side, listing = (1 << d) - 1, []
     c_rows = a_rows = 0
-    for sector in _pair_sectors(d):
-        nonzero = np.flatnonzero(sector != 0)  # [A code, C code, rail]
-        a, c, rail = np.unravel_index(nonzero, sector.shape)
+    for k in range(1, d + 1):
+        a_codes, c_codes = np.flatnonzero(fermions == k), np.flatnonzero(fermions == k - 1)
+        a, rail = np.nonzero(bits[a_codes])
+        a_code = a_codes[a]
+        c = np.searchsorted(c_codes, a_code - (1 << (d - 1 - rail)))
+        unit = np.where(((k - 1) * (k - 2) // 2 + before[a_code, rail]) & 1, -1.0, 1.0)
         flat = ((c_rows + c) * side + a_rows + a) * d + rail
-        entries = _SectorNonzeros(a, c, rail, sector.ravel()[nonzero], flat)
+        entries = _SectorNonzeros(a, c, rail, unit, flat)
         for array in entries:
             array.flags.writeable = False
         listing.append(entries)
-        c_rows, a_rows = c_rows + sector.shape[1], a_rows + sector.shape[0]
+        c_rows, a_rows = c_rows + len(c_codes), a_rows + len(a_codes)
     return tuple(listing)
 
 
@@ -224,7 +214,7 @@ def _image(d: int, r: float) -> tuple[np.ndarray, int, int, BlockWeights]:
     """
     amps = _sector_amplitudes(d, r)  # checks r before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
-    flat = kraus.reshape(-1)
+    flat = kraus.reshape(-1).real  # a view: the signs are real, so the imaginary parts stay 0
     c_rows = a_rows = 0
     for k, (amp, entries) in enumerate(zip(amps, _sector_nonzeros(d)), 1):
         # only r = 0 or an underflowing tan^(k-1) r gives a zero amplitude, and every later one is
@@ -264,8 +254,9 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
 def grassmann_block(d: int, k: int) -> ChannelRep:
     """The r-independent CPTP block map onto the k-fermion sector.
 
-    Sector k of the pair-state decomposition, sliced by C code; each rail
-    has C(d-1, k-1) unit-magnitude amplitudes there, hence the normalization.
+    Sector k of the pair-state decomposition, scattered from ``_sector_nonzeros``
+    by C code; each rail has C(d-1, k-1) unit-magnitude amplitudes there, hence
+    the normalization.
     """
     d = _check_channel_d(d)
     try:
@@ -274,8 +265,10 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
         raise DomainError(f"sector k must be an integer, got k={k!r}") from None
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
-    sector = _pair_sectors(d)[k - 1] / math.sqrt(math.comb(d - 1, k - 1))
-    kraus, blocks = sector.transpose(1, 0, 2), [Block(k, 1.0, math.comb(d, k))]
+    entries = _sector_nonzeros(d)[k - 1]
+    kraus = np.zeros((math.comb(d, k - 1), math.comb(d, k), d), dtype=complex)
+    kraus[entries.c, entries.a, entries.rail] = entries.unit / math.sqrt(math.comb(d - 1, k - 1))
+    blocks = [Block(k, 1.0, math.comb(d, k))]
     return ChannelRep(d, math.comb(d, k), kraus, blocks, label=f"grassmann-block(d={d},k={k})")
 
 

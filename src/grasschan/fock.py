@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .capacity import _check_r
+from .capacity import _check_d, _check_r
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -45,8 +45,7 @@ def sector_codes(d: int, k: int) -> list[int]:
     Ascending codes are lexicographically ordered bit-vectors; this ordering
     is the basis contract for every sector block downstream.
     """
-    if d < 1:
-        raise DomainError(f"need at least one mode, got d={d}")
+    d = _check_d(d)
     if not 0 <= k <= d:
         raise DomainError(f"fermion count k={k} outside [0, {d}]")
     return [c for c in range(1 << d) if c.bit_count() == k]
@@ -119,8 +118,7 @@ def _exp_pair_vacuum(d: int, t: float) -> StateVector:
 
 def squeezed_vacuum(d: int, r: float) -> StateVector:
     """Two-mode-squeezed vacuum of d A/C mode pairs (a 2d-mode state)."""
-    if d < 1:
-        raise DomainError(f"need at least one mode pair, got d={d}")
+    d = _check_d(d)
     _check_r(r)
     state = _exp_pair_vacuum(d, math.tan(r))
     c = math.cos(r) ** d
@@ -135,8 +133,7 @@ def isometry_apply(d: int, r: float, beta) -> StateVector:
     Computes cos^(d-1)(r) * (sum_i beta_i a_i^dag) exp(tan r * sum_j
     a_j^dag c_j^dag)|vac> by sequential ladder application.
     """
-    if d < 1:
-        raise DomainError(f"need at least one mode, got d={d}")
+    d = _check_d(d)
     _check_r(r)
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (d,):
@@ -194,6 +191,7 @@ def ladder_matrix(num_modes: int, mode: int) -> np.ndarray:
 
 def _pair_operators(d: int) -> list[np.ndarray]:
     """Dense pair operators a_i^dag c_i^dag on 2d modes; they commute and square to zero."""
+    d = _check_d(d)
     if d > DENSE_ORACLE_MAX_MODES:
         raise DomainError(f"dense oracle is capped at d={DENSE_ORACLE_MAX_MODES}")
     return [ladder_matrix(2 * d, i) @ ladder_matrix(2 * d, d + i) for i in range(d)]

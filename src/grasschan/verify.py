@@ -8,8 +8,8 @@ Every output of the channel and of its complement is block diagonal by
 fermion number, so the capacity objectives (coherent information, Holevo
 quantity and their gradients) work block by block: each block is gathered
 from the input's entries through r-free index tables (``_block_tables``) read
-off the nonzeros of the sector tensors of ``channels`` (an entry off the
-diagonal is one signed entry of the input, a diagonal entry a sum of its
+off the sector nonzeros that ``channels._sector_nonzeros`` lists (an entry off
+the diagonal is one signed entry of the input, a diagonal entry a sum of its
 diagonal over rails) and scaled by its sector amplitude.  The blocks of one
 size make one group, solved by one eigensolve, and the eigenvalues of every
 group go through one entropy pass.  The gradients apply the adjoint of that
@@ -154,7 +154,7 @@ _SHARED_STACK_ROWS = 8
 
 
 class _BlockGroup(NamedTuple):
-    """Index tables of one group of output blocks, all read from the sector tensors.
+    """Index tables of one group of output blocks, all read from the sector nonzeros.
 
     The group holds G blocks of size n x n: its forward blocks, then the complement
     blocks that mirror them, block i being weighted by sector ``sectors[i]`` + 1.
@@ -197,9 +197,10 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
 def _block_tables(d: int) -> _Tables:
     """Gather tables of the capacity objectives' output blocks, one group per block size.
 
-    Forward block k contracts tensor k of ``channels._pair_sectors`` with itself over
+    Forward block k contracts sector k of the unit pair state, the [A code, C code, rail]
+    tensor T whose nonzeros ``channels._sector_nonzeros`` lists, with itself over
     (C code, rail): B[a, a'] = sum_c T[a, c, i] T[a', c, j] rho[i, j].  The complement
-    block with d - k fermions on C, which mirrors it, contracts tensor d - k + 1 over
+    block with d - k fermions on C, which mirrors it, contracts sector d - k + 1 over
     (A code, rail).  A nonzero [A, C, i] needs A = C + {i}, so an entry off the
     diagonal has at most one term, a signed entry of rho, and a diagonal entry sums
     rho[i, i] over its k (or d - k + 1) rails.  Forward blocks k and d - k have the
@@ -207,9 +208,9 @@ def _block_tables(d: int) -> _Tables:
     the blocks of at most ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to
     its largest block.  ``rails`` (d x E, 0/1, complex) takes the diagonal of rho to
     the diagonal entries of every group's blocks, so one product serves them all.
-    The terms are read off the tensors' nonzeros as ``channels._sector_nonzeros`` lists
-    them; every block's terms are listed once, and each kind of table is filled for
-    all groups at once.  Cached per d (0.5 MB at d = 8), so the arrays are read-only.
+    The terms are read off that listing, each nonzero a real sign; every block's terms
+    are listed once, and each kind of table is filled for all groups at once.  Cached
+    per d (0.5 MB at d = 8), so the arrays are read-only.
     """
     small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
     runs = [small] + [
@@ -228,11 +229,10 @@ def _block_tables(d: int) -> _Tables:
     # so an operand's entries fill a matrix with one row per summed code.
     entries, rows, start = [], [], 0
     for s, (a, c, i, unit, _) in enumerate(channels._sector_nonzeros(d)):  # ordered by A code
-        assert not unit.imag.any()
         by_c = np.argsort(c.astype(np.uint16), kind="stable")
         for half, out, order in ((0, a, by_c), (1, c, np.arange(len(a)))):
             block = number[half, s + 1 if half == 0 else d - s]
-            entries.append((np.full(len(a), block), out, i, unit.real))
+            entries.append((np.full(len(a), block), out, i, unit))
             # sector s + 1 has C(d, s) C codes and C(d, s + 1) A codes
             rows.append((order + start).reshape(math.comb(d, s + half), -1))
             start += len(a)

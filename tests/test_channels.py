@@ -25,7 +25,7 @@ from grasschan.channels import (
     werner_holevo,
 )
 from grasschan.errors import DomainError, PreconditionError
-from helpers import erasure_channel
+from helpers import erasure_channel, pair_sectors
 
 
 def _random_pure(d, rng):
@@ -194,18 +194,19 @@ def _channel_bytes(d, r):
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
-def test_pair_sectors_cache_is_shared_and_read_only(d):
-    channels._pair_sectors.cache_clear()
+def test_sector_nonzeros_cache_is_shared_and_read_only(d):
+    channels._sector_nonzeros.cache_clear()
     fresh = _channel_bytes(d, 0.7)
-    channels._pair_sectors.cache_clear()
+    channels._sector_nonzeros.cache_clear()
     _channel_bytes(d, 0.2)  # fills the cache at another r
-    sectors = channels._pair_sectors(d)
-    again = channels._pair_sectors(d)
-    assert isinstance(sectors, tuple) and len(sectors) == d
-    assert again is sectors
-    for sector in sectors:
-        with pytest.raises(ValueError):
-            sector[0, 0, 0] = 2.0
+    listing = channels._sector_nonzeros(d)
+    again = channels._sector_nonzeros(d)
+    assert isinstance(listing, tuple) and len(listing) == d
+    assert again is listing
+    for entries in listing:
+        for array in entries:
+            with pytest.raises(ValueError):
+                array[0] = 2
     assert _channel_bytes(d, 0.7) == fresh
 
 
@@ -291,11 +292,15 @@ def test_sector_nonzeros_list_every_nonzero_of_the_sector_tensors(d):
     n = (1 << d) - 1
     scattered, placed = np.zeros(n * n * d, dtype=complex), np.zeros((n, n, d), dtype=complex)
     c_row = a_row = 0
-    for sector, entries in zip(channels._pair_sectors(d), listing):
+    for sector, entries in zip(pair_sectors(d), listing):
+        # the sign rule against the ladders, sign for sign, and nothing off the listing
+        assert entries.unit.dtype == float and set(entries.unit.tolist()) <= {-1.0, 1.0}
         rebuilt = np.zeros_like(sector)
         rebuilt[entries.a, entries.c, entries.rail] = entries.unit
         assert rebuilt.tobytes() == sector.tobytes()
-        assert np.all(np.diff(entries.a) >= 0)  # ordered by A code
+        # listed by A code, then by rail, which is C code ascending
+        assert np.all(np.diff(entries.a * d + entries.rail) > 0)
+        assert np.all((np.diff(entries.a) > 0) | (np.diff(entries.c) > 0))
         for array in entries:
             with pytest.raises(ValueError):
                 array[0] = array[0]
@@ -419,19 +424,34 @@ def test_generic_complement_agrees_with_direct_construction(d):
 
 
 def _isometry_kraus(d, r):
-    """Forward and complementary Kraus sets split from the isometry columns."""
+    """Forward and complementary Kraus sets split from the isometry columns, and its blocks.
+
+    Block k is the image's sector k over its amplitude cos^(d-1) r tan^(k-1) r and
+    sqrt(C(d-1, k-1)), as a [C code, A code, rail] stack, or None where that amplitude is 0.
+    """
     a_codes = [c for k in range(1, d + 1) for c in fock.sector_codes(d, k)]
     c_codes = [c for j in range(d) for c in fock.sector_codes(d, j)]
     a_row = {c: n for n, c in enumerate(a_codes)}
     c_row = {c: n for n, c in enumerate(c_codes)}
+    index = {c: n for k in range(d + 1) for n, c in enumerate(fock.sector_codes(d, k))}
     fwd = {c: np.zeros((len(a_codes), d), dtype=complex) for c in c_codes}
     comp = {a: np.zeros((len(c_codes), d), dtype=complex) for a in a_codes}
+    scales = [math.cos(r) ** (d - 1) * math.tan(r) ** (k - 1) for k in range(1, d + 1)]
+    blocks = [
+        np.zeros((math.comb(d, k - 1), math.comb(d, k), d), dtype=complex) if scale else None
+        for k, scale in enumerate(scales, 1)
+    ]
     for i in range(d):
         for code, amp in fock.isometry_apply(d, r, np.eye(d)[i]).amplitudes.items():
             a, c = code >> d, code & ((1 << d) - 1)
             fwd[c][a_row[a], i] = amp
             comp[a][c_row[c], i] = amp
-    return [[op for op in ops.values() if np.any(op)] for ops in (fwd, comp)]
+            # the image is real; a complex quotient would overflow on a subnormal scale
+            k = a.bit_count()
+            unit = amp.real / scales[k - 1]
+            assert amp.imag == 0 and unit in (-1.0, 1.0)
+            blocks[k - 1][index[c], index[a], i] = unit / math.sqrt(math.comb(d - 1, k - 1))
+    return [[op for op in ops.values() if np.any(op)] for ops in (fwd, comp)], blocks
 
 
 @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-160, 0.3, math.pi / 4, 1.2, 1.5707])
@@ -439,10 +459,15 @@ def _isometry_kraus(d, r):
 def test_kraus_sets_match_isometry_apply(d, r):
     # both scale the unit sign of a k-fermion sector by cos^(d-1) r times tan r ** (k-1)
     built = (grassmann_channel(d, r), complementary_channel(d, r))
-    for ch, reference in zip(built, _isometry_kraus(d, r)):
+    references, blocks = _isometry_kraus(d, r)
+    for ch, reference in zip(built, references):
         assert len(ch.kraus) == len(reference)
         for op, ref in zip(ch.kraus, reference):
             assert np.array_equal(op, ref)
+    # the r-free block maps against the same ladder-built image, wherever its sector is nonzero
+    for k, ref in enumerate(blocks, 1):
+        if ref is not None:
+            assert np.array_equal(grassmann_block(d, k).kraus, ref)
 
 
 def _scanned_stacks(d, r):
@@ -450,7 +475,7 @@ def _scanned_stacks(d, r):
     n = (1 << d) - 1
     full = np.zeros((n, n, d), dtype=complex)
     c_row = a_row = 0
-    for amp, sector in zip(channels._sector_amplitudes(d, r), channels._pair_sectors(d)):
+    for amp, sector in zip(channels._sector_amplitudes(d, r), pair_sectors(d)):
         n_a, n_c = sector.shape[:2]
         full[c_row : c_row + n_c, a_row : a_row + n_a] = amp * sector.transpose(1, 0, 2)
         c_row, a_row = c_row + n_c, a_row + n_a

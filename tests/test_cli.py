@@ -430,11 +430,13 @@ for args in (
         assert cli.main(args) == 0, args
     assert not never & set(sys.modules), (args, sorted(never & set(sys.modules)))
 
-# the lazy names resolve to their own modules, on first access and through the commands
-assert grasschan.fock is sys.modules["grasschan.fock"], grasschan.fock
+# the lazy names resolve to their own modules, on first access and through the commands;
+# dump-channel builds its Kraus set without the ladder operators of grasschan.fock
 assert "grasschan.channels" not in sys.modules
 assert cli.main(["dump-channel", "--d", "2", "--r", "0.5", "--out", out + "/d2.json"]) == 0
 assert grasschan.channels is sys.modules["grasschan.channels"], grasschan.channels
+assert "grasschan.fock" not in sys.modules
+assert grasschan.fock is sys.modules["grasschan.fock"], grasschan.fock
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--suite", "all", "--d", "2"]) == 0
 assert grasschan.verify is sys.modules["grasschan.verify"], grasschan.verify

@@ -72,6 +72,32 @@ def test_sector_codes_domain_errors():
         fock.sector_codes(0, 0)
 
 
+_D_ENTRY_POINTS = {
+    "sector_codes": lambda d: fock.sector_codes(d, 1),
+    "squeezed_vacuum": lambda d: fock.squeezed_vacuum(d, 0.3),
+    "isometry_apply": lambda d: fock.isometry_apply(d, 0.3, [1, 0]),
+    "pair_generator": lambda d: fock.pair_generator(d, 0.3),
+    "squeezing_unitary": lambda d: fock.squeezing_unitary(d, 0.3),
+    "factored_squeezing_unitary": lambda d: fock.factored_squeezing_unitary(d, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", _D_ENTRY_POINTS)
+def test_entry_points_reject_a_non_integer_d(name):
+    call = _D_ENTRY_POINTS[name]
+    for d in (2.0, 2.5, np.float64(2.0), "2", None):
+        with pytest.raises(DomainError, match="d must be an integer"):
+            call(d)
+    # numpy integers pass, as they do for the channel builders
+    want = call(2)
+    for d in (np.int64(2), np.uint8(2)):
+        got = call(d)
+        if isinstance(want, StateVector):
+            assert got.num_modes == want.num_modes and got.amplitudes == want.amplitudes
+        else:
+            assert np.array_equal(got, want)
+
+
 def test_creation_jw_sign_examples():
     # one fermion sits left of mode 1, so the created component picks up -1
     out = fock.apply_creation(basis_state_vector((1, 0, 0)), 1)

@@ -10,7 +10,7 @@ import pytest
 
 from grasschan import capacity, channels, fock, verify
 from grasschan.errors import DomainError, PreconditionError
-from helpers import random_density
+from helpers import pair_sectors, random_density
 
 
 def test_entropy_pure_and_mixed():
@@ -492,9 +492,9 @@ def _hermitian(rng, shape):
 
 
 def _sector_contraction(d, tables, rho, keep):
-    # the group's unit-weight blocks as dense products of the _pair_sectors tensors:
+    # the group's unit-weight blocks as dense products of the ladder-built sector tensors:
     # forward block i contracts its sector over (C code, rail), its mirror over (A code, rail)
-    sectors, n = channels._pair_sectors(d), tables.gather.shape[-1]
+    sectors, n = pair_sectors(d), tables.gather.shape[-1]
     blocks = np.zeros((*rho.shape[:-2], keep, n, n), dtype=complex)
     for i, s in enumerate(tables.sectors[:keep]):
         t = sectors[s].real if i < len(tables.sectors) // 2 else sectors[s].real.transpose(1, 0, 2)
