@@ -126,12 +126,17 @@ def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
         return _loader_logpmf(_loader_terms(x, n), s, c)
 
 
+def _check_integer(value, name: str, noun: str = "") -> int:
+    """value as an int; DomainError, naming noun + name, unless a Python or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{noun}{name} must be an integer, got {name}={value!r}") from None
+
+
 def _check_d(d, least: int = 1) -> int:
     """d as an int; DomainError unless it is an integer (Python or numpy) of at least ``least``."""
-    try:
-        n = operator.index(d)
-    except TypeError:
-        raise DomainError(f"d must be an integer, got d={d!r}") from None
+    n = _check_integer(d, "d")
     if n < least:
         raise DomainError(f"need d >= {least}, got d={n}")
     return n

@@ -48,7 +48,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import re
 from array import array
@@ -58,7 +57,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .capacity import CHANNEL_MAX_D, BlockWeights, _check_d, _check_r, block_weights
+from .capacity import (
+    CHANNEL_MAX_D,
+    BlockWeights,
+    _check_d,
+    _check_integer,
+    _check_r,
+    block_weights,
+)
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -258,11 +264,7 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
     by C code; each rail has C(d-1, k-1) unit-magnitude amplitudes there, hence
     the normalization.
     """
-    d = _check_channel_d(d)
-    try:
-        k = operator.index(k)  # numpy integers too, as _check_d takes d
-    except TypeError:
-        raise DomainError(f"sector k must be an integer, got k={k!r}") from None
+    d, k = _check_channel_d(d), _check_integer(k, "k", "sector ")
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     entries = _sector_nonzeros(d)[k - 1]

@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .capacity import _check_d, _check_r
+from .capacity import _check_d, _check_integer, _check_r
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -45,7 +45,7 @@ def sector_codes(d: int, k: int) -> list[int]:
     Ascending codes are lexicographically ordered bit-vectors; this ordering
     is the basis contract for every sector block downstream.
     """
-    d = _check_d(d)
+    d, k = _check_d(d), _check_integer(k, "k", "sector ")
     if not 0 <= k <= d:
         raise DomainError(f"fermion count k={k} outside [0, {d}]")
     return [c for c in range(1 << d) if c.bit_count() == k]
@@ -160,7 +160,7 @@ def exterior_power(u: np.ndarray, k: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {u.shape}")
-    d = u.shape[0]
+    d, k = u.shape[0], _check_integer(k, "k", "sector ")
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
     if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
@@ -183,6 +183,7 @@ _ID2 = np.eye(2, dtype=complex)
 
 def ladder_matrix(num_modes: int, mode: int) -> np.ndarray:
     """Dense 2^m x 2^m creation operator via the Jordan-Wigner construction."""
+    num_modes = _check_integer(num_modes, "num_modes")
     if not 0 <= mode < num_modes:
         raise DomainError(f"mode {mode} outside [0, {num_modes})")
     factors = [_PAULI_Z] * mode + [_SIGMA_RAISE] + [_ID2] * (num_modes - mode - 1)

@@ -188,9 +188,19 @@ class _Tables(NamedTuple):
     signs: np.ndarray  # (2 F,) +1 on the forward half, -1 on the mirror half
 
 
-def _offsets(lengths: np.ndarray) -> np.ndarray:
-    """Start of each of the segments of the given lengths, laid end to end."""
-    return np.cumsum(lengths) - lengths
+def _adjoint_columns(d: int, sector, position, target, sign):
+    """One half's adjoint table: the terms of rho[i, j] down column i d + j, padded with sign 0.
+
+    Down each column the terms run by sector, then by position; the padding comes last.
+    A position holds at most one term of each target, so no two sort keys are equal.
+    """
+    order = np.argsort((target * d + sector) * (position.max() + 1) + position)
+    column = target[order]
+    rank = np.arange(len(column)) - np.searchsorted(column, column)  # place down its column
+    adjoint = np.zeros((rank.max() + 1, d * d), dtype=np.intp)
+    signs = np.zeros(adjoint.shape)
+    adjoint[rank, column], signs[rank, column] = position[order], sign[order]
+    return adjoint, signs
 
 
 @lru_cache(maxsize=None)
@@ -207,86 +217,53 @@ def _block_tables(d: int) -> _Tables:
     same size C(d, k), so they and their mirrors make one group and one eigensolve;
     the blocks of at most ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to
     its largest block.  ``rails`` (d x E, 0/1, complex) takes the diagonal of rho to
-    the diagonal entries of every group's blocks, so one product serves them all.
-    The terms are read off that listing, each nonzero a real sign; every block's terms
-    are listed once, and each kind of table is filled for all groups at once.  Cached
-    per d (0.5 MB at d = 8), so the arrays are read-only.
+    the diagonal entries of every group's blocks, group after group, so one product
+    serves them all.  The groups are built one at a time, block by block: a term
+    pairs two nonzeros that share a summed code, the first fixing its block entry's
+    row and rail i, the second its column and j.  Each half's adjoint table lists the
+    terms of rho[i, j] down column i d + j by sector, then by position in the group's
+    flattened blocks, then the padding (sign 0); that order fixes the last bits of the
+    gradients.  Cached per d (0.5 MB at d = 8), so the arrays are read-only.
     """
     small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
     runs = [small] + [
         [k, d - k][: 1 + (2 * k < d)] for k in range(1, d // 2 + 1) if k not in small
     ]
-    count = np.array([2 * len(run) for run in runs])  # blocks per group
-    size = np.array([max(math.comb(d, k) for k in run) for run in runs])  # their padded size
-    # blocks are numbered group by group, a group listing its forward blocks, then their mirrors
-    number = np.zeros((2, d + 1), dtype=np.intp)  # [0, k]: forward block k; [1, k]: its mirror
-    for run, first in zip(runs, _offsets(count)):
-        number[:, run] = first + np.arange(2 * len(run)).reshape(2, -1)
-
-    # A term B[block, p, q] += sign rho[i, j] pairs two entries of one operand that share a
-    # summed code: forward block s + 1 sums sector s over C codes, and the mirror of forward
-    # block d - s sums it over A codes.  Every summed code meets the same number of entries,
-    # so an operand's entries fill a matrix with one row per summed code.
-    entries, rows, start = [], [], 0
-    for s, (a, c, i, unit, _) in enumerate(channels._sector_nonzeros(d)):  # ordered by A code
-        by_c = np.argsort(c.astype(np.uint16), kind="stable")
-        for half, out, order in ((0, a, by_c), (1, c, np.arange(len(a)))):
-            block = number[half, s + 1 if half == 0 else d - s]
-            entries.append((np.full(len(a), block), out, i, unit))
-            # sector s + 1 has C(d, s) C codes and C(d, s + 1) A codes
-            rows.append((order + start).reshape(math.comb(d, s + half), -1))
-            start += len(a)
-    block, out, rail, sign = map(np.concatenate, zip(*entries))
-    left = np.concatenate([np.repeat(matrix, matrix.shape[1]) for matrix in rows])
-    right = np.concatenate(
-        [np.repeat(matrix[:, None], matrix.shape[1], axis=1).ravel() for matrix in rows]
-    )
-
-    # per entry: its block's group and slot there, and its row of the group's (G, n, n) blocks
-    group = np.repeat(np.arange(len(runs)), count)[block]
-    slot, n = block - _offsets(count)[group], size[group]
-    row = slot * n + out
-    # A term's first entry fixes its block entry's row and rail i, the second its column and j.
-    position = (row * n)[left] + out[right]  # in the group's flattened blocks
-    target, sign = (rail * d)[left] + rail[right], sign[left] * sign[right]
-
-    # each kind of table holds the groups' tables end to end; the diagonal terms are the
-    # pairs of an entry with itself, and overwrite their block entry
-    gather = np.zeros(count @ size**2, dtype=np.intp)
-    gather[_offsets(count * size**2)[group[left]] + position] = 1 + target + d * d * (sign < 0)
-    diagonal = _offsets(count * size)[group] + row  # the entry's column of rails
-    gather[_offsets(count * size**2)[group] + row * n + out] = 1 + 2 * d * d + diagonal
-    rails = np.zeros((d, count @ size), dtype=complex)
-    rails[rail, diagonal] = 1.0
-    rails.flags.writeable = False
-    # a group's adjoint table lists the terms of its forward half, then those of its mirrors,
-    # each in W rows of d^2 columns: the terms of rho[i, j] go down column i d + j in the
-    # order listed, and the column is padded with zeros
-    key = (2 * group + slot // (count[group] // 2))[left] * d * d + target
-    order = np.argsort(key.astype(np.uint16), kind="stable")  # radix sort: key < 2 d^3 <= 1024
-    per_key = np.bincount(key, minlength=2 * len(runs) * d * d)
-    width = per_key.reshape(-1, d * d).max(axis=1)
-    rank = np.arange(len(key)) - np.repeat(_offsets(per_key), per_key)
-    at = (_offsets(width)[key[order] // (d * d)] + rank) * d * d + target[order]
-    adjoint, signs = np.zeros(width.sum() * d * d, dtype=np.intp), np.zeros(width.sum() * d * d)
-    adjoint[at], signs[at] = position[order], sign[order]
-
-    heights = (width[::2] + width[1::2]) * d * d
-    gather, adjoint, signs = (
-        np.split(flat, np.cumsum(lengths)[:-1])
-        for flat, lengths in ((gather, count * size**2), (adjoint, heights), (signs, heights))
-    )
-    groups = []
-    for j, run in enumerate(runs):
+    nonzeros, groups, rails = channels._sector_nonzeros(d), [], []
+    for run in runs:
+        # forward block k sums sector k - 1 (from 0) over C codes, its mirror sector d - k over A
+        blocks = [(k - 1, 0) for k in run] + [(d - k, 1) for k in run]
+        n, offset = max(math.comb(d, k) for k in run), sum(part.shape[1] for part in rails)
+        gather = np.zeros(len(blocks) * n * n, dtype=np.intp)
+        columns = np.zeros((d, len(blocks) * n), dtype=complex)  # the group's part of rails
+        halves = ([], [])
+        for slot, (s, half) in enumerate(blocks):
+            a, c, rail, unit, _ = nonzeros[s]
+            out, summed = (a, c) if half == 0 else (c, a)
+            # every summed code meets the same number of nonzeros: one row of them per code
+            rows = np.argsort(summed, kind="stable").reshape(math.comb(d, s + half), -1)
+            width = rows.shape[1]
+            left, right = rows[:, :, None].repeat(width, 2).ravel(), rows.repeat(width, 0).ravel()
+            row = slot * n + out  # each nonzero's row of the group's (G, n, n) blocks
+            position, target = row[left] * n + out[right], rail[left] * d + rail[right]
+            sign = unit[left] * unit[right]
+            gather[position] = 1 + target + d * d * (sign < 0)
+            # the diagonal terms pair a nonzero with itself; their sums come from rails
+            gather[row * n + out] = 1 + 2 * d * d + offset + row
+            columns[rail, row] = 1.0
+            halves[half].append((np.full(len(left), s), position, target, sign))
+        forward, mirror = (_adjoint_columns(d, *map(np.concatenate, zip(*h))) for h in halves)
+        rails.append(columns)
         parts = (
-            np.array([k - 1 for k in run] + [d - k for k in run]),
-            gather[j].reshape(count[j], size[j], size[j]),
-            adjoint[j].reshape(-1, d * d),
-            signs[j].reshape(-1, d * d),
+            np.array([s for s, _ in blocks]),
+            gather.reshape(len(blocks), n, n),
+            *map(np.concatenate, zip(forward, mirror)),  # adjoint, then signs: forward rows first
         )
         for array in parts:
             array.flags.writeable = False
-        groups.append(_BlockGroup(*parts, int(width[2 * j])))
+        groups.append(_BlockGroup(*parts, len(forward[0])))
+    rails = np.concatenate(rails, axis=1)
+    rails.flags.writeable = False
     # per eigenvalue: its block's sector, the forward halves of every group first
     sectors = np.concatenate(
         [np.repeat(g.sectors.reshape(2, -1), g.gather.shape[-1], axis=1) for g in groups], axis=1

@@ -98,6 +98,34 @@ def test_entry_points_reject_a_non_integer_d(name):
             assert np.array_equal(got, want)
 
 
+# each entry point, the name its integer check gives, and an integer out of range with its message
+_INTEGER_ARGUMENTS = {
+    "sector_codes": (
+        lambda k: fock.sector_codes(3, k), "sector k", 4, r"fermion count k=4 outside \[0, 3\]"
+    ),
+    "exterior_power": (
+        lambda k: fock.exterior_power(np.eye(3), k), "sector k", 4, r"sector k=4 outside \[1, 3\]"
+    ),
+    "ladder_matrix": (
+        lambda m: fock.ladder_matrix(m, 0), "num_modes", -4, r"mode 0 outside \[0, -4\)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _INTEGER_ARGUMENTS)
+def test_entry_points_reject_a_non_integer_k_or_mode_count(name):
+    call, what, out_of_range, message = _INTEGER_ARGUMENTS[name]
+    for value in (1.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(DomainError, match=f"{what} must be an integer"):
+            call(value)
+    # numpy integers pass, and an integer out of range keeps its own message
+    want = call(2)
+    for value in (np.int64(2), np.uint8(2)):
+        assert np.array_equal(call(value), want)
+    with pytest.raises(DomainError, match=message):
+        call(out_of_range)
+
+
 def test_creation_jw_sign_examples():
     # one fermion sits left of mode 1, so the created component picks up -1
     out = fock.apply_creation(basis_state_vector((1, 0, 0)), 1)

@@ -530,6 +530,26 @@ def test_block_tables_match_the_dense_sector_contraction(d):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
+def test_adjoint_terms_run_by_sector_then_position_down_each_column(d):
+    # The adjointness above holds in any term order, but the order of the sums down each
+    # column fixes the last bits of every gradient.  In each half of a group (the first
+    # ``forward`` rows, then the rest) the live terms (sign != 0) lead every column, strictly
+    # increasing in (sector of the term's block, position), and point into that half's blocks;
+    # the padding is position 0, sign 0.
+    for tables in verify._block_tables(d).groups:
+        blocks, n = len(tables.gather), tables.gather.shape[-1]
+        half = blocks // 2 * n * n  # positions in one half's flattened blocks
+        for rows, first in ((slice(None, tables.forward), 0), (slice(tables.forward, None), half)):
+            adjoint, signs = tables.adjoint[rows], tables.signs[rows]
+            live = signs != 0
+            assert live[0].any() and not (live[1:] & ~live[:-1]).any()
+            assert np.all(np.abs(signs[live]) == 1) and not adjoint[~live].any()
+            assert np.all((first <= adjoint[live]) & (adjoint[live] < first + half))
+            key = tables.sectors[adjoint // (n * n)] * blocks * n * n + adjoint
+            assert np.all(np.diff(key, axis=0)[live[1:]] > 0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
 def test_block_spectra_are_the_subset_sums_of_the_input_spectrum(d):
     # The spectral identity: forward block k of a state with spectrum lam has spectrum
     # a_k {sum_{i in S} lam_i : |S| = k}, and the complement block with j fermions
