@@ -87,7 +87,7 @@ def _jw_sign(code: int, num_modes: int, mode: int) -> int:
 
 def apply_creation(state: StateVector, mode: int) -> StateVector:
     """Apply the creation operator for ``mode`` (0-based) with JW sign."""
-    m = state.num_modes
+    m, mode = state.num_modes, _check_integer(mode, "mode")
     if not 0 <= mode < m:
         raise DomainError(f"mode {mode} outside [0, {m})")
     bit = 1 << (m - 1 - mode)
@@ -183,7 +183,7 @@ _ID2 = np.eye(2, dtype=complex)
 
 def ladder_matrix(num_modes: int, mode: int) -> np.ndarray:
     """Dense 2^m x 2^m creation operator via the Jordan-Wigner construction."""
-    num_modes = _check_integer(num_modes, "num_modes")
+    num_modes, mode = _check_integer(num_modes, "num_modes"), _check_integer(mode, "mode")
     if not 0 <= mode < num_modes:
         raise DomainError(f"mode {mode} outside [0, {num_modes})")
     factors = [_PAULI_Z] * mode + [_SIGMA_RAISE] + [_ID2] * (num_modes - mode - 1)

@@ -632,35 +632,29 @@ def optimize_holevo(
 # ---------------------------------------------------------------------------
 
 
-def _solve_intertwiner(a_maps: list[np.ndarray], b_maps: list[np.ndarray]) -> np.ndarray:
-    """Unitary V with V A_t = B_t V for all t, via a nullspace + polar step."""
-    n = a_maps[0].shape[0]
-    eye = np.eye(n)
-    stacked = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(a_maps, b_maps)])
-    _, _, vh = np.linalg.svd(stacked, full_matrices=False)
-    v = vh[-1].conj().reshape(n, n)
-    u, _, wh = np.linalg.svd(v)
-    return u @ wh
-
-
 @lru_cache(maxsize=None)
 def _complement_intertwiners(d: int) -> tuple:
-    """(V_k, residual, T_k) per block map k: V_k aligns complement sector d-k with it.
+    """(V_k, residual, T_k) per block map k: V_k aligns block k with complement sector d-k.
 
     The target is the complement of block map d-k+1: the C-side sector with
     d-k fermions, normalized by its C(d-1, k-1) unit amplitudes per rail.
-    T_k is the block map's transfer matrix, read-only as the result is cached.
+    V_k sends the a-th ascending k-fermion code A (mode 0 the most significant
+    bit) to its complement mask ^ A, the (C(d, k) - 1 - a)-th ascending
+    (d-k)-fermion code, with sign (-1)^#{(i, j) : i in A, j not in A, j < i},
+    that is (-1)^(sum of A's modes - k(k-1)/2).  The residual is max_t |V_k A_t - B_t V_k|
+    over the two transfer matrices, T_k the block map's.  Cached, so read-only.
     """
+    bits = np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1) & 1  # [code, mode]
+    fermions, mode_sum = bits.sum(axis=1), bits @ np.arange(d)
     result = []
     for k in range(1, d + 1):
-        t_block = transfer_matrix(grassmann_block(d, k))
-        t_block.flags.writeable = False
         n = math.comb(d, k)
+        t_block = transfer_matrix(grassmann_block(d, k))
         lhat = transfer_matrix(complement_channel_rep(grassmann_block(d, d - k + 1)))
-        a_maps = [t_block[:, t].reshape(n, n) for t in range(d * d)]
-        b_maps = [lhat[:, t].reshape(n, n) for t in range(d * d)]
-        v = _solve_intertwiner(a_maps, b_maps)
-        residual = max(np.linalg.norm(v @ a - b @ v) for a, b in zip(a_maps, b_maps))
+        a_maps, b_maps = (t.reshape(n, n, d * d).transpose(2, 0, 1) for t in (t_block, lhat))
+        v = np.diag((-1.0) ** (mode_sum[fermions == k] - k * (k - 1) // 2))[::-1]
+        residual = np.linalg.norm(v @ a_maps - b_maps @ v, axis=(1, 2)).max()
+        v.flags.writeable = t_block.flags.writeable = False
         result.append((v, float(residual), t_block))
     return tuple(result)
 

@@ -48,3 +48,40 @@ def pair_sectors(d: int) -> tuple[np.ndarray, ...]:
     for sector in sectors:
         sector.flags.writeable = False
     return tuple(sectors)
+
+
+def intertwiner_solve(a_maps, b_maps) -> np.ndarray:
+    """Unitary V with V A_t = B_t V for all t, via a Kronecker nullspace and a polar step.
+
+    Row-major, V A_t - B_t V = 0 reads (I kron A_t^T - B_t kron I) vec(V) = 0;
+    the system stacks these over t, and its right singular vector of least
+    singular value, made unitary by a polar step, is V.  Where A_t and B_t are
+    both diagonal, equation (p, q) reads V[p, q] (A_t[q, q] - B_t[p, p]) = 0, so
+    the entries whose diagonals differ vanish and only the rest are solved for:
+    the full system at d = 8 would take 24 GB.  Rows that are zero over the
+    remaining entries are dropped.  The nullspace must be one-dimensional.
+    """
+    a_maps, b_maps = np.asarray(a_maps), np.asarray(b_maps)
+    n = a_maps.shape[1]
+    free = np.ones((n, n), dtype=bool)
+    for a, b in zip(a_maps, b_maps):
+        a_diag, b_diag = np.diag(np.diagonal(a)), np.diag(np.diagonal(b))
+        if np.array_equal(a, a_diag) and np.array_equal(b, b_diag):
+            free &= np.abs(np.diagonal(b)[:, None] - np.diagonal(a)[None, :]) <= 1e-12
+    p, q = np.nonzero(free)
+    unknowns = np.arange(len(p))
+    rows = []
+    for a, b in zip(a_maps, b_maps):
+        m = np.zeros((n, n, len(p)), dtype=complex)  # d(V A - B V)[p', q'] / dV[p, q]
+        m[p, :, unknowns] = a[q]  # E_pq A is row q of A, put in row p
+        m[:, q, unknowns] -= b[:, p]  # B E_pq is column p of B, put in column q
+        m = m.reshape(n * n, len(p))
+        rows.append(m[np.abs(m).max(axis=1) > 0])
+    # zero rows up to one per unknown, so vh spans every unknown even if no row is left (d = 1)
+    rows.append(np.zeros((max(len(p) - sum(map(len, rows)), 0), len(p))))
+    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    assert len(s) == 1 or s[-2] > 1e-6 * s[0], f"nullspace is not one-dimensional: {s[-2:]}"
+    v = np.zeros((n, n), dtype=complex)
+    v[p, q] = vh[-1].conj()
+    u, _, wh = np.linalg.svd(v)
+    return u @ wh

@@ -109,6 +109,15 @@ _INTEGER_ARGUMENTS = {
     "ladder_matrix": (
         lambda m: fock.ladder_matrix(m, 0), "num_modes", -4, r"mode 0 outside \[0, -4\)"
     ),
+    "ladder_matrix_mode": (
+        lambda i: fock.ladder_matrix(3, i), "mode", 3, r"mode 3 outside \[0, 3\)"
+    ),
+    "apply_creation": (
+        lambda i: fock.apply_creation(fock.vacuum(3), i).dense(),
+        "mode",
+        3,
+        r"mode 3 outside \[0, 3\)",
+    ),
 }
 
 

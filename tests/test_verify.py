@@ -10,7 +10,7 @@ import pytest
 
 from grasschan import capacity, channels, fock, verify
 from grasschan.errors import DomainError, PreconditionError
-from helpers import pair_sectors, random_density
+from helpers import intertwiner_solve, pair_sectors, random_density
 
 
 def test_entropy_pure_and_mixed():
@@ -681,6 +681,25 @@ def test_check_degradable_inside_boundary():
     assert detail["solve_residual"] < 1e-9
     assert detail["choi_min_eig"] >= -1e-9
     assert detail["q_gap"] < 1e-10
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_complement_intertwiners_follow_the_signed_complement_rule(d):
+    # each V_k is a signed anti-identity, intertwines exactly, and is the solved
+    # intertwiner up to one phase; the unsigned anti-identity fails from d = 2 on
+    for k, (v, residual, t_block) in enumerate(verify._complement_intertwiners(d), start=1):
+        n = math.comb(d, k)
+        assert np.array_equal(np.abs(v), np.eye(n)[::-1])
+        assert residual == 0.0
+        block = channels.grassmann_block(d, d - k + 1)
+        lhat = channels.transfer_matrix(channels.complement_channel_rep(block))
+        ref = intertwiner_solve(
+            [t_block[:, t].reshape(n, n) for t in range(d * d)],
+            [lhat[:, t].reshape(n, n) for t in range(d * d)],
+        )
+        phase = np.vdot(v, ref) / n
+        assert abs(abs(phase) - 1.0) <= 1e-12, (k, phase)
+        assert np.abs(ref - phase * v).max() <= 1e-12, k
 
 
 def test_check_degradable_rejects_a_bad_tolerance():
