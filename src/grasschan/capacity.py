@@ -19,7 +19,6 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 
 __all__ = [
     "log_base_value",
-    "BlockWeights",
     "DegradingWeights",
     "UnruhCapacity",
     "block_weights",
@@ -147,15 +146,6 @@ def _check_r(r: float):
         raise DomainError(f"squeezing parameter r={r} outside [0, pi/2)")
 
 
-class BlockWeights(NamedTuple):
-    """Forward and complementary sector weights of the d-dimensional channel."""
-
-    d: int
-    r: float
-    p: np.ndarray
-    p_tilde: np.ndarray
-
-
 # The largest d at which ``channels`` builds a channel explicitly.  The builders call
 # block_weights at every (d, r) they build, so it keeps the r-free Loader terms of each d up
 # to this one (five rows of d entries, 320 bytes of arrays at the bound); past it they are
@@ -175,14 +165,15 @@ def _weight_terms(d: int) -> _LoaderTerms:
     return terms
 
 
-def block_weights(d: int, r: float) -> BlockWeights:
-    """Sector weights p_k and complementary weights p~_k, k = 1..d.
+def block_weights(d: int, r: float) -> np.ndarray:
+    """Sector weights p_k, k = 1..d, as the float array p with p[k - 1] = p_k.
 
-    p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r, and p~_k has the tangent
-    exponent 2(d-k): the Binomial(d-1, sin^2 r) pmf and its reversal, bitwise
-    ``_binomial_logpmf``'s.  Up to d = ``CHANNEL_MAX_D``, the d the channel
-    builders reach, its r-free terms (Stirling errors and half-log) are computed
-    once per d, and only the deviances once per call.
+    p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r: the Binomial(d-1, sin^2 r)
+    pmf, bitwise ``_binomial_logpmf``'s.  The complementary weights p~_k, with
+    tangent exponent 2(d-k), are its reversal: p~_k = p[d - k].  Up to
+    d = ``CHANNEL_MAX_D``, the d the channel builders reach, its r-free terms
+    (Stirling errors and half-log) are computed once per d, and only the
+    deviances once per call.
     """
     d = _check_d(d)
     _check_r(r)
@@ -191,14 +182,12 @@ def block_weights(d: int, r: float) -> BlockWeights:
         logpmf = _loader_logpmf(terms, math.sin(r) ** 2, math.cos(r) ** 2)
     p = np.exp(logpmf)
     assert abs(p.sum() - 1.0) < 1e-12
-    return BlockWeights(d, r, p, p[::-1].copy())
+    return p
 
 
 class DegradingWeights(NamedTuple):
     """Convex weights of the degrading map, valid iff all are nonnegative."""
 
-    d: int
-    r: float
     q: np.ndarray
     valid: bool
 
@@ -206,17 +195,17 @@ class DegradingWeights(NamedTuple):
 def degrading_weights(d: int, r: float) -> DegradingWeights:
     """Weights q_k of the degrading map; q_1 = tan^(2(d-1))r.
 
-    The others are q_k = p~_k - q_1 p_k, from the sector weights.  The
-    weights always sum to 1; they are all nonnegative exactly on r in
-    [0, pi/4], which the ``valid`` flag reports.
+    The others are q_k = p~_k - q_1 p_k, from the sector weights p and their
+    reversal p~.  The weights always sum to 1; they are all nonnegative exactly
+    on r in [0, pi/4], which the ``valid`` flag reports.
     """
-    w = block_weights(d, r)
+    p = block_weights(d, r)
     # tan^(2(d-1)) r overflows to inf past pi/4 at large d; q is then not valid
     with np.errstate(over="ignore", invalid="ignore"):
         q1 = np.float64(math.tan(r) ** 2) ** (d - 1)
-        q = np.concatenate([[q1], w.p_tilde[1:] - q1 * w.p[1:]])
+        q = np.concatenate([[q1], p[::-1][1:] - q1 * p[1:]])
     valid = bool(np.all(q >= -1e-12) and abs(q.sum() - 1.0) <= 1e-12)
-    return DegradingWeights(d, r, q, valid)
+    return DegradingWeights(q, valid)
 
 
 def _q_sum(p: np.ndarray, base_val: float) -> float:
@@ -227,7 +216,7 @@ def _q_sum(p: np.ndarray, base_val: float) -> float:
 
 def quantum_capacity_grassmann_unclamped(d: int, r: float, base="d") -> float:
     """Raw quantum-capacity expression; negative beyond r = pi/4."""
-    return _q_sum(block_weights(d, r).p, log_base_value(base, d))
+    return _q_sum(block_weights(d, r), log_base_value(base, d))
 
 
 def quantum_capacity_grassmann(d: int, r: float, base="d") -> float:
@@ -275,14 +264,14 @@ def classical_capacity_grassmann(d: int, r: float, base="d") -> float:
     flat sector spectra (eigenvalue 1/C(d-1,k-1) with multiplicity C(d-1,k-1)
     inside sector k).
     """
-    w = block_weights(d, r)
+    p = block_weights(d, r)
     lb = math.log(log_base_value(base, d))
     k = np.arange(1, d + 1)
-    closed = (math.log(d) - w.p @ np.log(k)) / lb
+    closed = (math.log(d) - p @ np.log(k)) / lb
     # log C(n, x) = log Binomial(n, 1/2) pmf + n log 2
-    sector_term = (w.p @ (_binomial_logpmf(k, d, 0.5, 0.5) + d * math.log(2))) / lb
+    sector_term = (p @ (_binomial_logpmf(k, d, 0.5, 0.5) + d * math.log(2))) / lb
     flat_entropy = _binomial_logpmf(k - 1, d - 1, 0.5, 0.5) + (d - 1) * math.log(2)
-    three_term = sector_term - (w.p @ flat_entropy) / lb
+    three_term = sector_term - (p @ flat_entropy) / lb
     if abs(closed - three_term) > 1e-10:
         raise ConsistencyError(
             f"classical-capacity forms disagree at d={d}, r={r}: {closed!r} vs {three_term!r}"

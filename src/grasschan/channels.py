@@ -57,14 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .capacity import (
-    CHANNEL_MAX_D,
-    BlockWeights,
-    _check_d,
-    _check_integer,
-    _check_r,
-    block_weights,
-)
+from .capacity import CHANNEL_MAX_D, _check_d, _check_integer, _check_r, block_weights
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -108,24 +101,30 @@ class ChannelRep:
     """A CPTP map given by a stack of Kraus operators, with optional block metadata.
 
     ``kraus`` may be given as any sequence of (out_dim, in_dim) matrices; it
-    is held as one complex array of shape (m, out_dim, in_dim).  Values are
-    immutable after construction and safe to share: a Grassmann channel's
-    stack is read-only and shared with its complement at the same (d, r).
+    is held as one complex array of shape (m, out_dim, in_dim), and a stack of
+    any other rank raises.  ``in_dim`` and ``out_dim`` are read off its shape.
+    Values are immutable after construction and safe to share: a Grassmann
+    channel's stack is read-only and shared with its complement at the same (d, r).
     """
 
-    in_dim: int
-    out_dim: int
     kraus: np.ndarray
     blocks: list[Block] | None = None
     label: str = ""
 
     def __post_init__(self):
         self.kraus = np.asarray(self.kraus, dtype=complex)
-        if self.kraus.ndim != 3 or self.kraus.shape[1:] != (self.out_dim, self.in_dim):
+        if self.kraus.ndim != 3:
             raise PreconditionError(
-                f"Kraus stack must have shape (m, {self.out_dim}, {self.in_dim}), "
-                f"got {self.kraus.shape}"
+                f"Kraus stack must have shape (m, out_dim, in_dim), got {self.kraus.shape}"
             )
+
+    @property
+    def in_dim(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def out_dim(self) -> int:
+        return self.kraus.shape[1]
 
     def kraus_completeness(self) -> np.ndarray:
         """sum_m K_m^dag K_m, equal to the identity for a CPTP map."""
@@ -210,7 +209,7 @@ def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _image(d: int, r: float) -> tuple[np.ndarray, int, int, BlockWeights]:
+def _image(d: int, r: float) -> tuple[np.ndarray, int, int, np.ndarray]:
     """The isometry image at (d, r): its Kraus stack, C and A rows in use, and block weights.
 
     In the zero-padded [C code, A code, rail] stack, sector k times cos^(d-1) r tan^(k-1) r
@@ -236,10 +235,9 @@ def _image(d: int, r: float) -> tuple[np.ndarray, int, int, BlockWeights]:
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
     d = _check_channel_d(d)  # before the cache, which would take 3.0 for 3
-    stack, c_rows, _, weights = _image(d, r)  # rejects r
-    kraus = stack[:c_rows]
-    blocks = [Block(k, float(weights.p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
-    return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann(d={d},r={r:.12g})")
+    stack, c_rows, _, p = _image(d, r)  # rejects r
+    blocks = [Block(k, float(p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
+    return ChannelRep(stack[:c_rows], blocks, label=f"grassmann(d={d},r={r:.12g})")
 
 
 def complementary_channel(d: int, r: float) -> ChannelRep:
@@ -248,13 +246,13 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
     Its Kraus stack is the transposed forward stack cut to the A rows in use;
     the output keeps every C-side row (at r = 0 only the empty one is reached).
     Block metadata labels the C-side sector with j fermions by the forward
-    sector k = d - j it mirrors, so block k carries weight p~_k.
+    sector k = d - j it mirrors, so block k carries weight p~_k = p_(d-k+1) = p[j].
     """
     d = _check_channel_d(d)  # before the cache, which would take 3.0 for 3
-    stack, _, a_rows, weights = _image(d, r)  # rejects r
+    stack, _, a_rows, p = _image(d, r)  # rejects r
     kraus = stack.transpose(1, 0, 2)[:a_rows]
-    blocks = [Block(d - j, float(weights.p_tilde[d - j - 1]), math.comb(d, j)) for j in range(d)]
-    return ChannelRep(d, (1 << d) - 1, kraus, blocks, label=f"grassmann-comp(d={d},r={r:.12g})")
+    blocks = [Block(d - j, float(p[j]), math.comb(d, j)) for j in range(d)]
+    return ChannelRep(kraus, blocks, label=f"grassmann-comp(d={d},r={r:.12g})")
 
 
 def grassmann_block(d: int, k: int) -> ChannelRep:
@@ -271,7 +269,7 @@ def grassmann_block(d: int, k: int) -> ChannelRep:
     kraus = np.zeros((math.comb(d, k - 1), math.comb(d, k), d), dtype=complex)
     kraus[entries.c, entries.a, entries.rail] = entries.unit / math.sqrt(math.comb(d - 1, k - 1))
     blocks = [Block(k, 1.0, math.comb(d, k))]
-    return ChannelRep(d, math.comb(d, k), kraus, blocks, label=f"grassmann-block(d={d},k={k})")
+    return ChannelRep(kraus, blocks, label=f"grassmann-block(d={d},k={k})")
 
 
 def complement_channel_rep(ch: ChannelRep) -> ChannelRep:
@@ -281,7 +279,7 @@ def complement_channel_rep(ch: ChannelRep) -> ChannelRep:
     output dimension equals their number.
     """
     kraus = _nonzero_ops(ch.kraus.transpose(1, 0, 2))  # operator a holds row a of every K_m
-    return ChannelRep(ch.in_dim, len(ch.kraus), kraus, None, label=f"complement-of[{ch.label}]")
+    return ChannelRep(kraus, label=f"complement-of[{ch.label}]")
 
 
 def werner_holevo(d: int) -> ChannelRep:
@@ -292,7 +290,7 @@ def werner_holevo(d: int) -> ChannelRep:
     kraus = np.zeros((len(i), d, d), dtype=complex)
     kraus[m, j, i] = 1.0 / math.sqrt(d - 1)
     kraus[m, i, j] = -1.0 / math.sqrt(d - 1)
-    return ChannelRep(d, d, kraus, None, label=f"werner-holevo(d={d})")
+    return ChannelRep(kraus, label=f"werner-holevo(d={d})")
 
 
 def transpose_depolarizing(d: int, t: float) -> np.ndarray:
@@ -571,4 +569,4 @@ def load_channel_json(path) -> ChannelRep:
     if not np.isfinite(kraus).all():
         raise ValueError("Kraus entries must be finite")
     blocks = _blocks(doc["blocks"], out_dim)
-    return ChannelRep(in_dim, out_dim, kraus, blocks, label=f"{doc['family']}(json)")
+    return ChannelRep(kraus, blocks, label=f"{doc['family']}(json)")

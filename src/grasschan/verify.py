@@ -19,6 +19,7 @@ gather through a fixed-width table of the same terms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -27,6 +28,8 @@ import numpy as np
 
 from . import channels, fock
 from .capacity import (
+    CHANNEL_MAX_D,
+    _check_integer,
     block_weights,
     classical_capacity_grassmann,
     degrading_weights,
@@ -73,9 +76,7 @@ __all__ = [
     "random_pure_state",
 ]
 
-# Dimension caps of the checks; ``--suite all`` skips a check outside them.
-ORACLE_Q_MAX_D = 8
-ORACLE_C_MAX_D = 8
+# The dimensions the degradability check supports; ``--suite all`` skips it outside them.
 DEGRADABLE_DS = range(2, 5)
 
 
@@ -594,8 +595,7 @@ def optimize_coherent_information(d: int, r: float, seed: int) -> tuple[float, n
     [converged flag per restart], "grad_norm": [largest gradient entry at
     each restart's end point]}``.
     """
-    if not 1 <= d <= ORACLE_Q_MAX_D:
-        raise DomainError(f"optimizer needs 1 <= d <= {ORACLE_Q_MAX_D}, got d={d}")
+    d = channels._check_channel_d(d)
     rng = np.random.default_rng(seed)
     starts = [rng.standard_normal(2 * d * d) for _ in range(4)]
     value, best_x, stats = _maximize(
@@ -614,9 +614,8 @@ def optimize_holevo(
     3 restarts of at most 3000 iterations.  Returns the best value, its
     (probability, state) ensemble, and the same ``stats`` dict.
     """
-    if not 1 <= d <= ORACLE_C_MAX_D:
-        raise DomainError(f"ensemble optimizer needs 1 <= d <= {ORACLE_C_MAX_D}, got d={d}")
-    size = ensemble_size if ensemble_size is not None else d + 1
+    d = channels._check_channel_d(d)
+    size = d + 1 if ensemble_size is None else _check_integer(ensemble_size, "ensemble_size")
     if size < d:
         raise PreconditionError(f"ensemble size {size} < d={d}")
     rng = np.random.default_rng(seed)
@@ -679,7 +678,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     t_fwd = transfer_matrix(fwd)
     t_comp = transfer_matrix(comp)
     d_a, d_c = fwd.out_dim, comp.out_dim
-    weights = block_weights(d, r)
+    p_1 = block_weights(d, r)[0]
     a_rows, c_rows = block_slices(fwd), block_slices(comp)
     inter = _complement_intertwiners(d)
     inter_residual = max(res for _, res, _ in inter)
@@ -696,7 +695,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     pieces = [np.kron(w_mat, w_mat.conj())]
     for m in range(2, d + 1):
         embed, t_block = w_mat[:, a_rows[m]], inter[m - 1][2]
-        pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / weights.p[0])
+        pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / p_1)
 
     columns = [(piece @ t_fwd).reshape(-1) for piece in pieces]
     a_mat = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)
@@ -811,13 +810,13 @@ def check_complementary_spectra(d: int, r: float, seed: int) -> VerificationRepo
     """Each complement sector is isospectral to its weighted block state."""
     trials = 20
     comp = complementary_channel(d, r)
-    weights = block_weights(d, r)
+    p = block_weights(d, r)
     psi = _random_pure_projectors(d, trials, seed)
     gamma_c = apply_kraus(comp.kraus, psi)
     residuals = np.zeros(trials)
     for m, rows in block_slices(comp).items():
         ev_block = np.linalg.eigvalsh(apply_kraus(grassmann_block(d, m).kraus, psi))
-        gap = np.linalg.eigvalsh(gamma_c[:, rows, rows]) - weights.p_tilde[m - 1] * ev_block
+        gap = np.linalg.eigvalsh(gamma_c[:, rows, rows]) - p[d - m] * ev_block
         residuals = np.maximum(residuals, np.abs(gap).max(axis=1))
     worst = float(residuals.max())
     return VerificationReport(
@@ -838,7 +837,7 @@ def check_werner_holevo(d: int) -> VerificationReport:
     tol = 1e-10
     comp = complement_channel_rep(grassmann_block(d, 2))
     rail = channels.rail_reversal(d)
-    aligned = ChannelRep(d, d, rail @ comp.kraus, None, label="rail-aligned")
+    aligned = ChannelRep(rail @ comp.kraus, label="rail-aligned")
     choi_wh = choi_matrix(werner_holevo(d))
     choi_gap = float(np.linalg.norm(choi_matrix(aligned) - choi_wh))
     pt_min = check_ppt(choi_wh, d)
@@ -867,8 +866,14 @@ def check_factorization(r: float) -> VerificationReport:
 
 
 def check_ppt(choi: np.ndarray, cut_dim: int) -> float:
-    """Minimum eigenvalue of the partial transpose over the second factor."""
+    """Minimum eigenvalue of the partial transpose over the second factor.
+
+    ``cut_dim``, the first factor's dimension, must be a Python or numpy integer
+    of at least 1 that divides the matrix size; anything else raises.
+    """
     total = choi.shape[0]
+    if not isinstance(cut_dim, numbers.Integral) or cut_dim < 1:
+        raise PreconditionError(f"cut dimension {cut_dim!r} is not a positive integer")
     if total % cut_dim:
         raise PreconditionError(f"cut dimension {cut_dim} does not divide {total}")
     other = total // cut_dim
@@ -946,9 +951,9 @@ SUITES = {
         check_wolf_eisert_form(d, k, seed) for k in range(1, d + 1)]),
     "werner-holevo": (lambda d: True, lambda d, r, seed, tol: [check_werner_holevo(max(d, 2))]),
     "factorization": (lambda d: True, lambda d, r, seed, tol: [check_factorization(r)]),
-    "oracle-q": (lambda d: d <= ORACLE_Q_MAX_D,
+    "oracle-q": (lambda d: d <= CHANNEL_MAX_D,
                  lambda d, r, seed, tol: [check_oracle_q(d, r, seed)]),
-    "oracle-c": (lambda d: d <= ORACLE_C_MAX_D,
+    "oracle-c": (lambda d: d <= CHANNEL_MAX_D,
                  lambda d, r, seed, tol: [check_oracle_c(d, r, seed)]),
     "ppt": (lambda d: True, lambda d, r, seed, tol: [check_ppt_threshold(max(d, 2))]),
     "rate": (lambda d: True, lambda d, r, seed, tol: [check_approximation_rate(max(d, 2))]),

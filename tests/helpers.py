@@ -17,7 +17,7 @@ def erasure_channel(p: float) -> ChannelRep:
     kraus = np.zeros((3, 3, 2), dtype=complex)
     kraus[0, 0, 0] = kraus[0, 1, 1] = math.sqrt(1.0 - p)  # keep
     kraus[1, 2, 0] = kraus[2, 2, 1] = math.sqrt(p)  # flag either rail
-    return ChannelRep(2, 3, _nonzero_ops(kraus), None, label=f"erasure(p={p:.12g})")
+    return ChannelRep(_nonzero_ops(kraus), label=f"erasure(p={p:.12g})")
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

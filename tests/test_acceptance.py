@@ -248,8 +248,8 @@ def test_criterion_werner_holevo():
         choi_ok = False
         if kraus_ok:
             diag = np.diag(alignment).astype(complex)
-            aligned = channels.ChannelRep(3, 3, [diag @ op for op in ours], None, "aligned")
-            reference = channels.ChannelRep(3, 3, D3_BLOCK2_REFERENCE_KRAUS, None, "reference")
+            aligned = channels.ChannelRep([diag @ op for op in ours], None, "aligned")
+            reference = channels.ChannelRep(D3_BLOCK2_REFERENCE_KRAUS, None, "reference")
             choi_ok = bool(np.linalg.norm(choi_matrix(aligned) - choi_matrix(reference)) < 1e-10)
     _report(
         "complement of block-2 equals antisymmetric channel; d=3 Kraus triple",

@@ -101,13 +101,10 @@ def test_classical_capacity_limits():
 def test_block_weights_sum_and_reversal():
     for d in (1, 2, 3, 6, 12):
         for r in (0.0, 0.3, 0.9, 1.4):
-            w = block_weights(d, r)
-            assert abs(w.p.sum() - 1.0) < 1e-12
-            assert abs(w.p_tilde.sum() - 1.0) < 1e-12
-            assert np.abs(w.p_tilde - w.p[::-1]).max() < 1e-15
-    w0 = block_weights(4, 0.0)
-    assert np.allclose(w0.p, [1, 0, 0, 0])
-    assert np.allclose(w0.p_tilde, [0, 0, 0, 1])
+            p = block_weights(d, r)
+            assert abs(p.sum() - 1.0) < 1e-12
+    p0 = block_weights(4, 0.0)
+    assert np.allclose(p0, [1, 0, 0, 0])
 
 
 _TERMS_BOUND = capacity.CHANNEL_MAX_D
@@ -120,9 +117,7 @@ def test_block_weights_are_the_binomial_kernel_bitwise(d):
         want = np.exp(
             capacity._binomial_logpmf(np.arange(d), d - 1, math.sin(r) ** 2, math.cos(r) ** 2)
         )
-        w = block_weights(d, r)
-        assert w.p.tobytes() == want.tobytes()
-        assert w.p_tilde.tobytes() == want[::-1].tobytes()
+        assert block_weights(d, r).tobytes() == want.tobytes()
 
 
 def test_block_weight_terms_are_kept_only_up_to_the_bound():
@@ -147,14 +142,15 @@ def _degrading_weights_binomial(d, r):
 
 
 def test_weight_records_are_read_only_named_tuples():
-    w, q = block_weights(4, 0.3), degrading_weights(4, 0.3)
-    assert type(w)._fields == ("d", "r", "p", "p_tilde")
-    assert type(q)._fields == ("d", "r", "q", "valid")
-    assert tuple(w)[:2] == (4, 0.3) and w[2] is w.p and w[3] is w.p_tilde
-    assert tuple(q)[:2] == (4, 0.3) and q[2] is q.q and q[3] is q.valid
-    for record, field in ((w, "p"), (w, "d"), (q, "q"), (q, "valid")):
+    # block weights are the float array p alone; the degrading weights a (q, valid) record
+    p, q = block_weights(4, 0.3), degrading_weights(4, 0.3)
+    assert type(p) is np.ndarray and p.dtype == float and p.shape == (4,)
+    assert "BlockWeights" not in capacity.__all__ and not hasattr(capacity, "BlockWeights")
+    assert type(q)._fields == ("q", "valid")
+    assert q[0] is q.q and q[1] is q.valid
+    for field in ("q", "valid"):
         with pytest.raises(AttributeError):
-            setattr(record, field, None)
+            setattr(q, field, None)
 
 
 def test_degrading_weights_against_linear_solve():
@@ -162,9 +158,10 @@ def test_degrading_weights_against_linear_solve():
     # and the term-by-term binomial expansion
     for d in (2, 3, 4, 6):
         for r in (0.1, 0.4, 0.7, 1.0, 1.3):
-            w = block_weights(d, r)
-            q1 = w.p_tilde[0] / w.p[0]
-            expected = np.concatenate([[q1], w.p_tilde[1:] - q1 * w.p[1:]])
+            p = block_weights(d, r)
+            p_tilde = p[::-1]
+            q1 = p_tilde[0] / p[0]
+            expected = np.concatenate([[q1], p_tilde[1:] - q1 * p[1:]])
             got = degrading_weights(d, r)
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.abs(got.q - expected).max() < 1e-12 * scale
@@ -485,9 +482,7 @@ BASES = st.sampled_from(["2", "d"])
 @given(d=DIMS, r=RS)
 @example(d=10_000, r=0.3)
 def test_block_weights_property(d, r):
-    w = block_weights(d, r)
-    assert abs(w.p.sum() - 1.0) < 1e-12
-    assert np.array_equal(w.p_tilde, w.p[::-1])
+    assert abs(block_weights(d, r).sum() - 1.0) < 1e-12
 
 
 @PROPERTY

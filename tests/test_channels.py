@@ -1,6 +1,7 @@
 """Channel construction: Kraus sets, blocks, complements, reference channels."""
 
 import copy
+import dataclasses
 import gc
 import itertools
 import json
@@ -59,7 +60,7 @@ def test_block_weights_input_independent(d):
     rng = np.random.default_rng(d)
     r = 0.9
     ch = grassmann_channel(d, r)
-    expected = capacity.block_weights(d, r).p
+    expected = capacity.block_weights(d, r)
     for _ in range(5):
         out = apply_kraus(ch.kraus, _random_pure(d, rng))
         for sl, p_k in zip(_sector_slices(d), expected):
@@ -71,7 +72,7 @@ def test_flat_block_spectra(d):
     # inside sector k every nonzero eigenvalue equals 1/C(d-1,k-1)
     rng = np.random.default_rng(d + 100)
     ch = grassmann_channel(d, 0.8)
-    weights = capacity.block_weights(d, 0.8).p
+    weights = capacity.block_weights(d, 0.8)
     for _ in range(50):
         out = apply_kraus(ch.kraus, _random_pure(d, rng))
         for k, sl in enumerate(_sector_slices(d), start=1):
@@ -128,7 +129,7 @@ def test_d3_second_block_explicit_matrix():
     rng = np.random.default_rng(3)
     r = 0.7
     ch = grassmann_channel(3, r)
-    p2 = capacity.block_weights(3, r).p[1]
+    p2 = capacity.block_weights(3, r)[1]
     for _ in range(5):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v /= np.linalg.norm(v)
@@ -175,7 +176,7 @@ def test_block_matches_full_channel_sectors(d, k):
     sl = _sector_slices(d)[k - 1]
     for r in (0.3, 0.8, 1.2):
         ch = grassmann_channel(d, r)
-        p_k = capacity.block_weights(d, r).p[k - 1]
+        p_k = capacity.block_weights(d, r)[k - 1]
         rho = _random_pure(d, rng)
         sector = apply_kraus(ch.kraus, rho)[sl, sl]
         assert np.linalg.norm(sector - p_k * apply_kraus(block.kraus, rho)) < 1e-12
@@ -381,11 +382,11 @@ def test_complementary_r0_is_constant_vacuum():
 def test_complementary_blocks_metadata():
     d, r = 3, 0.6
     ch = complementary_channel(d, r)
-    weights = capacity.block_weights(d, r)
+    p = capacity.block_weights(d, r)
     assert [b.k for b in ch.blocks] == [3, 2, 1]
     assert [b.dim for b in ch.blocks] == [1, 3, 3]
     for b in ch.blocks:
-        assert abs(b.weight - weights.p_tilde[b.k - 1]) < 1e-15
+        assert abs(b.weight - p[d - b.k]) < 1e-15
     assert abs(sum(b.weight for b in ch.blocks) - 1.0) < 1e-12
 
 
@@ -534,7 +535,7 @@ def _kernel_channels(case):
         return [erasure_channel(0.3), erasure_channel(0.0)]
     if case == "complex":  # a random isometry: no built channel has complex entries
         g = np.random.default_rng(9).standard_normal((12, 6)).view(complex)
-        return [channels.ChannelRep(3, 4, np.linalg.qr(g)[0].reshape(3, 4, 3))]
+        return [channels.ChannelRep(np.linalg.qr(g)[0].reshape(3, 4, 3))]
     d = case
     built = [grassmann_channel(d, 0.7), complementary_channel(d, 0.7), grassmann_channel(d, 0.0)]
     return built + [grassmann_block(d, k) for k in range(1, d + 1)]
@@ -569,9 +570,34 @@ def test_stacked_kernels_match_operator_loops(case):
         assert all(np.array_equal(op, ref) for op, ref in zip(comp.kraus, reference))
 
 
+def test_channel_dimensions_follow_the_kraus_stack(tmp_path):
+    built = [werner_holevo(d) for d in range(2, 9)]
+    for d in range(1, 9):
+        built += [grassmann_channel(d, 0.7), complementary_channel(d, 0.7)]
+        built += [grassmann_block(d, k) for k in range(1, d + 1)]
+    built += [complement_channel_rep(ch) for ch in built[:12]]
+    path = tmp_path / "channel.json"
+    for ch in (grassmann_channel(3, 0.4), channels.ChannelRep(np.ones((2, 5, 3)))):
+        channels.dump_channel_json(ch, "loaded", 3, 0.4, path)
+        built.append(channels.load_channel_json(path))
+    for ch in built:
+        assert (ch.in_dim, ch.out_dim) == (ch.kraus.shape[2], ch.kraus.shape[1]), ch.label
+        assert type(ch.in_dim) is int and type(ch.out_dim) is int
+    # the dimensions are no fields: they can be neither passed in nor set apart from the stack
+    assert [f.name for f in dataclasses.fields(channels.ChannelRep)] == ["kraus", "blocks", "label"]
+    ch = built[-1]
+    with pytest.raises(TypeError):
+        channels.ChannelRep(ch.kraus, in_dim=3, out_dim=5)
+    for name in ("in_dim", "out_dim"):
+        with pytest.raises(AttributeError):
+            setattr(ch, name, 4)
+    assert (ch.in_dim, ch.out_dim) == (3, 5)
+
+
 def test_kraus_stack_shape_and_json_operator_size(tmp_path):
-    with pytest.raises(PreconditionError):
-        channels.ChannelRep(2, 3, np.zeros((1, 2, 3)))
+    for flat in (np.zeros((2, 3)), np.zeros((1, 1, 2, 3)), np.zeros(3), 1.0):
+        with pytest.raises(PreconditionError, match=r"shape \(m, out_dim, in_dim\)"):
+            channels.ChannelRep(flat)
     path = tmp_path / "channel.json"
     channels.dump_channel_json(grassmann_channel(2, 0.5), "grassmann", 2, 0.5, path)
     doc = json.loads(path.read_text())
@@ -706,7 +732,7 @@ def test_apply_kraus_identity():
 def test_choi_trace_convention():
     ch = grassmann_channel(2, 0.5)
     assert abs(np.trace(choi_matrix(ch)).real - 2.0) < 1e-12
-    ident = channels.ChannelRep(3, 3, [np.eye(3, dtype=complex)], None, "identity")
+    ident = channels.ChannelRep([np.eye(3, dtype=complex)], None, "identity")
     choi = choi_matrix(ident)
     evals = np.sort(np.linalg.eigvalsh(choi))
     assert abs(evals[-1] - 3.0) < 1e-12 and np.abs(evals[:-1]).max() < 1e-12
@@ -795,10 +821,10 @@ def test_dump_bytes_match_the_reference_writer_off_family(tmp_path):
     cases = (
         (werner_holevo(4), "werner-holevo", 4, 0.0),
         (erasure_channel(0.3), "erasure", 2, 0.3),
-        (channels.ChannelRep(3, 5, dense), "dense", 3, 0.1),
-        (channels.ChannelRep(1, 2, odd.view(complex).reshape(2, 2, 1)), "odd", 1, 0.5),
-        (channels.ChannelRep(2, 4, sparse.view(complex).reshape(3, 4, 2)), "sparse", 2, 0.5),
-        (channels.ChannelRep(2, 3, dense[:2, :3, :2], blocks=[]), "no-blocks", 2, 0.2),
+        (channels.ChannelRep(dense), "dense", 3, 0.1),
+        (channels.ChannelRep(odd.view(complex).reshape(2, 2, 1)), "odd", 1, 0.5),
+        (channels.ChannelRep(sparse.view(complex).reshape(3, 4, 2)), "sparse", 2, 0.5),
+        (channels.ChannelRep(dense[:2, :3, :2], blocks=[]), "no-blocks", 2, 0.2),
     )
     for ch, family, d, r in cases:
         assert not ch.blocks
@@ -824,9 +850,9 @@ def test_json_roundtrip_is_bitwise_at_d8(tmp_path):
     for ch in (
         grassmann_channel(8, 0.7),
         complementary_channel(8, 1.2),
-        channels.ChannelRep(1, 3, signed),
-        channels.ChannelRep(3, 5, sparse.view(complex).reshape(2, 5, 3)),
-        channels.ChannelRep(2, 3, dense),
+        channels.ChannelRep(signed),
+        channels.ChannelRep(sparse.view(complex).reshape(2, 5, 3)),
+        channels.ChannelRep(dense),
     ):
         _assert_bitwise_roundtrip(tmp_path / "channel.json", ch)
 
@@ -1009,7 +1035,7 @@ def _texts_with_entry(value):
     at their ninth entry, so those are decoded whole in every form.
     """
     rng = np.random.default_rng(5)
-    dense = channels.ChannelRep(3, 5, rng.standard_normal((2, 5, 3)) + 0j)
+    dense = channels.ChannelRep(rng.standard_normal((2, 5, 3)) + 0j)
     for ch in (grassmann_channel(3, 0.4), dense):
         doc = json.loads(_reference_json(ch, "true", ch.in_dim, 0.5))
         last = ch.out_dim * ch.in_dim - 1
@@ -1068,7 +1094,7 @@ def test_loader_reads_sparse_stacks_as_json_loads(tmp_path, data, shape, indent,
     entries = st.tuples(_ENTRY_VALUES, _ENTRY_VALUES)
     values = data.draw(st.lists(entries, min_size=size, max_size=size))
     pairs = np.array([pair if keep else (0.0, 0.0) for keep, pair in zip(nonzero, values)])
-    ch = channels.ChannelRep(shape[2], shape[1], pairs.view(complex).reshape(shape))
+    ch = channels.ChannelRep(pairs.view(complex).reshape(shape))
     path = tmp_path / "channel.json"
     channels.dump_channel_json(ch, "sparse", shape[2], 0.5, path)
     doc = json.loads(path.read_text(encoding="utf-8"))

@@ -353,9 +353,11 @@ def test_verify_suite_respects_dimension_caps(capsys):
 def test_ppt_suite_is_capped_like_the_other_channel_suites(capsys):
     with pytest.raises(DomainError, match="capped at d=8"):
         verify.check_ppt_threshold(9)
-    assert cli.main(["verify", "--suite", "ppt", "--d", "9"]) == 1
-    err = capsys.readouterr().err
-    assert "explicit channel construction is capped at d=8" in err
+    # the oracles read the same cap as the channel builders, with their message
+    for suite in ("ppt", "oracle-q", "oracle-c"):
+        assert cli.main(["verify", "--suite", suite, "--d", "9"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: explicit channel construction is capped at d=8\n"
 
 
 _SCIPY_FREE_SCRIPT = """

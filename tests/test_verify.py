@@ -200,8 +200,10 @@ def test_optimize_holevo_monotone_in_r():
 
 
 def test_optimize_domain_caps():
-    with pytest.raises(DomainError):
-        verify.optimize_holevo(9, 0.3, seed=7)
+    optimizers = (verify.optimize_coherent_information, verify.optimize_holevo)
+    for optimize in optimizers:
+        with pytest.raises(DomainError, match="capped at d=8"):
+            optimize(9, 0.3, seed=7)
     for d in (0, -2):
         with pytest.raises(DomainError):
             verify.optimize_holevo(d, 0.3, seed=7)
@@ -209,6 +211,17 @@ def test_optimize_domain_caps():
             verify.optimize_coherent_information(d, 0.3, seed=7)
     with pytest.raises(PreconditionError):
         verify.optimize_holevo(3, 0.3, seed=7, ensemble_size=2)
+    # a whole float d, or ensemble size, reached numpy's shape checks as a bare TypeError
+    for optimize, d in itertools.product(optimizers, (2.0, 2.5, "2", None)):
+        with pytest.raises(DomainError, match="d must be an integer"):
+            optimize(d, 0.3, seed=1)
+    for size in (3.0, 3.5, "3"):
+        with pytest.raises(DomainError, match="ensemble_size must be an integer"):
+            verify.optimize_holevo(2, 0.3, seed=1, ensemble_size=size)
+    for optimize, kwargs in ((optimizers[0], {}), (optimizers[1], {"ensemble_size": 3})):
+        want = optimize(2, 0.3, seed=1, **kwargs)
+        got = optimize(np.int64(2), 0.3, seed=1, **{k: np.int64(v) for k, v in kwargs.items()})
+        assert got[0] == want[0] and got[2] == want[2]
 
 
 def _concave_quadratic(n, seed):
@@ -839,8 +852,14 @@ def test_check_ppt():
     threshold = -1.0 / (3 * 3 - 1)
     assert verify.check_ppt(channels.transpose_depolarizing(3, threshold - 1e-4), 3) < 0
     assert verify.check_ppt(channels.transpose_depolarizing(3, threshold + 1e-4), 3) > 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^cut dimension 4 does not divide 6$"):
         verify.check_ppt(np.eye(6), 4)
+    # a cut of 0 divided by zero, and a float one reached reshape
+    for cut in (0, -3, 3.0, np.float64(3.0), 1.5, "3", None):
+        with pytest.raises(PreconditionError, match="is not a positive integer"):
+            verify.check_ppt(wh, cut)
+    assert verify.check_ppt(wh, np.int64(3)) == verify.check_ppt(wh, 3) < -1e-6
+    assert verify.check_ppt(wh, 1) >= -1e-12 and verify.check_ppt(wh, 9) >= -1e-12
 
 
 def test_check_approximation_rate_qubit():
