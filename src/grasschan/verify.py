@@ -76,10 +76,6 @@ __all__ = [
     "random_pure_state",
 ]
 
-# The dimensions the degradability check supports; ``--suite all`` skips it outside them.
-DEGRADABLE_DS = range(2, 5)
-
-
 @dataclass
 class VerificationReport:
     check: str
@@ -633,15 +629,16 @@ def optimize_holevo(
 
 @lru_cache(maxsize=None)
 def _complement_intertwiners(d: int) -> tuple:
-    """(V_k, residual, T_k) per block map k: V_k aligns block k with complement sector d-k.
+    """(V_k, residual, T_k, L_k) per block map k: V_k aligns block k with complement sector d-k.
 
-    The target is the complement of block map d-k+1: the C-side sector with
-    d-k fermions, normalized by its C(d-1, k-1) unit amplitudes per rail.
-    V_k sends the a-th ascending k-fermion code A (mode 0 the most significant
-    bit) to its complement mask ^ A, the (C(d, k) - 1 - a)-th ascending
-    (d-k)-fermion code, with sign (-1)^#{(i, j) : i in A, j not in A, j < i},
-    that is (-1)^(sum of A's modes - k(k-1)/2).  The residual is max_t |V_k A_t - B_t V_k|
-    over the two transfer matrices, T_k the block map's.  Cached, so read-only.
+    T_k is the transfer matrix of block map k, and L_k that of the complement of
+    block map d-k+1: the C-side sector with d-k fermions, normalized by its
+    C(d-1, k-1) unit amplitudes per rail.  V_k sends the a-th ascending k-fermion
+    code A (mode 0 the most significant bit) to its complement mask ^ A, the
+    (C(d, k) - 1 - a)-th ascending (d-k)-fermion code, with sign
+    (-1)^#{(i, j) : i in A, j not in A, j < i}, that is (-1)^(sum of A's modes -
+    k(k-1)/2).  The residual is max_t |V_k A_t - B_t V_k| over the two transfer
+    matrices.  Cached, so read-only.
     """
     bits = np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1) & 1  # [code, mode]
     fermions, mode_sum = bits.sum(axis=1), bits @ np.arange(d)
@@ -653,68 +650,67 @@ def _complement_intertwiners(d: int) -> tuple:
         a_maps, b_maps = (t.reshape(n, n, d * d).transpose(2, 0, 1) for t in (t_block, lhat))
         v = np.diag((-1.0) ** (mode_sum[fermions == k] - k * (k - 1) // 2))[::-1]
         residual = np.linalg.norm(v @ a_maps - b_maps @ v, axis=(1, 2)).max()
-        v.flags.writeable = t_block.flags.writeable = False
-        result.append((v, float(residual), t_block))
+        v.flags.writeable = t_block.flags.writeable = lhat.flags.writeable = False
+        result.append((v, float(residual), t_block, lhat))
     return tuple(result)
 
 
 def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
-    """Solve for the degrading map and test complete positivity.
+    """Solve for the degrading map one output sector at a time and test complete positivity.
 
-    Sub-check (a): the closed-form degrading weights form a distribution
-    exactly when r <= pi/4.  Sub-check (b): within the covariant block
-    ansatz (an identity-aligned piece plus sector block maps fed by the
-    first block), solve the linear system M o G = G^c over a complete
-    operator basis and report the least-squares residual and the minimum
-    eigenvalue of the solved map's Choi matrix.  The report passes when
-    both sub-checks agree with the theoretical r <= pi/4 boundary.
+    Sub-check (a): the closed-form degrading weights form a distribution exactly when
+    r <= pi/4.  Sub-check (b): within the covariant block ansatz, q_1 X -> W X W^dag (W
+    takes forward sector k to complement sector k through V_k) plus, for m = 2..d, q_m
+    times piece m, which feeds forward block 1 in rail order, divided by w_1, through
+    block map m, solve M o G = G^c on the d^2 basis inputs.  Forward sector k is w_k T_k
+    and complement sector m is w_(d-m+1) L_m, w_k being C(d-1, k-1) times the squared
+    sector amplitude.  Piece m writes only complement sector m, so the system is
+    triangular: the sector-1 rows fix q_1 by one projection, then the sector-m rows fix
+    q_m.  The solved map's Choi matrix is the orthogonal sum of q_1 |Omega_W><Omega_W|
+    (eigenvalue q_1 (2^d - 1)), of q_m / w_1 times piece m's Choi block (side d C(d, m))
+    for each m, and of a null space (eigenvalue 0).  The report passes when both
+    sub-checks agree with the theoretical r <= pi/4 boundary.
     """
-    if d not in DEGRADABLE_DS:
-        low, high = DEGRADABLE_DS[0], DEGRADABLE_DS[-1]
-        raise DomainError(f"degradability check supports {low} <= d <= {high}, got d={d}")
+    d = channels._check_channel_d(d, 2)
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance {tol} must be positive and finite")
-    fwd, comp = grassmann_channel(d, r), complementary_channel(d, r)
-    t_fwd = transfer_matrix(fwd)
-    t_comp = transfer_matrix(comp)
-    d_a, d_c = fwd.out_dim, comp.out_dim
-    p_1 = block_weights(d, r)[0]
-    a_rows, c_rows = block_slices(fwd), block_slices(comp)
+    w = [a * a * math.comb(d - 1, k) for k, a in enumerate(channels._sector_amplitudes(d, r))]
     inter = _complement_intertwiners(d)
-    inter_residual = max(res for _, res, _ in inter)
-
-    # W maps forward sector k onto its complement sector through V_k
-    w_mat = np.zeros((d_c, d_a), dtype=complex)
-    for k in range(1, d + 1):
-        w_mat[c_rows[k], a_rows[k]] = inter[k - 1][0]
-    unitarity = float(np.linalg.norm(w_mat.conj().T @ w_mat - np.eye(d_a)))
-
-    # rail-ordered compression onto the first block feeds the sector maps
-    r1 = np.zeros((d, d_a), dtype=complex)
-    r1[:, a_rows[1]] = channels.rail_reversal(d)
-    pieces = [np.kron(w_mat, w_mat.conj())]
-    for m in range(2, d + 1):
-        embed, t_block = w_mat[:, a_rows[m]], inter[m - 1][2]
-        pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / p_1)
-
-    columns = [(piece @ t_fwd).reshape(-1) for piece in pieces]
-    a_mat = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)
-    b_vec = np.concatenate([t_comp.reshape(-1).real, t_comp.reshape(-1).imag])
-    q_solved, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    inter_residual = max(res for _, res, _, _ in inter)
+    unitarity = math.hypot(*(np.linalg.norm(v.T @ v - np.eye(len(v))) for v, *_ in inter))
+    rail, t_first = channels.rail_reversal(d), inter[0][2]
+    q_solved, norms, least = [], [], [0.0]
+    for m, (v, _, t_block, lhat) in enumerate(inter, start=1):
+        n, target = len(v), w[d - m] * lhat
+        # V_m T_m(X) V_m^dag (V_m is a real signed permutation); piece 0 writes w_m times it here
+        unit = v @ t_block.reshape(n, n, -1).transpose(2, 0, 1) @ v.T
+        unit = unit.transpose(1, 2, 0).reshape(n * n, -1)
+        forward, size = w[m - 1] * unit, 0.0
+        if m == 1:  # piece 0 alone, projected on the unit column: w_1^2 underflows near pi/2
+            q = q1 = float(np.vdot(unit, target).real / np.vdot(unit, unit).real) / w[0]
+            error = q1 * forward - target
+            least.append(q1 * ((1 << d) - 1))  # q_1 |Omega_W><Omega_W|, |Omega_W|^2 = 2^d - 1
+            big = max(1.0, abs(q1))  # every term grows like q_1; in its units, squares stay finite
+        else:
+            # piece m reads block 1 in rail order; fed by G it reads w_1 T_1 / w_1 = T_1
+            piece = (rail.T @ unit.reshape(-1, d, d) @ rail).reshape(n * n, -1)
+            column, rest = piece @ t_first, target - q1 * forward
+            q = float(np.vdot(column, rest).real / np.vdot(column, column).real)
+            error, size = q * column - rest, abs(q) * np.linalg.norm(column)
+            choi = piece.reshape(n, n, d, d).transpose(2, 0, 3, 1).reshape(d * n, d * n)
+            evals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+            least.append(q / w[0] * (evals[0] if q >= 0 else evals[-1]))  # may pass 1e308 near pi/2
+        q_solved.append(q)
+        norms.append((np.linalg.norm(forward), size, np.linalg.norm(error / big)))
+    forward_norms, sizes, errors = zip(*norms)
     # backward-style residual: the solved weights blow up like tan^(2(d-1))
     # near pi/2 and cancel heavily, so normalize by the evaluation magnitude
-    scale = max(
-        1.0, float(sum(abs(q) * np.linalg.norm(col) for q, col in zip(q_solved, columns)))
-    )
-    residual = float(np.linalg.norm(a_mat @ q_solved - b_vec) / scale)
-
-    t_map = sum(q * piece for q, piece in zip(q_solved, pieces))
-    choi = t_map.reshape(d_c, d_c, d_a, d_a).transpose(2, 0, 3, 1).reshape(d_a * d_c, d_a * d_c)
-    choi = (choi + choi.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(choi).min())
+    scale = max(1.0, abs(q1) * math.hypot(*forward_norms) + sum(sizes))
+    residual = float(math.hypot(*errors) / (scale / big))
+    min_eig = float(min(least))
 
     formula = degrading_weights(d, r)
-    q_gap = float(np.max(np.abs(q_solved - formula.q)))
+    q_gap = float(np.max(np.abs(np.array(q_solved) - formula.q)))
     expected = r <= math.pi / 4 + 1e-12
     cp_ok = min_eig >= -tol
     passed = (
@@ -753,7 +749,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
 
 def check_covariance(d: int, r: float, seed: int) -> VerificationReport:
     """G(U psi U^dag) == R G(psi) R^dag with R the sector minor matrices."""
-    trials, tol = 20, 1e-9
+    d, trials, tol = channels._check_channel_d(d), 20, 1e-9
     fwd = grassmann_channel(d, r)
     rng = np.random.default_rng(seed)
     residuals = []
@@ -783,7 +779,7 @@ def check_wolf_eisert_form(d: int, k: int, seed: int) -> VerificationReport:
     The projection's eigenvalues are 1 - (d'-m) lambda over the output's
     eigenvalues lambda, so its rank is read from the output's spectrum.
     """
-    trials = 50
+    d, k, trials = channels._check_channel_d(d), _check_integer(k, "k", "sector "), 50
     block = grassmann_block(d, k)
     d_out = math.comb(d, k)
     m = math.comb(d - 1, k)
@@ -808,7 +804,7 @@ def check_wolf_eisert_form(d: int, k: int, seed: int) -> VerificationReport:
 
 def check_complementary_spectra(d: int, r: float, seed: int) -> VerificationReport:
     """Each complement sector is isospectral to its weighted block state."""
-    trials = 20
+    d, trials = channels._check_channel_d(d), 20
     comp = complementary_channel(d, r)
     p = block_weights(d, r)
     psi = _random_pure_projectors(d, trials, seed)
@@ -834,7 +830,7 @@ def check_werner_holevo(d: int) -> VerificationReport:
     The complement rows live in the lexicographic 1-fermion C basis; the
     fixed rail identification maps them onto the computational basis.
     """
-    tol = 1e-10
+    d, tol = channels._check_channel_d(d), 1e-10
     comp = complement_channel_rep(grassmann_block(d, 2))
     rail = channels.rail_reversal(d)
     aligned = ChannelRep(rail @ comp.kraus, label="rail-aligned")
@@ -883,6 +879,7 @@ def check_ppt(choi: np.ndarray, cut_dim: int) -> float:
 
 def check_ppt_threshold(d: int) -> VerificationReport:
     """Werner-Holevo Choi matrix is NPT; the transpose-depolarizing one turns PPT at -1/(d^2-1)."""
+    d = channels._check_channel_d(d, 2)
     pt_min = check_ppt(choi_matrix(werner_holevo(d)), d)
     threshold = -1.0 / (d * d - 1)
     below = check_ppt(channels.transpose_depolarizing(d, threshold - 1e-3), d)
@@ -898,7 +895,7 @@ def check_ppt_threshold(d: int) -> VerificationReport:
 
 def check_approximation_rate(d: int) -> VerificationReport:
     """|Q - Q'| decays quadratically in (1 - z): log-log slope in [1.8, 2.2]."""
-    zs = (0.9, 0.99, 0.999, 0.9999)
+    d, zs = _check_integer(d, "d"), (0.9, 0.99, 0.999, 0.9999)
     if d < 2:
         raise DomainError(f"the gap vanishes at d=1, so the rate check needs d >= 2; got d={d}")
     gaps = [
@@ -922,6 +919,7 @@ def check_approximation_rate(d: int) -> VerificationReport:
 
 def check_oracle_q(d: int, r: float, seed: int) -> VerificationReport:
     """Optimized coherent information, clamped at 0, within 1e-6 of the quantum capacity."""
+    d = channels._check_channel_d(d)
     value, _, stats = optimize_coherent_information(d, r, seed)
     closed = quantum_capacity_grassmann(d, r)
     gap = abs(max(0.0, value) - closed)
@@ -931,6 +929,7 @@ def check_oracle_q(d: int, r: float, seed: int) -> VerificationReport:
 
 def check_oracle_c(d: int, r: float, seed: int) -> VerificationReport:
     """Optimized Holevo chi at most 1e-6 above and 1e-4 below the classical capacity."""
+    d = channels._check_channel_d(d)
     value, _, stats = optimize_holevo(d, r, seed)
     closed = classical_capacity_grassmann(d, r)
     passed, gap = closed - 1e-4 <= value <= closed + 1e-6, abs(value - closed)
@@ -942,7 +941,7 @@ def check_oracle_c(d: int, r: float, seed: int) -> VerificationReport:
 # order.  Each call looks its check up in this module, so a wrapped ``check_*`` is used.
 # werner-holevo, ppt and rate floor d at 2: their channel, or the rate's gap, needs it.
 SUITES = {
-    "degradable": (lambda d: d in DEGRADABLE_DS,
+    "degradable": (lambda d: 2 <= d <= CHANNEL_MAX_D,
                    lambda d, r, seed, tol: [check_degradable(d, r, tol=tol)]),
     "covariance": (lambda d: True, lambda d, r, seed, tol: [check_covariance(d, r, seed)]),
     "complementary-spectra": (lambda d: True, lambda d, r, seed, tol: [

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from grasschan import fock
+from grasschan import channels, fock, verify
+from grasschan.capacity import block_weights, degrading_weights
 from grasschan.channels import ChannelRep, _nonzero_ops
 from grasschan.errors import DomainError
 
@@ -85,3 +86,49 @@ def intertwiner_solve(a_maps, b_maps) -> np.ndarray:
     v[p, q] = vh[-1].conj()
     u, _, wh = np.linalg.svd(v)
     return u @ wh
+
+
+def degradable_reference(d: int, r: float, tol: float = 1e-9) -> dict:
+    """The degrading-map solve of ``verify.check_degradable`` over the dense channel stacks.
+
+    The same ansatz (X -> W X W^dag, plus for m = 2..d block map m fed by forward
+    block 1 in rail order and divided by p_1), built as d_a^2 x d_a^2 Kronecker
+    pieces (d_a = 2^d - 1) and solved against the dense complement's transfer
+    matrix by one joint lstsq; the Choi matrix is the dense d_a d_c one.  Returns
+    ``q_solved``, ``solve_residual``, ``choi_min_eig``, ``weights_valid``,
+    ``cp_ok`` and ``pass`` as the check reports them.  lstsq's rcond cut drops
+    whole columns once q grows like tan^(2(d-1)) r, so near pi/2 it fails.
+    """
+    fwd, comp = channels.grassmann_channel(d, r), channels.complementary_channel(d, r)
+    t_fwd, t_comp = channels.transfer_matrix(fwd), channels.transfer_matrix(comp)
+    d_a, d_c = fwd.out_dim, comp.out_dim
+    p_1 = block_weights(d, r)[0]
+    a_rows, c_rows = channels.block_slices(fwd), channels.block_slices(comp)
+    inter = verify._complement_intertwiners(d)
+    w_mat = np.zeros((d_c, d_a), dtype=complex)
+    for k in range(1, d + 1):
+        w_mat[c_rows[k], a_rows[k]] = inter[k - 1][0]
+    r1 = np.zeros((d, d_a), dtype=complex)
+    r1[:, a_rows[1]] = channels.rail_reversal(d)
+    pieces = [np.kron(w_mat, w_mat.conj())]
+    for m in range(2, d + 1):
+        embed, t_block = w_mat[:, a_rows[m]], inter[m - 1][2]
+        pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / p_1)
+    columns = [(piece @ t_fwd).reshape(-1) for piece in pieces]
+    a_mat = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)
+    b_vec = np.concatenate([t_comp.reshape(-1).real, t_comp.reshape(-1).imag])
+    q_solved, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    scale = max(1.0, float(sum(abs(q) * np.linalg.norm(c) for q, c in zip(q_solved, columns))))
+    residual = float(np.linalg.norm(a_mat @ q_solved - b_vec) / scale)
+    t_map = sum(q * piece for q, piece in zip(q_solved, pieces))
+    choi = t_map.reshape(d_c, d_c, d_a, d_a).transpose(2, 0, 3, 1).reshape(d_a * d_c, -1)
+    min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2).min())
+    valid, expected, cp_ok = degrading_weights(d, r).valid, r <= math.pi / 4 + 1e-12, min_eig >= -tol
+    return {
+        "q_solved": q_solved,
+        "solve_residual": residual,
+        "choi_min_eig": min_eig,
+        "weights_valid": valid,
+        "cp_ok": cp_ok,
+        "pass": valid == expected and residual <= tol and cp_ok == expected,
+    }

@@ -288,6 +288,14 @@ def test_verify_degradable_expected_failure_passes():
     assert doc["reports"][0]["trials"][0]["cp_ok"] is False
 
 
+def test_verify_degradable_passes_near_pi_over_2():
+    # r = 1.56 is inside [0, pi/2), though q grows like tan^6 r there
+    res = run_cli("verify", "--suite", "degradable", "--d", "4", "--r", "1.56")
+    assert res.returncode == 0
+    (report,) = json.loads(res.stdout)["reports"]
+    assert report["pass"] is True and report["trials"][0]["solve_residual"] <= 1e-12
+
+
 def test_verify_covariance_suite():
     res = run_cli("verify", "--suite", "covariance", "--d", "3", "--r", "0.5", "--seed", "7")
     assert res.returncode == 0
@@ -335,8 +343,9 @@ def test_verify_suite_respects_dimension_caps(capsys):
     # requesting a capped check beyond its cap is a runtime error ...
     res = run_cli("verify", "--suite", "oracle-c", "--d", "9", "--r", "0.3")
     assert res.returncode == 1
-    res = run_cli("verify", "--suite", "degradable", "--d", "5", "--r", "0.3")
+    res = run_cli("verify", "--suite", "degradable", "--d", "9", "--r", "0.3")
     assert res.returncode == 1
+    assert res.stdout == "" and res.stderr == "error: explicit channel construction is capped at d=8\n"
     # ... while the aggregate suite skips it and still runs the rest
     res = run_cli("verify", "--suite", "covariance", "--d", "5", "--r", "0.3")
     assert res.returncode == 0

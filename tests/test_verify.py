@@ -4,13 +4,14 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from grasschan import capacity, channels, fock, verify
 from grasschan.errors import DomainError, PreconditionError
-from helpers import intertwiner_solve, pair_sectors, random_density
+from helpers import degradable_reference, intertwiner_solve, pair_sectors, random_density
 
 
 def test_entropy_pure_and_mixed():
@@ -700,12 +701,13 @@ def test_check_degradable_inside_boundary():
 def test_complement_intertwiners_follow_the_signed_complement_rule(d):
     # each V_k is a signed anti-identity, intertwines exactly, and is the solved
     # intertwiner up to one phase; the unsigned anti-identity fails from d = 2 on
-    for k, (v, residual, t_block) in enumerate(verify._complement_intertwiners(d), start=1):
+    for k, (v, residual, t_block, lhat) in enumerate(verify._complement_intertwiners(d), start=1):
         n = math.comb(d, k)
         assert np.array_equal(np.abs(v), np.eye(n)[::-1])
         assert residual == 0.0
+        assert np.array_equal(t_block, channels.transfer_matrix(channels.grassmann_block(d, k)))
         block = channels.grassmann_block(d, d - k + 1)
-        lhat = channels.transfer_matrix(channels.complement_channel_rep(block))
+        assert np.array_equal(lhat, channels.transfer_matrix(channels.complement_channel_rep(block)))
         ref = intertwiner_solve(
             [t_block[:, t].reshape(n, n) for t in range(d * d)],
             [lhat[:, t].reshape(n, n) for t in range(d * d)],
@@ -713,6 +715,68 @@ def test_complement_intertwiners_follow_the_signed_complement_rule(d):
         phase = np.vdot(v, ref) / n
         assert abs(abs(phase) - 1.0) <= 1e-12, (k, phase)
         assert np.abs(ref - phase * v).max() <= 1e-12, k
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_check_degradable_matches_the_dense_reference(d):
+    # the sector-by-sector solve against the joint Kronecker/lstsq solve it replaced
+    for r in (0.1, 0.3, 0.55, math.pi / 4, 1.05, 1.4):
+        report, ref = verify.check_degradable(d, r), degradable_reference(d, r)
+        trial = report.trials[0]
+        q, q_ref = np.array(trial["q_solved"]), ref["q_solved"]
+        assert np.all(np.abs(q - q_ref) <= 1e-12 * np.maximum(1.0, np.abs(q_ref))), (r, q, q_ref)
+        for key in ("weights_valid", "cp_ok"):
+            assert trial[key] == ref[key], (r, key)
+        assert report.passed == ref["pass"], r
+        got, want = trial["choi_min_eig"], ref["choi_min_eig"]
+        if r <= math.pi / 4:
+            assert got >= -1e-12 and want >= -1e-12, (r, got, want)
+        else:
+            assert abs(got - want) <= 1e-9 * abs(want), (r, got, want)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_check_degradable_holds_near_pi_over_2(d):
+    # q grows like tan^(2(d-1)) r here, so the columns of the solve differ in size by as much;
+    # at the last r below pi/2 the Choi block's least eigenvalue passes the float range
+    for r in (1.5, 1.56, 1.5707, 1.5707963, math.nextafter(math.pi / 2, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify.check_degradable(d, r)
+        trial = report.trials[0]
+        assert report.passed and not trial["cp_ok"], r
+        assert trial["solve_residual"] <= 1e-12, (r, trial["solve_residual"])
+        q, formula = np.array(trial["q_solved"]), capacity.degrading_weights(d, r).q
+        assert np.all(np.abs(q - formula) <= 1e-12 * np.abs(formula)), (r, q, formula)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_dense_channel_sectors_are_the_weighted_maps_the_check_reads(d):
+    # forward sector k is w_k T_k and complement sector m is w_(d-m+1) L_m, with
+    # w_k = C(d-1, k-1) times the squared sector amplitude
+    inter = verify._complement_intertwiners(d)
+    for r in (0.3, 1.05):
+        w = [a * a * math.comb(d - 1, k) for k, a in enumerate(channels._sector_amplitudes(d, r))]
+        for ch, maps in ((channels.grassmann_channel(d, r), lambda k: w[k - 1] * inter[k - 1][2]),
+                         (channels.complementary_channel(d, r),
+                          lambda m: w[d - m] * inter[m - 1][3])):
+            side = ch.out_dim
+            full = channels.transfer_matrix(ch).reshape(side, side, d * d)
+            for k, rows in channels.block_slices(ch).items():
+                block = full[rows, rows].reshape(-1, d * d)
+                assert np.abs(block - maps(k)).max() <= 1e-14, (r, ch.label, k)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reports_serialize_at_a_numpy_integer_dimension(d):
+    # json.dumps rejects a numpy integer, so the reports' params must hold Python ints
+    for suite in ("all", *verify.SUITES):
+        reports = verify.suite_reports(suite, np.int64(d), 0.5, 7, 1e-9)
+        text = json.dumps([report.to_json_dict() for report in reports])
+        assert text == json.dumps([report.to_json_dict() for report in
+                                   verify.suite_reports(suite, d, 0.5, 7, 1e-9)]), suite
+    report = verify.check_wolf_eisert_form(np.int64(d), np.int64(d), 7)
+    assert type(report.params["k"]) is int and json.dumps(report.to_json_dict())
 
 
 def test_check_degradable_rejects_a_bad_tolerance():
@@ -888,13 +952,7 @@ def test_suites_that_all_runs_at_each_dimension():
     no_degradable = [name for name in every if name != "degradable"]
     expected = {
         1: no_degradable,
-        2: every,
-        3: every,
-        4: every,
-        5: no_degradable,
-        6: no_degradable,
-        7: no_degradable,
-        8: no_degradable,
+        **{d: every for d in range(2, 9)},
         9: [name for name in no_degradable if name not in ("oracle-q", "oracle-c")],
     }
     for d, names in expected.items():
@@ -911,6 +969,7 @@ def test_floored_suites_report_d2_at_d1():
 def test_all_reports_in_table_order():
     reports = verify.suite_reports("all", 5, 0.55, 7, 1e-9)
     assert [rep.check for rep in reports] == [
+        "degradable",
         "covariance",
         "complementary-spectra",
         *["wolf-eisert"] * 5,
@@ -921,7 +980,7 @@ def test_all_reports_in_table_order():
         "ppt",
         "approximation-rate",
     ]
-    assert [rep.params["k"] for rep in reports[2:7]] == [1, 2, 3, 4, 5]
+    assert [rep.params["k"] for rep in reports[3:8]] == [1, 2, 3, 4, 5]
     assert all(rep.passed for rep in reports)
 
 
@@ -946,7 +1005,7 @@ def test_every_report_prints_its_check_settings():
     assert [list(rep.params.items()) for rep in reports] == [list(p.items()) for p in expected]
 
 
-@pytest.mark.parametrize("suite, d", [("degradable", 1), ("degradable", 5), ("oracle-q", 9),
+@pytest.mark.parametrize("suite, d", [("degradable", 1), ("degradable", 9), ("oracle-q", 9),
                                       ("oracle-c", 9)])
 def test_suite_named_outside_its_range_raises(suite, d):
     with pytest.raises(DomainError):
