@@ -128,7 +128,7 @@ def _cmd_verify(args) -> int:
         "pass": all_pass,
         "reports": [rep.to_json_dict() for rep in reports],
     }
-    print(json.dumps(doc))
+    print(json.dumps(doc, allow_nan=False))  # a non-finite value is an error, not invalid JSON
     return 0 if all_pass else 1
 
 

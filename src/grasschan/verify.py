@@ -85,13 +85,22 @@ class VerificationReport:
     trials: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
+        return _plain({  # a numpy seed, r or tol, and the numpy scalars they breed, are made plain
             "check": self.check,
             "params": self.params,
             "pass": self.passed,
             "worst_residual": self.worst_residual,
             "trials": self.trials,
-        }
+        })
+
+
+def _plain(value):
+    """``value`` with each numpy scalar in it, in nested dicts and lists too, a Python number."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 # ---------------------------------------------------------------------------
@@ -627,32 +636,17 @@ def optimize_holevo(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _complement_intertwiners(d: int) -> tuple:
-    """(V_k, residual, T_k, L_k) per block map k: V_k aligns block k with complement sector d-k.
+def _signed_complement(d: int, k: int) -> np.ndarray:
+    """V_k, the signed anti-identity that aligns forward block k with complement sector d - k.
 
-    T_k is the transfer matrix of block map k, and L_k that of the complement of
-    block map d-k+1: the C-side sector with d-k fermions, normalized by its
-    C(d-1, k-1) unit amplitudes per rail.  V_k sends the a-th ascending k-fermion
-    code A (mode 0 the most significant bit) to its complement mask ^ A, the
-    (C(d, k) - 1 - a)-th ascending (d-k)-fermion code, with sign
-    (-1)^#{(i, j) : i in A, j not in A, j < i}, that is (-1)^(sum of A's modes -
-    k(k-1)/2).  The residual is max_t |V_k A_t - B_t V_k| over the two transfer
-    matrices.  Cached, so read-only.
+    It sends the a-th ascending k-fermion code A (mode 0 the most significant bit) to its
+    complement mask ^ A, the (C(d, k) - 1 - a)-th ascending (d-k)-fermion code, with sign
+    (-1)^#{(i, j) : i in A, j not in A, j < i} = (-1)^(sum of A's modes - k(k-1)/2), and so
+    intertwines block map k with the complement of block map d-k+1.  Built on each call.
     """
     bits = np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1) & 1  # [code, mode]
-    fermions, mode_sum = bits.sum(axis=1), bits @ np.arange(d)
-    result = []
-    for k in range(1, d + 1):
-        n = math.comb(d, k)
-        t_block = transfer_matrix(grassmann_block(d, k))
-        lhat = transfer_matrix(complement_channel_rep(grassmann_block(d, d - k + 1)))
-        a_maps, b_maps = (t.reshape(n, n, d * d).transpose(2, 0, 1) for t in (t_block, lhat))
-        v = np.diag((-1.0) ** (mode_sum[fermions == k] - k * (k - 1) // 2))[::-1]
-        residual = np.linalg.norm(v @ a_maps - b_maps @ v, axis=(1, 2)).max()
-        v.flags.writeable = t_block.flags.writeable = lhat.flags.writeable = False
-        result.append((v, float(residual), t_block, lhat))
-    return tuple(result)
+    codes = bits[bits.sum(axis=1) == k]
+    return np.diag((-1.0) ** (codes @ np.arange(d) - k * (k - 1) // 2))[::-1]
 
 
 def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
@@ -668,25 +662,30 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     triangular: the sector-1 rows fix q_1 by one projection, then the sector-m rows fix
     q_m.  The solved map's Choi matrix is the orthogonal sum of q_1 |Omega_W><Omega_W|
     (eigenvalue q_1 (2^d - 1)), of q_m / w_1 times piece m's Choi block (side d C(d, m))
-    for each m, and of a null space (eigenvalue 0).  The report passes when both
-    sub-checks agree with the theoretical r <= pi/4 boundary.
+    for each m, and of a null space (eigenvalue 0); its least eigenvalue, past the float
+    range near pi/2 at d >= 6, is clamped at minus the largest float.  The one loop over m
+    builds V_m (``_signed_complement``), T_m and L_m, and V_m T_m V_m^dag serves both piece
+    0 and the intertwiner residual |V_m T_m V_m^dag - L_m|, equal to |V_m T_m - L_m V_m| as
+    V_m is orthogonal; nothing is cached.  The report passes when both sub-checks agree with
+    the theoretical r <= pi/4 boundary.
     """
     d = channels._check_channel_d(d, 2)
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance {tol} must be positive and finite")
     w = [a * a * math.comb(d - 1, k) for k, a in enumerate(channels._sector_amplitudes(d, r))]
-    inter = _complement_intertwiners(d)
-    inter_residual = max(res for _, res, _, _ in inter)
-    unitarity = math.hypot(*(np.linalg.norm(v.T @ v - np.eye(len(v))) for v, *_ in inter))
-    rail, t_first = channels.rail_reversal(d), inter[0][2]
-    q_solved, norms, least = [], [], [0.0]
-    for m, (v, _, t_block, lhat) in enumerate(inter, start=1):
-        n, target = len(v), w[d - m] * lhat
-        # V_m T_m(X) V_m^dag (V_m is a real signed permutation); piece 0 writes w_m times it here
+    rail, q_solved, norms, least = channels.rail_reversal(d), [], [], [0.0]
+    for m in range(1, d + 1):
+        v, n = _signed_complement(d, m), math.comb(d, m)
+        t_block = transfer_matrix(grassmann_block(d, m))
+        lhat = transfer_matrix(complement_channel_rep(grassmann_block(d, d - m + 1)))
+        # V_m T_m(X) V_m^dag (V_m is a real signed permutation): it must equal L_m(X), and
+        # piece 0 writes w_m times it here
         unit = v @ t_block.reshape(n, n, -1).transpose(2, 0, 1) @ v.T
         unit = unit.transpose(1, 2, 0).reshape(n * n, -1)
-        forward, size = w[m - 1] * unit, 0.0
+        intertwined = float(np.linalg.norm(unit - lhat, axis=0).max())
+        target, forward, size = w[d - m] * lhat, w[m - 1] * unit, 0.0
         if m == 1:  # piece 0 alone, projected on the unit column: w_1^2 underflows near pi/2
+            t_first = t_block
             q = q1 = float(np.vdot(unit, target).real / np.vdot(unit, unit).real) / w[0]
             error = q1 * forward - target
             least.append(q1 * ((1 << d) - 1))  # q_1 |Omega_W><Omega_W|, |Omega_W|^2 = 2^d - 1
@@ -699,27 +698,24 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
             error, size = q * column - rest, abs(q) * np.linalg.norm(column)
             choi = piece.reshape(n, n, d, d).transpose(2, 0, 3, 1).reshape(d * n, d * n)
             evals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-            least.append(q / w[0] * (evals[0] if q >= 0 else evals[-1]))  # may pass 1e308 near pi/2
+            least.append(q / w[0] * (evals[0] if q >= 0 else evals[-1]))
         q_solved.append(q)
-        norms.append((np.linalg.norm(forward), size, np.linalg.norm(error / big)))
-    forward_norms, sizes, errors = zip(*norms)
+        gap = np.linalg.norm(v.T @ v - np.eye(n))
+        norms.append((np.linalg.norm(forward), size, np.linalg.norm(error / big), intertwined, gap))
+    forward_norms, sizes, errors, intertwined, gaps = zip(*norms)
+    inter_residual, unitarity = max(intertwined), math.hypot(*gaps)
     # backward-style residual: the solved weights blow up like tan^(2(d-1))
     # near pi/2 and cancel heavily, so normalize by the evaluation magnitude
     scale = max(1.0, abs(q1) * math.hypot(*forward_norms) + sum(sizes))
     residual = float(math.hypot(*errors) / (scale / big))
-    min_eig = float(min(least))
+    min_eig = max(float(min(least)), -np.finfo(float).max)  # q_m / w_1 passes 1e308 near pi/2
 
     formula = degrading_weights(d, r)
     q_gap = float(np.max(np.abs(np.array(q_solved) - formula.q)))
     expected = r <= math.pi / 4 + 1e-12
     cp_ok = min_eig >= -tol
-    passed = (
-        formula.valid == expected
-        and residual <= tol
-        and cp_ok == expected
-        and inter_residual <= 1e-8
-        and unitarity <= 1e-8
-    )
+    passed = (formula.valid == expected and residual <= tol and cp_ok == expected
+              and inter_residual <= 1e-8 and unitarity <= 1e-8)
     return VerificationReport(
         check="degradable",
         params={"d": d, "r": r, "tol": tol},
@@ -732,7 +728,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
                 "solve_residual": residual,
                 "choi_min_eig": min_eig,
                 "cp_ok": cp_ok,
-                "q_solved": [float(q) for q in q_solved],
+                "q_solved": q_solved,
                 "q_formula": [float(q) for q in formula.q],
                 "q_gap": q_gap,
                 "intertwiner_residual": inter_residual,

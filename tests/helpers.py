@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from grasschan import channels, fock, verify
+from grasschan import channels, fock
 from grasschan.capacity import block_weights, degrading_weights
 from grasschan.channels import ChannelRep, _nonzero_ops
 from grasschan.errors import DomainError
@@ -88,13 +88,29 @@ def intertwiner_solve(a_maps, b_maps) -> np.ndarray:
     return u @ wh
 
 
+def sector_maps(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T_k, L_k) as ``channels`` builds them, each a stack of d^2 matrices of side C(d, k).
+
+    T_k is block map k's transfer matrix, and L_k that of the complement of block map
+    d-k+1 (complement sector d - k); matrix t of a stack is the image of rail pair t.
+    """
+    n = math.comb(d, k)
+    block = channels.grassmann_block(d, k)
+    mirror = channels.complement_channel_rep(channels.grassmann_block(d, d - k + 1))
+    maps = channels.transfer_matrix(block), channels.transfer_matrix(mirror)
+    return tuple(t.reshape(n, n, d * d).transpose(2, 0, 1) for t in maps)
+
+
 def degradable_reference(d: int, r: float, tol: float = 1e-9) -> dict:
     """The degrading-map solve of ``verify.check_degradable`` over the dense channel stacks.
 
     The same ansatz (X -> W X W^dag, plus for m = 2..d block map m fed by forward
     block 1 in rail order and divided by p_1), built as d_a^2 x d_a^2 Kronecker
     pieces (d_a = 2^d - 1) and solved against the dense complement's transfer
-    matrix by one joint lstsq; the Choi matrix is the dense d_a d_c one.  Returns
+    matrix by one joint lstsq; the Choi matrix is the dense d_a d_c one.  Nothing is read
+    from ``verify``: each V_k is ``intertwiner_solve``'s, whose phase per sector
+    cancels in W X W^dag on block-diagonal outputs, in each piece's embedding and in the
+    rank-one Choi term, and each T_k is built by ``channels``.  Returns
     ``q_solved``, ``solve_residual``, ``choi_min_eig``, ``weights_valid``,
     ``cp_ok`` and ``pass`` as the check reports them.  lstsq's rcond cut drops
     whole columns once q grows like tan^(2(d-1)) r, so near pi/2 it fails.
@@ -104,15 +120,15 @@ def degradable_reference(d: int, r: float, tol: float = 1e-9) -> dict:
     d_a, d_c = fwd.out_dim, comp.out_dim
     p_1 = block_weights(d, r)[0]
     a_rows, c_rows = channels.block_slices(fwd), channels.block_slices(comp)
-    inter = verify._complement_intertwiners(d)
     w_mat = np.zeros((d_c, d_a), dtype=complex)
     for k in range(1, d + 1):
-        w_mat[c_rows[k], a_rows[k]] = inter[k - 1][0]
+        w_mat[c_rows[k], a_rows[k]] = intertwiner_solve(*sector_maps(d, k))
     r1 = np.zeros((d, d_a), dtype=complex)
     r1[:, a_rows[1]] = channels.rail_reversal(d)
     pieces = [np.kron(w_mat, w_mat.conj())]
     for m in range(2, d + 1):
-        embed, t_block = w_mat[:, a_rows[m]], inter[m - 1][2]
+        embed = w_mat[:, a_rows[m]]
+        t_block = channels.transfer_matrix(channels.grassmann_block(d, m))
         pieces.append(np.kron(embed, embed.conj()) @ t_block @ np.kron(r1, r1) / p_1)
     columns = [(piece @ t_fwd).reshape(-1) for piece in pieces]
     a_mat = np.stack([np.concatenate([c.real, c.imag]) for c in columns], axis=1)

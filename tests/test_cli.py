@@ -116,6 +116,17 @@ def test_channel_dimension_is_checked_before_the_kraus_stack_is_allocated(capsys
     assert not out_path.exists()
 
 
+def test_verify_reports_a_non_finite_value_as_an_error(monkeypatch, capsys):
+    # the report is dumped as strict JSON: a nan or inf becomes an error line, not bad JSON
+    def non_finite(*args):
+        return [verify.VerificationReport("degradable", {"d": 2}, True, math.nan)]
+
+    monkeypatch.setattr(verify, "suite_reports", non_finite)
+    assert cli.main(["verify", "--suite", "degradable", "--d", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_arithmetic_error_exit_code(monkeypatch, capsys, tmp_path):
     def disagree(*args):
         raise ConsistencyError("forms disagree")
@@ -294,6 +305,17 @@ def test_verify_degradable_passes_near_pi_over_2():
     assert res.returncode == 0
     (report,) = json.loads(res.stdout)["reports"]
     assert report["pass"] is True and report["trials"][0]["solve_residual"] <= 1e-12
+    # at the last float below pi/2 the d = 6 least Choi eigenvalue passes the float range;
+    # it is printed clamped, and the output stays strict JSON
+    last = repr(math.nextafter(math.pi / 2, 0.0))
+    res = run_cli("verify", "--suite", "degradable", "--d", "6", "--r", last)
+    assert res.returncode == 0, res.stderr
+
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in verify output")
+
+    (report,) = json.loads(res.stdout, parse_constant=refuse)["reports"]
+    assert report["pass"] is True and report["trials"][0]["choi_min_eig"] == -sys.float_info.max
 
 
 def test_verify_covariance_suite():

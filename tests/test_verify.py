@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -11,7 +12,13 @@ import pytest
 
 from grasschan import capacity, channels, fock, verify
 from grasschan.errors import DomainError, PreconditionError
-from helpers import degradable_reference, intertwiner_solve, pair_sectors, random_density
+from helpers import (
+    degradable_reference,
+    intertwiner_solve,
+    pair_sectors,
+    random_density,
+    sector_maps,
+)
 
 
 def test_entropy_pure_and_mixed():
@@ -701,17 +708,12 @@ def test_check_degradable_inside_boundary():
 def test_complement_intertwiners_follow_the_signed_complement_rule(d):
     # each V_k is a signed anti-identity, intertwines exactly, and is the solved
     # intertwiner up to one phase; the unsigned anti-identity fails from d = 2 on
-    for k, (v, residual, t_block, lhat) in enumerate(verify._complement_intertwiners(d), start=1):
-        n = math.comb(d, k)
+    for k in range(1, d + 1):
+        n, v = math.comb(d, k), verify._signed_complement(d, k)
         assert np.array_equal(np.abs(v), np.eye(n)[::-1])
-        assert residual == 0.0
-        assert np.array_equal(t_block, channels.transfer_matrix(channels.grassmann_block(d, k)))
-        block = channels.grassmann_block(d, d - k + 1)
-        assert np.array_equal(lhat, channels.transfer_matrix(channels.complement_channel_rep(block)))
-        ref = intertwiner_solve(
-            [t_block[:, t].reshape(n, n) for t in range(d * d)],
-            [lhat[:, t].reshape(n, n) for t in range(d * d)],
-        )
+        t_maps, l_maps = sector_maps(d, k)
+        assert np.linalg.norm(v @ t_maps - l_maps @ v, axis=(1, 2)).max() == 0.0, k
+        ref = intertwiner_solve(t_maps, l_maps)
         phase = np.vdot(v, ref) / n
         assert abs(abs(phase) - 1.0) <= 1e-12, (k, phase)
         assert np.abs(ref - phase * v).max() <= 1e-12, k
@@ -748,23 +750,27 @@ def test_check_degradable_holds_near_pi_over_2(d):
         assert trial["solve_residual"] <= 1e-12, (r, trial["solve_residual"])
         q, formula = np.array(trial["q_solved"]), capacity.degrading_weights(d, r).q
         assert np.all(np.abs(q - formula) <= 1e-12 * np.abs(formula)), (r, q, formula)
+        # the least Choi eigenvalue is clamped at -float max, so the report stays strict JSON
+        assert -sys.float_info.max <= trial["choi_min_eig"] < 0.0, (r, trial["choi_min_eig"])
+        assert json.dumps(report.to_json_dict(), allow_nan=False)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_dense_channel_sectors_are_the_weighted_maps_the_check_reads(d):
     # forward sector k is w_k T_k and complement sector m is w_(d-m+1) L_m, with
-    # w_k = C(d-1, k-1) times the squared sector amplitude
-    inter = verify._complement_intertwiners(d)
+    # w_k = C(d-1, k-1) times the squared sector amplitude; T_k and L_m come from channels
+    maps = [sector_maps(d, k) for k in range(1, d + 1)]
     for r in (0.3, 1.05):
         w = [a * a * math.comb(d - 1, k) for k, a in enumerate(channels._sector_amplitudes(d, r))]
-        for ch, maps in ((channels.grassmann_channel(d, r), lambda k: w[k - 1] * inter[k - 1][2]),
-                         (channels.complementary_channel(d, r),
-                          lambda m: w[d - m] * inter[m - 1][3])):
+        for ch, weighted in ((channels.grassmann_channel(d, r),
+                              lambda k: w[k - 1] * maps[k - 1][0]),
+                             (channels.complementary_channel(d, r),
+                              lambda m: w[d - m] * maps[m - 1][1])):
             side = ch.out_dim
             full = channels.transfer_matrix(ch).reshape(side, side, d * d)
             for k, rows in channels.block_slices(ch).items():
-                block = full[rows, rows].reshape(-1, d * d)
-                assert np.abs(block - maps(k)).max() <= 1e-14, (r, ch.label, k)
+                block = full[rows, rows].transpose(2, 0, 1)
+                assert np.abs(block - weighted(k)).max() <= 1e-14, (r, ch.label, k)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -777,6 +783,13 @@ def test_reports_serialize_at_a_numpy_integer_dimension(d):
                                    verify.suite_reports(suite, d, 0.5, 7, 1e-9)]), suite
     report = verify.check_wolf_eisert_form(np.int64(d), np.int64(d), 7)
     assert type(report.params["k"]) is int and json.dumps(report.to_json_dict())
+    # a numpy seed, r or tol too, and the numpy booleans a numpy r or tol makes in the trials
+    for report in (verify.check_covariance(d, 0.5, np.int64(7)),
+                   verify.check_degradable(d, np.float32(0.5)),
+                   verify.check_degradable(d, np.float64(1.05)),
+                   verify.check_degradable(d, 0.5, tol=np.float32(1e-9)),
+                   *verify.suite_reports("all", d, 0.5, np.int64(7), 1e-9)):
+        assert json.dumps(report.to_json_dict(), allow_nan=False), report.check
 
 
 def test_check_degradable_rejects_a_bad_tolerance():
