@@ -8,7 +8,6 @@ bits.  Quantum-capacity values are clamped at zero for reporting; the raw
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -75,34 +74,11 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(np.abs(diff) < 0.1 * (x + m), series, direct)
 
 
-# ``_binomial_logpmf`` and ``block_weights`` evaluate the Loader terms under this state.  They
-# divide by zero, overflow or form 0/0 only where the result is dropped or right: 0 log 0 at
-# the ends and at n = 0, s = 0 (D = inf, zero mass) off x = 0, and x/m past the largest float
-# at subnormal m (D = inf, dropping a mass below m).
+# ``_binomial_logpmf`` evaluates the Loader terms under this state.  They divide by zero,
+# overflow or form 0/0 only where the result is dropped or right: 0 log 0 at the ends and at
+# n = 0, s = 0 (D = inf, zero mass) off x = 0, and x/m past the largest float at subnormal m
+# (D = inf, dropping a mass below m).
 _LOADER_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
-
-
-class _LoaderTerms(NamedTuple):
-    """The part of the Loader kernel free of s and c, at broadcast integer arrays x and n."""
-
-    xy: np.ndarray  # x and n - x, stacked
-    n: np.ndarray
-    stirling: np.ndarray  # e(n) - (e(x) + e(n - x))
-    half_log: np.ndarray  # log(2 pi x (n - x) / n) / 2, 0 at x = 0 and n
-
-
-def _loader_terms(x, n) -> _LoaderTerms:
-    y = n - x
-    n, x = x + y, n - y  # both take the shape of y, exactly in integers
-    st = _stirlerr(np.stack((n, x, y)))  # one call, not three: small n is call-bound
-    half_log = np.where((0 < x) & (x < n), 0.5 * np.log(2.0 * math.pi * (x * y / n)), 0.0)
-    return _LoaderTerms(np.stack((x, y)), n, st[0] - (st[1] + st[2]), half_log)
-
-
-def _loader_logpmf(terms: _LoaderTerms, s: float, c: float) -> np.ndarray:
-    """``_binomial_logpmf`` from its terms free of s and c: only the two deviances are left."""
-    dev = _bd0(terms.xy, np.stack((terms.n * s, terms.n * c)))
-    return terms.stirling - (dev[0] + dev[1]) - terms.half_log
 
 
 def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
@@ -118,11 +94,14 @@ def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
     s = 0.1, a pmf of 3e-226 in the Unruh series' tail.  To first order it
     does not see the rounding of s and of c = 1 - s, passed in its own.
     s == c gives a bitwise symmetric result: antisymmetric sums cancel exactly.
-    The terms free of s and c come from ``_loader_terms``, the deviances from
-    ``_loader_logpmf``.
     """
     with np.errstate(**_LOADER_ERRSTATE):
-        return _loader_logpmf(_loader_terms(x, n), s, c)
+        y = n - x
+        n, x = x + y, n - y  # both take the shape of y, exactly in integers
+        st = _stirlerr(np.stack((n, x, y)))  # one call, not three: small n is call-bound
+        half_log = np.where((0 < x) & (x < n), 0.5 * np.log(2.0 * math.pi * (x * y / n)), 0.0)
+        dev = _bd0(np.stack((x, y)), np.stack((n * s, n * c)))
+        return st[0] - (st[1] + st[2]) - (dev[0] + dev[1]) - half_log
 
 
 def _check_integer(value, name: str, noun: str = "") -> int:
@@ -146,41 +125,23 @@ def _check_r(r: float):
         raise DomainError(f"squeezing parameter r={r} outside [0, pi/2)")
 
 
-# The largest d at which ``channels`` builds a channel explicitly.  The builders call
-# block_weights at every (d, r) they build, so it keeps the r-free Loader terms of each d up
-# to this one (five rows of d entries, 320 bytes of arrays at the bound); past it they are
-# recomputed on each call, so the cache never grows with d.
-CHANNEL_MAX_D = 8
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_terms(d: int) -> _LoaderTerms:
-    """The r-free Loader terms of Binomial(d - 1, .) at 0..d-1, read-only; d at most the bound.
-
-    ``block_weights`` calls it under ``_LOADER_ERRSTATE``.
-    """
-    terms = _loader_terms(np.arange(d), d - 1)
-    for array in terms:
-        array.flags.writeable = False
-    return terms
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
 def block_weights(d: int, r: float) -> np.ndarray:
     """Sector weights p_k, k = 1..d, as the float array p with p[k - 1] = p_k.
 
     p_k = C(d-1,k-1) cos^(2(d-1))r tan^(2(k-1))r: the Binomial(d-1, sin^2 r)
-    pmf, bitwise ``_binomial_logpmf``'s.  The complementary weights p~_k, with
-    tangent exponent 2(d-k), are its reversal: p~_k = p[d - k].  Up to
-    d = ``CHANNEL_MAX_D``, the d the channel builders reach, its r-free terms
-    (Stirling errors and half-log) are computed once per d, and only the
-    deviances once per call.
+    pmf, from ``_binomial_logpmf``.  The complementary weights p~_k, with
+    tangent exponent 2(d-k), are its reversal: p~_k = p[d - k].  The channel
+    builders do not call it; they weigh their blocks by their own sector
+    amplitudes.
     """
     d = _check_d(d)
     _check_r(r)
-    with np.errstate(**_LOADER_ERRSTATE):
-        terms = _weight_terms(d) if d <= CHANNEL_MAX_D else _loader_terms(np.arange(d), d - 1)
-        logpmf = _loader_logpmf(terms, math.sin(r) ** 2, math.cos(r) ** 2)
-    p = np.exp(logpmf)
+    p = np.exp(_binomial_logpmf(np.arange(d), d - 1, math.sin(r) ** 2, math.cos(r) ** 2))
     assert abs(p.sum() - 1.0) < 1e-12
     return p
 
@@ -315,8 +276,7 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
     d = _check_d(d)
     if not 0.0 <= z < 1.0:
         raise DomainError(f"z={z} outside [0, 1)")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     lb = math.log(log_base_value(base, d))
     cap, n = UNRUH_MAX_TERMS, d + 1
     total = 0.0

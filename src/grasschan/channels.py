@@ -14,15 +14,17 @@ the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
 number sectors.  ``_sector_nonzeros`` lists the nonzeros of every sector once
 per d, their signs from a closed rule.  ``_image`` fills one read-only
 zero-padded [C code, A code, rail] stack from it, scattering the nonzeros of
-sector k scaled by cos^(d-1) r tan^(k-1) r, and keeps it with the block
-weights for the last (d, r).  The channel is a view of its C rows in use and
-the complement of the A rows in use of its transpose, so a pair at one (d, r)
-shares one stack, and nothing scans it.  Block channel k is sector k /
-sqrt(C(d-1, k-1)), scattered from the same listing.  ``verify``'s capacity
-objectives skip the stacks: they gather each output block from the input's
-entries through index tables that they read off the same listing.  Every
-Kraus set equals, entry for entry, the image that ``fock.isometry_apply``
-builds by ladder application, which this module does not use.
+sector k scaled by its amplitude a_k = cos^(d-1) r tan^(k-1) r, and keeps
+it for the last (d, r) with the block weights p_k = C(d-1, k-1) a_k^2, read
+off the same amplitudes: this module consults no closed form.  The channel
+is a view of its C rows in use and the complement of the A rows in use of
+its transpose, so a pair at one (d, r) shares one stack, and nothing scans
+it.  Block channel k is sector k / sqrt(C(d-1, k-1)), scattered from the
+same listing.  ``verify``'s capacity objectives skip the stacks: they
+gather each output block from the input's entries through index tables
+that they read off the same listing.  Every Kraus set equals, entry for
+entry, the image that ``fock.isometry_apply`` builds by ladder
+application, which this module does not use.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
@@ -57,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .capacity import CHANNEL_MAX_D, _check_d, _check_integer, _check_r, block_weights
+from .capacity import _check_d, _check_integer, _check_r
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -77,6 +79,8 @@ __all__ = [
     "dump_channel_json",
     "load_channel_json",
 ]
+
+CHANNEL_MAX_D = 8  # the largest d at which a channel is built explicitly
 
 
 def rail_reversal(d: int) -> np.ndarray:
@@ -209,13 +213,15 @@ def _nonzero_ops(kraus: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _image(d: int, r: float) -> tuple[np.ndarray, int, int, np.ndarray]:
+def _image(d: int, r: float) -> tuple[np.ndarray, int, int, tuple[float, ...]]:
     """The isometry image at (d, r): its Kraus stack, C and A rows in use, and block weights.
 
-    In the zero-padded [C code, A code, rail] stack, sector k times cos^(d-1) r tan^(k-1) r
-    fills the C rows with k - 1 fermions and the A columns with k: one scatter of its
-    nonzeros (``_sector_nonzeros``) into the zeroed stack.  Read-only, and cached for the
-    last (d, r) only: a channel and its complement at one r share it.
+    In the zero-padded [C code, A code, rail] stack, sector k times its amplitude
+    a = cos^(d-1) r tan^(k-1) r fills the C rows with k - 1 fermions and the A columns with
+    k: one scatter of its nonzeros (``_sector_nonzeros``) into the zeroed stack.  Block
+    weight k is a * a * C(d-1, k-1), the squared norm of that sector's image of one rail.
+    Read-only, and cached for the last (d, r) only: a channel and its complement at one r
+    share it.
     """
     amps = _sector_amplitudes(d, r)  # checks r before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
@@ -229,14 +235,15 @@ def _image(d: int, r: float) -> tuple[np.ndarray, int, int, np.ndarray]:
         flat[entries.flat] = amp * entries.unit
         c_rows, a_rows = c_rows + math.comb(d, k - 1), a_rows + math.comb(d, k)
     kraus.flags.writeable = False
-    return kraus, c_rows, a_rows, block_weights(d, r)
+    weights = tuple(a * a * math.comb(d - 1, k - 1) for k, a in enumerate(amps, 1))
+    return kraus, c_rows, a_rows, weights
 
 
 def grassmann_channel(d: int, r: float) -> ChannelRep:
     """The d-dimensional channel induced by tracing C from the isometry."""
     d = _check_channel_d(d)  # before the cache, which would take 3.0 for 3
     stack, c_rows, _, p = _image(d, r)  # rejects r
-    blocks = [Block(k, float(p[k - 1]), math.comb(d, k)) for k in range(1, d + 1)]
+    blocks = [Block(k, p[k - 1], math.comb(d, k)) for k in range(1, d + 1)]
     return ChannelRep(stack[:c_rows], blocks, label=f"grassmann(d={d},r={r:.12g})")
 
 
@@ -251,7 +258,7 @@ def complementary_channel(d: int, r: float) -> ChannelRep:
     d = _check_channel_d(d)  # before the cache, which would take 3.0 for 3
     stack, _, a_rows, p = _image(d, r)  # rejects r
     kraus = stack.transpose(1, 0, 2)[:a_rows]
-    blocks = [Block(d - j, float(p[j]), math.comb(d, j)) for j in range(d)]
+    blocks = [Block(d - j, p[j], math.comb(d, j)) for j in range(d)]
     return ChannelRep(kraus, blocks, label=f"grassmann-comp(d={d},r={r:.12g})")
 
 

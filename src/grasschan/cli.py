@@ -84,6 +84,7 @@ def run_sweep(family: str, ds: list[int], param_name: str, start: float, stop: f
 
 
 def _cmd_capacity(args) -> int:
+    capacity._check_tol(args.tol)  # every kind takes --tol, though only unruh reads it
     params = [p for kind, p in CLOSED_FORMS if kind == args.kind]
     param = next((p for p in params if getattr(args, p) is not None), None)
     if param is None:
@@ -112,10 +113,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.d < 1:
         raise DomainError(f"dimension d={args.d} must be at least 1")
-    if not math.isfinite(args.r):
-        raise DomainError(f"squeezing parameter r={args.r} is not finite")
-    if not 0.0 < args.tol < math.inf:
-        raise DomainError(f"tolerance {args.tol} must be positive and finite")
+    capacity._check_r(args.r)  # every suite takes --r, though not every suite reads it
+    capacity._check_tol(args.tol)
     import json
 
     from . import verify  # only this command needs it, so the others skip its import

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import channels, fock
 from .capacity import (
-    CHANNEL_MAX_D,
     _check_integer,
+    _check_tol,
     block_weights,
     classical_capacity_grassmann,
     degrading_weights,
@@ -39,6 +39,7 @@ from .capacity import (
     unruh_capacity_approx,
 )
 from .channels import (
+    CHANNEL_MAX_D,
     ChannelRep,
     apply_kraus,
     block_slices,
@@ -670,8 +671,7 @@ def check_degradable(d: int, r: float, tol: float = 1e-9) -> VerificationReport:
     the theoretical r <= pi/4 boundary.
     """
     d = channels._check_channel_d(d, 2)
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance {tol} must be positive and finite")
+    _check_tol(tol)
     w = [a * a * math.comb(d - 1, k) for k, a in enumerate(channels._sector_amplitudes(d, r))]
     rail, q_solved, norms, least = channels.rail_reversal(d), [], [], [0.0]
     for m in range(1, d + 1):

@@ -8,6 +8,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -65,6 +66,49 @@ def test_block_weights_input_independent(d):
         out = apply_kraus(ch.kraus, _random_pure(d, rng))
         for sl, p_k in zip(_sector_slices(d), expected):
             assert abs(np.trace(out[sl, sl]).real - p_k) < 1e-12
+
+
+_WEIGHT_RS = (0.0, 1e-160, 1e-100, 1e-20, *np.linspace(0.0, 1.5707963, 25)[1:].tolist(),
+              1.5707963267948963)
+
+
+def _exact_weight(d, k, r):
+    # C(d-1, k-1) cos^(2(d-1)) r tan^(2(k-1)) r at the binary value of r, in 50 digits
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        return float(mpmath.binomial(d - 1, k - 1) * mpmath.cos(r) ** (2 * (d - 1))
+                     * mpmath.tan(r) ** (2 * (k - 1)))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_block_weights_match_the_binomial_pmf_in_high_precision(d):
+    # read off the sector amplitudes, the weights keep their digits where the Loader kernel
+    # loses a few ulps, and stay nonzero where tan^2 r is subnormal (7e-320 at d = 8, r = 1e-160)
+    for r in _WEIGHT_RS:
+        forward, comp = grassmann_channel(d, r), complementary_channel(d, r)
+        for b in forward.blocks:
+            exact = _exact_weight(d, b.k, r)
+            assert abs(b.weight - exact) <= 1e-14 * exact + 1e-322, (r, b)
+        for b in comp.blocks:  # complement block k carries p_(d-k+1)
+            exact = _exact_weight(d, d - b.k + 1, r)
+            assert abs(b.weight - exact) <= 1e-14 * exact + 1e-322, (r, b)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_block_weights_are_the_traces_of_their_output_sectors(d):
+    rails = np.eye(d)[:, :, None] * np.eye(d)[:, None, :]  # |i><i| for each rail i
+    for r in (0.2, 0.7, math.pi / 4, 1.3):
+        for ch in (grassmann_channel(d, r), complementary_channel(d, r)):
+            out = apply_kraus(ch.kraus, rails)
+            for b, rows in zip(ch.blocks, channels.block_slices(ch).values()):
+                traces = np.trace(out[:, rows, rows], axis1=1, axis2=2).real
+                assert np.abs(traces - b.weight).max() <= 1e-14 * b.weight, (r, ch.label, b)
+
+
+def test_channels_holds_no_closed_form():
+    assert not hasattr(channels, "block_weights")
+    assert not hasattr(capacity, "CHANNEL_MAX_D")
+    assert channels.CHANNEL_MAX_D == 8
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -100,6 +100,29 @@ def test_capacity_domain_error_exit_code(capsys, tmp_path):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("suite", ["ppt", "wolf-eisert", "werner-holevo", "rate", "all"])
+def test_verify_rejects_an_r_outside_the_domain_at_every_suite(suite, capsys):
+    # suites that never read r took any finite r and printed it in their params
+    for r in ("2.0", "-0.1", "1.5707963267948966", "nan"):
+        assert cli.main(["verify", "--suite", suite, "--d", "2", f"--r={r}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: squeezing parameter r={float(r)} outside [0, pi/2)\n"
+        )
+
+
+@pytest.mark.parametrize("kind, param", [("quantum", "--r=0.3"), ("quantum", "--w=0.5"),
+                                         ("classical", "--r=0.3"), ("unruh", "--z=0.5"),
+                                         ("unruh-approx", "--z=0.5"), ("ratio", None)])
+def test_capacity_rejects_a_bad_tolerance_at_every_kind(kind, param, capsys):
+    # only unruh read --tol; the other kinds ignored a nan or negative one
+    for tol in ("nan", "-1", "0", "inf"):
+        argv = ["capacity", kind, "--d", "3", f"--tol={tol}", *([param] if param else [])]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: tolerance must be positive and finite, got {float(tol)}\n"
+        )
+
+
 def test_channel_dimension_is_checked_before_the_kraus_stack_is_allocated(capsys, tmp_path):
     # the (2^d - 1)^2 d stack came first: 320 TiB at d = 20, a negative shift count at d = -2,
     # and more elements than numpy allows under verify at d = 100
