@@ -105,11 +105,16 @@ def _binomial_logpmf(x, n, s: float, c: float) -> np.ndarray:
 
 
 def _check_integer(value, name: str, noun: str = "") -> int:
-    """value as an int; DomainError, naming noun + name, unless a Python or numpy integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{noun}{name} must be an integer, got {name}={value!r}") from None
+    """value as an int; DomainError, naming noun + name, unless a Python or numpy integer.
+
+    A bool is not taken as an integer, although ``operator.index`` takes it.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{noun}{name} must be an integer, got {name}={value!r}")
 
 
 def _check_d(d, least: int = 1) -> int:

@@ -21,9 +21,10 @@ is a view of its C rows in use and the complement of the A rows in use of
 its transpose, so a pair at one (d, r) shares one stack, and nothing scans
 it.  Block channel k is sector k / sqrt(C(d-1, k-1)), scattered from the
 same listing.  ``verify``'s capacity objectives skip the stacks: they
-gather each output block from the input's entries through index tables
-that they read off the same listing.  Every Kraus set equals, entry for
-entry, the image that ``fock.isometry_apply`` builds by ladder
+gather each forward output block from the input's entries through index
+tables that they read off the same listing, and take each complement block
+from the forward block it mirrors through V_k.  Every Kraus set equals,
+entry for entry, the image that ``fock.isometry_apply`` builds by ladder
 application, which this module does not use.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape

@@ -6,14 +6,18 @@ non-degradability beyond r = pi/4) passes when the failure occurs.
 
 Every output of the channel and of its complement is block diagonal by
 fermion number, so the capacity objectives (coherent information, Holevo
-quantity and their gradients) work block by block: each block is gathered
-from the input's entries through r-free index tables (``_block_tables``) read
-off the sector nonzeros that ``channels._sector_nonzeros`` lists (an entry off
-the diagonal is one signed entry of the input, a diagonal entry a sum of its
-diagonal over rails) and scaled by its sector amplitude.  The blocks of one
-size make one group, solved by one eigensolve, and the eigenvalues of every
-group go through one entropy pass.  The gradients apply the adjoint of that
-gather through a fixed-width table of the same terms.
+quantity and their gradients) work block by block: each forward block is
+gathered from the input's entries through r-free index tables
+(``_block_tables``) read off the sector nonzeros that
+``channels._sector_nonzeros`` lists (an entry off the diagonal is one signed
+entry of the input, a diagonal entry a sum of its diagonal over rails) and
+scaled by its sector amplitude.  The blocks of one size make one group, solved
+by one eigensolve, and the eigenvalues of every group go through one entropy
+pass.  The complement block with d - k fermions on C is V_k B_k V_k^T, V_k the
+signed anti-identity of ``_signed_complement``, so it is never gathered: it
+enters with forward block k's eigenvalues and eigenvectors.  The gradients
+apply the adjoint of the forward gather through a fixed-width table of the
+same terms.
 """
 
 from __future__ import annotations
@@ -161,42 +165,35 @@ _SHARED_STACK_ROWS = 8
 
 
 class _BlockGroup(NamedTuple):
-    """Index tables of one group of output blocks, all read from the sector nonzeros.
+    """Index tables of one group of forward output blocks, all read from the sector nonzeros.
 
-    The group holds G blocks of size n x n: its forward blocks, then the complement
-    blocks that mirror them, block i being weighted by sector ``sectors[i]`` + 1.
-    With flat = rho.ravel() and the diagonal sums diag(rho) @ rails of
-    ``_block_tables``, the unit-weight blocks are [0, flat, -flat, sums][gather].
-    The adjoint of that map takes W of the group's shape to
-    (signs * W.ravel()[adjoint]).sum(0), reshaped to d x d.  The forward half of
-    the group reads gather[:G/2] and the first ``forward`` rows of adjoint and signs.
+    The group holds G blocks of size n x n, block i being weighted by sector
+    ``sectors[i]`` + 1.  With flat = rho.ravel() and the diagonal sums diag(rho) @ rails
+    of ``_block_tables``, the unit-weight blocks are [0, flat, -flat, sums][gather].  The
+    adjoint of that map takes W of the group's shape to (signs * W.ravel()[adjoint]).sum(0),
+    reshaped to d x d.
     """
 
     sectors: np.ndarray  # (G,) sector index of each block's squared amplitude
     gather: np.ndarray  # (G, n, n) index of each block entry into [0, flat, -flat, sums]
     adjoint: np.ndarray  # (W, d^2) position of each term of rho[i, j] in the flat blocks
     signs: np.ndarray  # (W, d^2) the sign of that term; 0 where a column has fewer than W
-    forward: int  # rows of adjoint and signs that hold the forward blocks' terms
 
 
 class _Tables(NamedTuple):
-    """The groups of ``_block_tables`` and the tables that their eigenvalues share.
+    """The groups of ``_block_tables`` and the sector of each of their eigenvalues.
 
-    The eigenvalues of the forward halves of every group, laid end to end in group
-    order, are followed by those of the mirror halves in the same order; the forward
-    ones alone are the prefix of half the length.  ``sectors`` and ``signs`` give
-    each of those eigenvalues the sector index of its squared amplitude and its sign
-    in I_c: +1 forward, -1 complement.
+    The complement block that mirrors forward block s + 1 has the same eigenvalues,
+    weighted by sector d - 1 - s.
     """
 
     rails: np.ndarray  # (d, E) 0/1: diag(rho) @ rails are the diagonal sums of every group
     groups: tuple[_BlockGroup, ...]
-    sectors: np.ndarray  # (2 F,) sector index per eigenvalue; F = forward eigenvalues
-    signs: np.ndarray  # (2 F,) +1 on the forward half, -1 on the mirror half
+    sectors: np.ndarray  # (F,) sector index s per eigenvalue, the groups' end to end
 
 
 def _adjoint_columns(d: int, sector, position, target, sign):
-    """One half's adjoint table: the terms of rho[i, j] down column i d + j, padded with sign 0.
+    """A group's adjoint table: the terms of rho[i, j] down column i d + j, padded with sign 0.
 
     Down each column the terms run by sector, then by position; the padding comes last.
     A position holds at most one term of each target, so no two sort keys are equal.
@@ -212,25 +209,24 @@ def _adjoint_columns(d: int, sector, position, target, sign):
 
 @lru_cache(maxsize=None)
 def _block_tables(d: int) -> _Tables:
-    """Gather tables of the capacity objectives' output blocks, one group per block size.
+    """Gather tables of the capacity objectives' forward blocks, one group per block size.
 
     Forward block k contracts sector k of the unit pair state, the [A code, C code, rail]
     tensor T whose nonzeros ``channels._sector_nonzeros`` lists, with itself over
-    (C code, rail): B[a, a'] = sum_c T[a, c, i] T[a', c, j] rho[i, j].  The complement
-    block with d - k fermions on C, which mirrors it, contracts sector d - k + 1 over
-    (A code, rail).  A nonzero [A, C, i] needs A = C + {i}, so an entry off the
-    diagonal has at most one term, a signed entry of rho, and a diagonal entry sums
-    rho[i, i] over its k (or d - k + 1) rails.  Forward blocks k and d - k have the
-    same size C(d, k), so they and their mirrors make one group and one eigensolve;
-    the blocks of at most ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to
-    its largest block.  ``rails`` (d x E, 0/1, complex) takes the diagonal of rho to
-    the diagonal entries of every group's blocks, group after group, so one product
-    serves them all.  The groups are built one at a time, block by block: a term
-    pairs two nonzeros that share a summed code, the first fixing its block entry's
-    row and rail i, the second its column and j.  Each half's adjoint table lists the
-    terms of rho[i, j] down column i d + j by sector, then by position in the group's
-    flattened blocks, then the padding (sign 0); that order fixes the last bits of the
-    gradients.  Cached per d (0.5 MB at d = 8), so the arrays are read-only.
+    (C code, rail): B[a, a'] = sum_c T[a, c, i] T[a', c, j] rho[i, j].  A nonzero
+    [A, C, i] needs A = C + {i}, so an entry off the diagonal has at most one term, a
+    signed entry of rho, and a diagonal entry sums rho[i, i] over its k rails.  Blocks k
+    and d - k have the same size C(d, k), so they make one group and one eigensolve; the
+    blocks of at most ``_SHARED_STACK_ROWS`` rows share one group, zero-padded to its
+    largest block.  No complement block is gathered: the one with d - k fermions on C is
+    V_k B_k V_k^T (``_signed_complement``).  ``rails`` (d x E, 0/1, complex) takes the
+    diagonal of rho to the diagonal entries of every group's blocks, group after group,
+    so one product serves them all.  The groups are built one at a time, block by block:
+    a term pairs two nonzeros that share a C code, the first fixing its block entry's row
+    and rail i, the second its column and j.  A group's adjoint table lists the terms of
+    rho[i, j] down column i d + j by sector, then by position in the group's flattened
+    blocks, then the padding (sign 0); that order fixes the last bits of the gradients.
+    Cached per d (0.27 MB at d = 8), so the arrays are read-only.
     """
     small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
     runs = [small] + [
@@ -238,92 +234,85 @@ def _block_tables(d: int) -> _Tables:
     ]
     nonzeros, groups, rails = channels._sector_nonzeros(d), [], []
     for run in runs:
-        # forward block k sums sector k - 1 (from 0) over C codes, its mirror sector d - k over A
-        blocks = [(k - 1, 0) for k in run] + [(d - k, 1) for k in run]
         n, offset = max(math.comb(d, k) for k in run), sum(part.shape[1] for part in rails)
-        gather = np.zeros(len(blocks) * n * n, dtype=np.intp)
-        columns = np.zeros((d, len(blocks) * n), dtype=complex)  # the group's part of rails
-        halves = ([], [])
-        for slot, (s, half) in enumerate(blocks):
-            a, c, rail, unit, _ = nonzeros[s]
-            out, summed = (a, c) if half == 0 else (c, a)
-            # every summed code meets the same number of nonzeros: one row of them per code
-            rows = np.argsort(summed, kind="stable").reshape(math.comb(d, s + half), -1)
+        gather = np.zeros(len(run) * n * n, dtype=np.intp)
+        columns = np.zeros((d, len(run) * n), dtype=complex)  # the group's part of rails
+        terms = []
+        for slot, k in enumerate(run):
+            a, c, rail, unit, _ = nonzeros[k - 1]
+            # every C code meets the same number of nonzeros: one row of them per code
+            rows = np.argsort(c, kind="stable").reshape(math.comb(d, k - 1), -1)
             width = rows.shape[1]
             left, right = rows[:, :, None].repeat(width, 2).ravel(), rows.repeat(width, 0).ravel()
-            row = slot * n + out  # each nonzero's row of the group's (G, n, n) blocks
-            position, target = row[left] * n + out[right], rail[left] * d + rail[right]
+            row = slot * n + a  # each nonzero's row of the group's (G, n, n) blocks
+            position, target = row[left] * n + a[right], rail[left] * d + rail[right]
             sign = unit[left] * unit[right]
             gather[position] = 1 + target + d * d * (sign < 0)
             # the diagonal terms pair a nonzero with itself; their sums come from rails
-            gather[row * n + out] = 1 + 2 * d * d + offset + row
+            gather[row * n + a] = 1 + 2 * d * d + offset + row
             columns[rail, row] = 1.0
-            halves[half].append((np.full(len(left), s), position, target, sign))
-        forward, mirror = (_adjoint_columns(d, *map(np.concatenate, zip(*h))) for h in halves)
+            terms.append((np.full(len(left), k - 1), position, target, sign))
         rails.append(columns)
-        parts = (
-            np.array([s for s, _ in blocks]),
-            gather.reshape(len(blocks), n, n),
-            *map(np.concatenate, zip(forward, mirror)),  # adjoint, then signs: forward rows first
-        )
+        adjoint = _adjoint_columns(d, *map(np.concatenate, zip(*terms)))
+        parts = (np.array(run) - 1, gather.reshape(len(run), n, n), *adjoint)
         for array in parts:
             array.flags.writeable = False
-        groups.append(_BlockGroup(*parts, len(forward[0])))
+        groups.append(_BlockGroup(*parts))
     rails = np.concatenate(rails, axis=1)
-    rails.flags.writeable = False
-    # per eigenvalue: its block's sector, the forward halves of every group first
-    sectors = np.concatenate(
-        [np.repeat(g.sectors.reshape(2, -1), g.gather.shape[-1], axis=1) for g in groups], axis=1
-    ).ravel()
-    signs = np.repeat([1.0, -1.0], len(sectors) // 2)
-    for array in (sectors, signs):
+    sectors = np.concatenate([np.repeat(g.sectors, g.gather.shape[-1]) for g in groups])
+    for array in (rails, sectors):
         array.flags.writeable = False
-    return _Tables(rails, tuple(groups), sectors, signs)
+    return _Tables(rails, tuple(groups), sectors)
 
 
 def _block_terms(d: int, r: float, rho: np.ndarray, logs: bool = True, complement: bool = True):
     """S per input, and per group of ``_block_tables``: its tables, the blocks B and w L.
 
-    Output block i is w[i] B[i], B being gathered from the entries of rho (the
-    diagonal entries of B are sums over rails), w being the squared sector
-    amplitudes, never the closed-form weights the oracles check.  A group lists
-    its forward blocks, then, with ``complement``, the complement blocks that
-    mirror them, which enter S and w L negated, so that S is I_c and w L gives its
-    gradient.  One eigh per group, or one eigvalsh without ``logs`` (w L is then
-    None); the eigenvalues of every group then go through one entropy pass, laid
-    out as the tables of ``_block_tables`` list them.  L = -log+(w B)/ln b, so
-    dS = tr(L d(w B)), with b the base d of the oracles' closed forms, and log+
-    floors as von_neumann_entropy does.  A stack rho (..., d, d) gives S of shape
+    Forward block k is w_k B_k, B_k being gathered from the entries of rho (its diagonal
+    entries are sums over rails), w_k the squared sector amplitude, never the closed-form
+    weights the oracles check.  With ``complement``, the complement block with d - k
+    fermions on C is w_(d-k+1) V_k B_k V_k^T (``_signed_complement``), so each eigenvalue
+    lam of B_k enters S twice, as w_k lam and, negated, as w_(d-k+1) lam, and S is I_c.
+    One eigh per group, or one eigvalsh without ``logs`` (w L is then None); the
+    eigenvalues of every group then go through one entropy pass, laid out as
+    ``_Tables.sectors`` lists them, the complement's after the forward ones.  w L is
+    built on B_k's eigenvectors with the coefficient -w log+(w lam)/ln b of each of its
+    terms, summed over both terms with ``complement``, so the forward adjoint alone
+    gives dS = tr(w L dB), b being the base d of the oracles' closed forms, and log+
+    flooring as von_neumann_entropy does.  A stack rho (..., d, d) gives S of shape
     (...) and B of shape (..., i, n, n).
     """
     channels._check_channel_d(d)
     weights = np.square(channels._sector_amplitudes(d, r))
     ln_base = math.log(log_base_value("d", d))
-    rails, groups, sectors, signs = _block_tables(d)
-    lead, halves = rho.shape[:-2], 1 + complement
+    rails, groups, sectors = _block_tables(d)
+    lead = rho.shape[:-2]
     flat = rho.reshape(*lead, d * d)
     source = np.concatenate((np.zeros((*lead, 1)), flat, -flat, flat[..., :: d + 1] @ rails), -1)
-    blocks = [source[..., group.gather[: len(group.gather) * halves // 2]] for group in groups]
+    blocks = [source[..., group.gather] for group in groups]
     solved = [_eigh(stack, logs) for stack in blocks]
-    evals = np.concatenate([e.reshape(*lead, halves, -1) for e, _ in solved], -1)
-    count = halves * evals.shape[-1]
-    w = weights[sectors[:count]]
-    evals = evals.reshape(*lead, count) * w
+    evals = np.concatenate([e.reshape(*lead, -1) for e, _ in solved], -1)
+    w = weights[sectors]
+    if complement:  # the mirror of forward block s + 1 is weighted by sector d - 1 - s
+        evals, w = np.concatenate((evals, evals), -1), np.concatenate((w, weights[::-1][sectors]))
+    signs = np.repeat([1.0, -1.0], len(sectors))[: len(w)]
+    evals = evals * w
     kept = np.where(evals > _EIG_FLOOR, evals, 1.0)  # an eigenvalue on the floor adds 1 log 1 = 0
     log = np.log(kept)
-    ents = (kept * log) @ signs[:count] / -ln_base
+    ents = (kept * log) @ signs / -ln_base
     if not logs:
         return ents, [(group, stack, None) for group, stack in zip(groups, blocks)]
-    coef = (log * (w * signs[:count] / -ln_base)).reshape(*lead, halves, -1)
+    coef = log * (w * signs / -ln_base)
+    if complement:
+        coef = coef[..., : len(sectors)] + coef[..., len(sectors) :]
     parts, at = [], 0
     for group, stack in zip(groups, blocks):
         e, vecs = solved.pop(0)  # so each group's eigenvectors go once its w L is built
-        n, width = e.shape[-1], e.shape[-2] * e.shape[-1] // halves
-        c = coef[..., at : at + width].reshape(*lead, halves, -1, 1, n)  # a view, by half
-        v = vecs.reshape(*lead, halves, -1, n, n)
-        scaled = v * c
-        wl = scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)  # eigh's own array, used up here
-        parts.append((group, stack, wl.reshape(stack.shape)))
+        n, width = e.shape[-1], e.shape[-2] * e.shape[-1]
+        c = coef[..., at : at + width].reshape(*lead, -1, 1, n)  # a view
+        scaled = vecs * c
+        wl = scaled @ np.conjugate(vecs, out=vecs).swapaxes(-1, -2)  # eigh's own array, used up
+        parts.append((group, stack, wl))
         at += width
     return ents, parts
 
@@ -343,14 +332,9 @@ def _eigh(blocks: np.ndarray, vectors: bool):
 
 
 def _group_adjoint(d: int, tables, wl: np.ndarray) -> np.ndarray:
-    """sum_i N_i^dag(wl[..., i, :, :]) over the unit-weight block maps of one group.
-
-    ``wl`` holds the group's blocks, or only its forward half, flattened to the
-    positions that the adjoint table of ``tables`` points at.
-    """
-    rows = len(tables.adjoint) if wl.shape[-3] == len(tables.gather) else tables.forward
-    terms = wl.reshape(*wl.shape[:-3], -1)[..., tables.adjoint[:rows]]
-    return (terms * tables.signs[:rows]).sum(axis=-2).reshape(*wl.shape[:-3], d, d)
+    """sum_i B_i^dag(wl[..., i, :, :]) over one group's unit-weight blocks, by its adjoint table."""
+    terms = wl.reshape(*wl.shape[:-3], -1)[..., tables.adjoint]
+    return (terms * tables.signs).sum(axis=-2).reshape(*wl.shape[:-3], d, d)
 
 
 def _check_density(states: np.ndarray, what: str):
@@ -860,11 +844,11 @@ def check_factorization(r: float) -> VerificationReport:
 def check_ppt(choi: np.ndarray, cut_dim: int) -> float:
     """Minimum eigenvalue of the partial transpose over the second factor.
 
-    ``cut_dim``, the first factor's dimension, must be a Python or numpy integer
-    of at least 1 that divides the matrix size; anything else raises.
+    ``cut_dim``, the first factor's dimension, must be a Python or numpy integer, not a
+    bool, of at least 1 that divides the matrix size; anything else raises.
     """
     total = choi.shape[0]
-    if not isinstance(cut_dim, numbers.Integral) or cut_dim < 1:
+    if not isinstance(cut_dim, numbers.Integral) or isinstance(cut_dim, bool) or cut_dim < 1:
         raise PreconditionError(f"cut dimension {cut_dim!r} is not a positive integer")
     if total % cut_dim:
         raise PreconditionError(f"cut dimension {cut_dim} does not divide {total}")

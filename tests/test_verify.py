@@ -483,7 +483,7 @@ def _holevo_reference(d, r, x, size):
 def test_sector_objectives_match_stacked_reference(d):
     rng = np.random.default_rng(40 + d)
     size = 3
-    for r in (0.0, 0.3, math.pi / 4, 1.4):
+    for r in (0.0, 0.3, math.pi / 4, 1.4, 1.5707963):  # near pi/2 the complement dominates
         full = rng.standard_normal(2 * d * d)
         rank_one = np.zeros(2 * d * d)
         rank_one[::d] = rng.standard_normal(2 * d)  # one nonzero column of the factor F
@@ -512,62 +512,87 @@ def _hermitian(rng, shape):
     return (g + g.conj().swapaxes(-1, -2)) / 2
 
 
-def _sector_contraction(d, tables, rho, keep):
+def _sector_contraction(d, tables, rho):
     # the group's unit-weight blocks as dense products of the ladder-built sector tensors:
-    # forward block i contracts its sector over (C code, rail), its mirror over (A code, rail)
+    # block i contracts its sector over (C code, rail)
     sectors, n = pair_sectors(d), tables.gather.shape[-1]
-    blocks = np.zeros((*rho.shape[:-2], keep, n, n), dtype=complex)
-    for i, s in enumerate(tables.sectors[:keep]):
-        t = sectors[s].real if i < len(tables.sectors) // 2 else sectors[s].real.transpose(1, 0, 2)
+    blocks = np.zeros((*rho.shape[:-2], len(tables.sectors), n, n), dtype=complex)
+    for i, s in enumerate(tables.sectors):
+        t = sectors[s].real
         x = np.einsum("pci,...ij->...pcj", t, rho)  # one nonzero product per entry, so exact
         dim = len(t)
         blocks[..., i, :dim, :dim] = np.einsum("...pcj,qcj->...pq", x, t)
     return blocks
 
 
-@pytest.mark.parametrize("d", range(1, 9))
-def test_block_tables_match_the_dense_sector_contraction(d):
-    rng = np.random.default_rng(80 + d)
+def _block_test_inputs(d, rng):
+    # one density matrix and a (2, 3) stack of them, each exactly Hermitian
     one = random_density(d, rng)
     stack = _hermitian(rng, (2, 3, d, d)) + 2 * d * np.eye(d)
     stack /= np.trace(stack, axis1=-2, axis2=-1).real[..., None, None]
-    for rho in ((one + one.conj().T) / 2, stack):
-        for complement in (True, False):
-            _, terms = verify._block_terms(d, 0.4, rho, logs=False, complement=complement)
-            for tables, blocks, _ in terms:
-                keep, n = blocks.shape[-3], blocks.shape[-1]
-                want = _sector_contraction(d, tables, rho, keep)
-                off = ~np.eye(n, dtype=bool)
-                assert np.array_equal(blocks[..., off], want[..., off])
-                diag, want_diag = blocks[..., ~off], want[..., ~off]
-                assert not diag.imag.any() and not want_diag.imag.any()
-                assert np.all(np.abs(diag.real - want_diag.real) <= 4 * np.spacing(want_diag.real))
+    return (one + one.conj().T) / 2, stack
 
-                # adjointness: tr(B(rho) W) = tr(rho B^dag(W)) for Hermitian W, block by block
-                w = _hermitian(rng, blocks.shape)
-                lhs = np.einsum("...iab,...iba->...", blocks, w)
-                rhs = np.einsum("...ab,...ba->...", rho, verify._group_adjoint(d, tables, w))
-                assert np.abs(lhs - rhs).max() < 1e-13
+
+def _assert_blocks_match(got, want):
+    # off the diagonal bit for bit; the diagonal sums over rails, in either order, within 4 ulp
+    off = ~np.eye(got.shape[-1], dtype=bool)
+    assert np.array_equal(got[..., off], want[..., off])
+    diag, want_diag = got[..., ~off], want[..., ~off]
+    assert not diag.imag.any() and not want_diag.imag.any()
+    assert np.all(np.abs(diag.real - want_diag.real) <= 4 * np.spacing(want_diag.real))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_block_tables_match_the_dense_sector_contraction(d):
+    rng = np.random.default_rng(80 + d)
+    for rho in _block_test_inputs(d, rng):
+        _, terms = verify._block_terms(d, 0.4, rho, logs=False)
+        for tables, blocks, _ in terms:
+            _assert_blocks_match(blocks, _sector_contraction(d, tables, rho))
+
+            # adjointness: tr(B(rho) W) = tr(rho B^dag(W)) for Hermitian W, block by block
+            w = _hermitian(rng, blocks.shape)
+            lhs = np.einsum("...iab,...iba->...", blocks, w)
+            rhs = np.einsum("...ab,...ba->...", rho, verify._group_adjoint(d, tables, w))
+            assert np.abs(lhs - rhs).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_complement_blocks_are_the_signed_complements_of_the_forward_blocks(d):
+    # The objectives never gather a complement block: the one with d - k fermions on C,
+    # sector d - k + 1 of the ladder-built pair state contracted over (A code, rail), must be
+    # V_k B_k V_k^T, B_k the gathered forward block and V_k the signed anti-identity.
+    rng = np.random.default_rng(70 + d)
+    sectors = pair_sectors(d)
+    for rho in _block_test_inputs(d, rng):
+        _, terms = verify._block_terms(d, 0.4, rho, logs=False)
+        for tables, blocks, _ in terms:
+            for i, s in enumerate(tables.sectors):
+                k, dim = s + 1, math.comb(d, s + 1)
+                v = verify._signed_complement(d, k)
+                forward = blocks[..., i, :dim, :dim]
+                assert not blocks[..., i, dim:, :].any() and not blocks[..., i, :, dim:].any()
+                t = sectors[d - k].real.transpose(1, 0, 2)  # [C code, A code, rail]
+                x = np.einsum("pci,...ij->...pcj", t, rho)
+                mirror = np.einsum("...pcj,qcj->...pq", x, t)
+                _assert_blocks_match(v @ forward @ v.T, mirror)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_adjoint_terms_run_by_sector_then_position_down_each_column(d):
     # The adjointness above holds in any term order, but the order of the sums down each
-    # column fixes the last bits of every gradient.  In each half of a group (the first
-    # ``forward`` rows, then the rest) the live terms (sign != 0) lead every column, strictly
-    # increasing in (sector of the term's block, position), and point into that half's blocks;
-    # the padding is position 0, sign 0.
+    # column fixes the last bits of every gradient.  The live terms (sign != 0) lead every
+    # column, strictly increasing in (sector of the term's block, position), and point into
+    # the group's blocks; the padding is position 0, sign 0.
     for tables in verify._block_tables(d).groups:
         blocks, n = len(tables.gather), tables.gather.shape[-1]
-        half = blocks // 2 * n * n  # positions in one half's flattened blocks
-        for rows, first in ((slice(None, tables.forward), 0), (slice(tables.forward, None), half)):
-            adjoint, signs = tables.adjoint[rows], tables.signs[rows]
-            live = signs != 0
-            assert live[0].any() and not (live[1:] & ~live[:-1]).any()
-            assert np.all(np.abs(signs[live]) == 1) and not adjoint[~live].any()
-            assert np.all((first <= adjoint[live]) & (adjoint[live] < first + half))
-            key = tables.sectors[adjoint // (n * n)] * blocks * n * n + adjoint
-            assert np.all(np.diff(key, axis=0)[live[1:]] > 0)
+        adjoint, signs = tables.adjoint, tables.signs
+        live = signs != 0
+        assert live[0].any() and not (live[1:] & ~live[:-1]).any()
+        assert np.all(np.abs(signs[live]) == 1) and not adjoint[~live].any()
+        assert np.all((0 <= adjoint[live]) & (adjoint[live] < blocks * n * n))
+        key = tables.sectors[adjoint // (n * n)] * blocks * n * n + adjoint
+        assert np.all(np.diff(key, axis=0)[live[1:]] > 0)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -575,27 +600,37 @@ def test_block_spectra_are_the_subset_sums_of_the_input_spectrum(d):
     # The spectral identity: forward block k of a state with spectrum lam has spectrum
     # a_k {sum_{i in S} lam_i : |S| = k}, and the complement block with j fermions
     # a_(j+1) {1 - sum_{i in S} lam_i : |S| = j}, a_k = cos^(2(d-1)) r tan^(2(k-1)) r.
-    # The eigenvalues are taken in the layout of the entropy pass, times the squared
-    # amplitudes that its per-eigenvalue tables name; the padding of shared groups adds zeros.
+    # The forward eigenvalues are taken in the layout of the entropy pass, times the squared
+    # amplitudes that its per-eigenvalue table names; the padding of shared groups adds zeros.
+    # The complement side is read off the dense complementary channel's output sectors.
     rng = np.random.default_rng(90 + d)
     rho = random_density(d, rng)
     lam = np.linalg.eigvalsh(rho)
     tables = verify._block_tables(d)
+
+    def subset_sums(size):
+        return np.array([lam[list(s)].sum() for s in itertools.combinations(range(d), size)])
+
     for r in (0.4, 1.1):
         _, terms = verify._block_terms(d, r, rho, logs=False)
-        halves = [np.linalg.eigvalsh(blocks).reshape(2, -1) for _, blocks, _ in terms]
-        evals = np.concatenate(halves, axis=1).ravel()
+        evals = np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks, _ in terms])
         a = [math.cos(r) ** (2 * (d - 1)) * math.tan(r) ** (2 * k) for k in range(d)]
         scaled = evals * np.take(a, tables.sectors)
-        assert len(scaled) == len(tables.sectors) == len(tables.signs)
+        assert len(scaled) == len(tables.sectors)
         for sector in range(d):
-            for sign, size in ((1.0, sector + 1), (-1.0, sector)):
-                got = np.sort(scaled[(tables.sectors == sector) & (tables.signs == sign)])
-                sums = [lam[list(s)].sum() for s in itertools.combinations(range(d), size)]
-                want = a[sector] * (np.array(sums) if sign > 0 else 1.0 - np.array(sums))
-                assert len(got) >= len(want)
-                want = np.sort(np.concatenate((want, np.zeros(len(got) - len(want)))))
-                assert np.abs(got - want).max() < 1e-13
+            got = np.sort(scaled[tables.sectors == sector])
+            want = a[sector] * subset_sums(sector + 1)
+            assert len(got) >= len(want)
+            want = np.sort(np.concatenate((want, np.zeros(len(got) - len(want)))))
+            assert np.abs(got - want).max() < 1e-13
+
+        comp = channels.complementary_channel(d, r)
+        out = channels.apply_kraus(comp.kraus, rho)
+        for k, rows in channels.block_slices(comp).items():
+            j = d - k  # fermions on C
+            got = np.linalg.eigvalsh(out[rows, rows])
+            want = np.sort(a[j] * (1.0 - subset_sums(j)))
+            assert np.abs(got - want).max() < 1e-13
 
 
 def _fail_once(monkeypatch, name, at):
@@ -937,6 +972,28 @@ def test_check_ppt():
             verify.check_ppt(wh, cut)
     assert verify.check_ppt(wh, np.int64(3)) == verify.check_ppt(wh, 3) < -1e-6
     assert verify.check_ppt(wh, 1) >= -1e-12 and verify.check_ppt(wh, 9) >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: capacity.block_weights(True, 0.3), DomainError, "d must be an integer, got d=True"),
+        (lambda: channels.grassmann_block(3, True), DomainError,
+         "sector k must be an integer, got k=True"),
+        (lambda: fock.sector_codes(True, False), DomainError, "d must be an integer, got d=True"),
+        (lambda: fock.sector_codes(3, False), DomainError, "sector k must be an integer, got k=False"),
+        (lambda: verify.optimize_holevo(1, 0.5, 7, ensemble_size=True), DomainError,
+         "ensemble_size must be an integer, got ensemble_size=True"),
+        (lambda: verify.check_ppt(np.eye(4), True), PreconditionError,
+         "cut dimension True is not a positive integer"),
+    ],
+    ids=["block_weights", "grassmann_block", "sector_codes_d", "sector_codes_k", "optimize_holevo",
+         "check_ppt"],
+)
+def test_integer_arguments_reject_a_bool(call, error, message):
+    # operator.index and numbers.Integral both take a bool as 0 or 1
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_check_approximation_rate_qubit():
