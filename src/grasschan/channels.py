@@ -31,18 +31,15 @@ A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
 ``blocks``; ``block_slices`` reads each sector's output rows from there.
 ``apply_kraus``, ``choi_matrix``, ``transfer_matrix`` and the complement act
-on the whole stack at once.  Both ends of the JSON wire format hold one Kraus
-operator's text or parse tree at a time.  ``dump_channel_json`` formats each
-distinct Kraus entry once, telling entries apart by their bytes, slices runs
-of zero entries from one repeated string, and writes the file operator by
-operator, byte-identical to ``json.dumps`` of the nested-list document.
-``load_channel_json`` walks the top-level object with
-``json.JSONDecoder.raw_decode`` as ``json.loads`` would decode it, and reads
-the Kraus list one operator at a time into one float array.  Inside an
-operator it counts the writer's zero entries where an entry must start and
-appends them as zero bytes; only the other entries reach the decoder, and each
-is checked on its own.  A dense operator, or one in another form, is decoded
-whole, and its numbers are checked for bools only if its text holds t or f.
+on the whole stack at once.  ``dump_channel_json`` formats each distinct
+Kraus entry once, telling entries apart by their bytes, slices runs of zero
+entries from one repeated string, and writes the file operator by operator,
+byte-identical to ``json.dumps`` of the nested-list document.
+``load_channel_json`` reads a file in that layout one operator at a time into
+one float array, counting the writer's zero entries where an entry must start
+and appending them as zero bytes, so only the other entries reach the
+decoder.  A file in any other layout (indented, compact, key-sorted) is
+parsed whole by ``json.loads``.  Either way it decodes as ``json.loads`` does.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ import itertools
 import json
 import math
 import os
-import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -344,7 +340,7 @@ def transfer_matrix(ch: ChannelRep) -> np.ndarray:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-_WHITESPACE = re.compile(r"[ \t\n\r]*")  # the characters json.loads skips between tokens
+_KRAUS_KEY, _BLOCKS_KEY = ', "kraus": [', '], "blocks": '  # around the writer's Kraus list
 _ZERO_ENTRY = "[0.0, 0.0], "  # the writer's zero entry and the separator after it
 # runs of 2048, 1024, ..., 1 zero entries; the first spans a whole d = 8 operator (2,040 entries)
 _ZERO_RUNS = [_ZERO_ENTRY * (1 << k) for k in range(11, -1, -1)]
@@ -406,12 +402,12 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
         raise
 
 
-def _append_operator(rows: array, op, size: int | None, literals: bool = True) -> int:
+def _append_operator(rows: array, op, size: int | None) -> int:
     """Append one parsed Kraus operator's floats to ``rows``; returns its entry count.
 
     The operator must be a list of [re, im] pairs, ``size`` of them once that
     is known.  array("d") takes ints, floats and bools and refuses the rest,
-    so the bools are looked for after it, unless ``literals`` rules them out.
+    so the bools are looked for after it.
     """
     flat = itertools.chain.from_iterable
     try:
@@ -422,7 +418,7 @@ def _append_operator(rows: array, op, size: int | None, literals: bool = True) -
         raise ValueError("each Kraus operator must be a list of [re, im] pairs, all of one length")
     try:
         rows.fromlist(list(flat(op)))
-        if literals and bool in map(type, flat(op)):
+        if bool in map(type, flat(op)):
             raise TypeError
     except (TypeError, OverflowError):
         raise ValueError("Kraus entries must be JSON numbers in float range") from None
@@ -449,38 +445,35 @@ def _blocks(entries, out_dim: int) -> list[Block] | None:
     return blocks or None
 
 
-def _channel_doc(text: str) -> dict:
-    """The top-level object of a channel file, decoded as ``json.loads`` decodes it.
+def _writer_doc(text: str) -> dict | None:
+    """The document of a channel file in the layout ``dump_channel_json`` writes, else None.
 
-    The walk reads the object's punctuation itself and hands every key and
-    value to ``json.JSONDecoder.raw_decode``; a later key wins.  A "kraus"
-    list is read one operator at a time, by ``walked`` if it is in the
-    writer's own form, else decoded whole and its parse tree dropped once
-    ``_append_operator`` has checked and copied it out.  The value is an
-    (m, 2 x entries) float array, or the ``ValueError`` that an operator
-    raised, kept for the case that this list is the one that counts.
+    The text before the first ', "kraus": [' must decode, closed by "}", to
+    the keys family, d, r, in_dim and out_dim in turn, and the text from the
+    last '], "blocks": ' must be one JSON value, "}" and whitespace; a quote in
+    a JSON string is escaped, so neither match falls in one.  The Kraus list
+    between is read one operator at a time, by ``walked`` or one ``raw_decode``.
+    A refused operator raises unless a quote, which a later key needs, follows.
     """
-    decoder = json.JSONDecoder()
-
-    def token(pos: int, allowed: str) -> tuple[int, str]:
-        """The position after the next token, which must be one of the characters ``allowed``."""
-        pos = _WHITESPACE.match(text, pos).end()
-        char = text[pos : pos + 1]
-        if not char or char not in allowed:
-            doc = json.loads(text)  # raises json's own error, unless the text is JSON but no object
-            raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
-        return pos + 1, char
+    start, end = text.find(_KRAUS_KEY), text.rfind(_BLOCKS_KEY)
+    pos, decoder = start + len(_KRAUS_KEY), json.JSONDecoder()
+    if start < 0 or end < pos:
+        return None
+    try:
+        doc = json.loads(text[:start] + "}")  # an object, the only JSON value ending in "}"
+        blocks, at = decoder.raw_decode(text, end + len(_BLOCKS_KEY))
+    except ValueError:
+        return None
+    if list(doc) != ["family", "d", "r", "in_dim", "out_dim"] or text[at:].strip(" \t\n\r") != "}":
+        return None
 
     def walked(pos: int, rows: array) -> tuple[int, int] | None:
         """The end and entry count of the operator at ``pos``, its floats appended to ``rows``.
 
-        Where an entry must start, a run of the writer's zero entries, matched
-        largest power of two first, is counted and appended as zero bytes, not
-        parsed.  Every other entry is decoded and checked on its own.  None
-        where the operator does not open with "[[", its decoded entries
-        outnumber its zero entries by more than a Grassmann operator's d <= 8
-        nonzero entries (a dense operator, which one ``raw_decode`` reads
-        faster), or an entry or a separator is not what the writer writes.
+        Runs of the writer's zero entries where an entry must start are counted
+        and appended as zero bytes; each other entry is decoded and checked on
+        its own.  None where the operator departs from the writer's form, or its
+        decoded entries outnumber its zeros by more than d <= 8 (it is dense).
         """
         if not text.startswith("[[", pos):
             return None
@@ -507,47 +500,30 @@ def _channel_doc(text: str) -> dict:
                 return None
             pos += 2
 
-    def kraus_rows(pos: int) -> tuple[np.ndarray | ValueError, int]:
-        rows, count, size, error = array("d"), 0, None, None
-        pos, char = _WHITESPACE.match(text, pos + 1).end(), ","
-        if text.startswith("]", pos):
-            pos, char = pos + 1, "]"
-        while char == ",":
-            at, start = _WHITESPACE.match(text, pos).end(), len(rows)
-            walk = walked(at, rows)
-            if walk and size in (None, walk[1]):
-                pos, size = walk
-            else:  # another form, or an operator the walk stopped short in, is decoded whole
-                del rows[start:]
-                op, pos = decoder.raw_decode(text, at)
-                if error is None:
-                    try:  # a list of numbers holds bools only where its text holds "t" or "f"
-                        literals = text.find("t", at, pos) >= 0 or text.find("f", at, pos) >= 0
-                        size = _append_operator(rows, op, size, literals)
-                    except ValueError as exc:
-                        error = exc
-                del op  # freed before the next operator is parsed
-            count += 1
-            pos, char = token(pos, ",]")
-        return error or np.frombuffer(rows).reshape(count, 2 * (size or 0)), pos
-
-    doc = {}
-    pos, _ = token(0, "{")
-    pos, char = token(pos, '"}')
-    while char != "}":
-        key, pos = decoder.raw_decode(text, pos - 1)
-        pos, _ = token(pos, ":")
-        pos = _WHITESPACE.match(text, pos).end()
-        if key == "kraus" and text.startswith("[", pos):
-            doc[key], pos = kraus_rows(pos)
-        else:
-            doc[key], pos = decoder.raw_decode(text, pos)
-        pos, char = token(pos, ",}")
-        if char == ",":
-            pos, char = token(pos, '"')
-    if _WHITESPACE.match(text, pos).end() != len(text):
-        json.loads(text)  # raises "Extra data"
-    return doc
+    rows, count, size = array("d"), 0, None
+    while pos < end:
+        kept = len(rows)
+        walk = walked(pos, rows)
+        if walk and size in (None, walk[1]):
+            pos, size = walk
+        else:  # a dense operator, or one the walk stopped short in, is decoded whole
+            del rows[kept:]
+            try:
+                op, pos = decoder.raw_decode(text, pos)
+                size = _append_operator(rows, op, size)
+            except json.JSONDecodeError:
+                return None
+            except ValueError:
+                if text.find('"', pos, end) >= 0:
+                    return None
+                raise
+        count += 1
+        if not text.startswith(", ", pos):
+            break
+        pos += 2
+    if pos != end or text.startswith(", ", end - 2):  # a list ends at "]", after no comma
+        return None
+    return dict(doc, kraus=np.frombuffer(rows).reshape(count, 2 * (size or 0)), blocks=blocks)
 
 
 def load_channel_json(path) -> ChannelRep:
@@ -562,15 +538,21 @@ def load_channel_json(path) -> ChannelRep:
     repeats, and a nonempty block list has dims summing to out_dim.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = _channel_doc(fh.read())  # the text, about 6 MB at d = 8, is freed on return
-    missing = {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys()
-    if missing:
+        text = fh.read()  # about 6 MB at d = 8
+    doc = _writer_doc(text) or json.loads(text)
+    del text  # freed before the finiteness check allocates one bool per entry
+    if type(doc) is not dict:
+        raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
+    if missing := {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys():
         raise ValueError(f"channel file lacks the keys {sorted(missing)}")
     in_dim, out_dim, rows = doc["in_dim"], doc["out_dim"], doc["kraus"]
     if any(type(n) is not int or n < 1 for n in (out_dim, in_dim)):
         raise ValueError(f"in_dim, out_dim must be positive integers, not {in_dim!r}, {out_dim!r}")
-    if isinstance(rows, ValueError):
-        raise rows
+    if type(rows) is list:  # decoded whole by json.loads
+        ops, rows, size = rows, array("d"), None
+        for op in ops:
+            size = _append_operator(rows, op, size)
+        rows = np.frombuffer(rows).reshape(len(ops), 2 * (size or 0))
     if type(rows) is not np.ndarray or not len(rows) or rows.shape[1] != 2 * out_dim * in_dim:
         raise ValueError(f"need one or more Kraus operators of {out_dim} x {in_dim} (re, im) pairs")
     kraus = rows.view(complex).reshape(len(rows), out_dim, in_dim)

@@ -55,6 +55,8 @@ def run_sweep(family: str, ds: list[int], param_name: str, start: float, stop: f
             raise DomainError("capacity ratio needs d >= 2")
         param_name = "d"
     else:
+        if (kind, param_name) not in CLOSED_FORMS:
+            raise DomainError(f"family {family} does not sweep over {param_name!r}")
         if points < 2:
             raise DomainError(f"need at least 2 grid points, got {points}")
         if not start < stop:
@@ -67,8 +69,6 @@ def run_sweep(family: str, ds: list[int], param_name: str, start: float, stop: f
             raise DomainError("w grids must stay within [0, 1]")
         if param_name == "z" and stop >= 1.0:
             raise DomainError("z grids must stay strictly below 1")
-        if (kind, param_name) not in CLOSED_FORMS:
-            raise DomainError(f"family {family} does not sweep over {param_name!r}")
         grid = start + np.arange(points) * (stop - start) / (points - 1)
         if not np.all(np.diff(grid) > 0.0):
             raise DomainError("sweep grid must be strictly increasing in the parameter")

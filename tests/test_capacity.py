@@ -346,6 +346,12 @@ def test_unruh_approx_hand_value():
     assert unruh_capacity_approx(1, 0.5) == 0.0  # one rail, like every d=1 capacity
 
 
+def test_unruh_approx_rejects_z_outside_its_interval():
+    for z in (0.0, -0.1, 1.0 + 1e-15, 2.0, math.nan, -math.inf):
+        with pytest.raises(DomainError, match=r"outside \(0, 1\]"):
+            unruh_capacity_approx(3, z)
+
+
 def _mp_unruh_approx(d: int, z: float) -> float:
     with mpmath.workdps(40):
         z = mpmath.mpf(z)

@@ -1074,9 +1074,10 @@ def _texts_with_entry(value):
 
     A d = 3 Grassmann channel and a dense (2, 5, 3) stack get it in either half
     of the first, middle and last entry of operator 1.  Each file is in the
-    writer's form, which is walked, and indented and compact, which are decoded
-    whole; the walk gives up on the dense operators, 15 nonzero entries each,
-    at their ninth entry, so those are decoded whole in every form.
+    writer's form, which is walked, and indented and compact, which
+    ``json.loads`` parses whole; the walk gives up on the dense operators, 15
+    nonzero entries each, at their ninth entry, so those are decoded whole in
+    every form.
     """
     rng = np.random.default_rng(5)
     dense = channels.ChannelRep(rng.standard_normal((2, 5, 3)) + 0j)
@@ -1104,7 +1105,7 @@ def test_loader_rejects_bool_entries_in_every_operator_form(tmp_path):
 
 
 def test_loader_rejects_nonfinite_entries_in_every_operator_form(tmp_path):
-    # "Infinity" holds a "t" and an "f", so its operator is scanned for bools; "NaN" does not
+    # "Infinity" and "NaN" are JSON numbers to the decoder: only the finiteness check refuses them
     path = tmp_path / "channel.json"
     for value in (math.inf, -math.inf, math.nan):
         for _, _, text in _texts_with_entry(value):
@@ -1184,6 +1185,91 @@ def test_loader_walks_every_operator_of_a_writer_file(tmp_path, monkeypatch, d):
             assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
             # an operator decoded whole is a list of [re, im] lists; an entry or a block is not
             assert not [op for op, _ in decoded if type(op) is list and op and type(op[0]) is list]
+
+
+def _loaded_texts(monkeypatch) -> list:
+    """Record each text that ``json.loads`` is handed."""
+    texts, loads = [], json.loads
+
+    def recorded(s, *args, **kwargs):
+        texts.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", recorded)
+    return texts
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_loader_hands_only_the_head_of_a_writer_file_to_json_loads(tmp_path, monkeypatch, d):
+    path = tmp_path / "channel.json"
+    rng = np.random.default_rng(d)
+    dense = channels.ChannelRep(rng.standard_normal((3, 4, d, 2)).view(complex)[..., 0])
+    built = [grassmann_channel(d, 0.7), complementary_channel(d, 1.2), grassmann_block(d, d), dense]
+    built += [werner_holevo(d)] if d > 1 else []
+    texts = _loaded_texts(monkeypatch)
+    for ch in built:
+        channels.dump_channel_json(ch, ch.label, d, 0.5, path)
+        texts.clear()
+        assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+        head = path.read_text(encoding="utf-8").split(', "kraus": [')[0]
+        assert texts == [head + "}"] and len(texts[0]) < 200, ch.label
+
+
+def test_loader_hands_every_other_layout_to_json_loads_whole(tmp_path, monkeypatch):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(4, 0.7)
+    doc = json.loads(_reference_json(ch, "grassmann", 4, 0.7))
+    texts = _loaded_texts(monkeypatch)
+    copies = (json.dumps(doc, indent=1), json.dumps(doc, separators=(",", ":")))
+    for text in (*copies, json.dumps(doc, indent=" \t\r")):
+        path.write_text(text, encoding="utf-8")
+        texts.clear()
+        back = channels.load_channel_json(path)
+        assert texts == [path.read_text(encoding="utf-8")]  # "\r" reads back as "\n"
+        assert back.kraus.tobytes() == np.array(doc["kraus"]).view(complex).tobytes()
+        assert back.kraus.tobytes() == ch.kraus.tobytes() and back.blocks == ch.blocks
+
+
+def test_loader_reads_the_writer_layout_as_json_loads_does(tmp_path, monkeypatch):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(3, 0.4)
+    family = 'x ], "blocks": [], "kraus": [[[1.0, 2.0]]] y'
+    channels.dump_channel_json(ch, family, 3, 0.4, path)
+    text = path.read_text(encoding="utf-8")
+    texts = _loaded_texts(monkeypatch)
+    back = channels.load_channel_json(path)
+    assert back.kraus.tobytes() == ch.kraus.tobytes() and back.blocks == ch.blocks
+    assert back.label == f"{family}(json)" and len(texts) == 1 and len(texts[0]) < 200
+    # a "kraus" key after the blocks wins, as in json.loads
+    path.write_text(text[: text.rindex("}")] + ', "kraus": null}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="need one or more Kraus operators"):
+        channels.load_channel_json(path)
+    # so does one after a first Kraus list with a bad operator
+    first = '[[[true, 0.0]]], "kraus": [[[0.0, 0.0], '
+    path.write_text(text.replace("[[[0.0, 0.0], ", first, 1), encoding="utf-8")
+    assert channels.load_channel_json(path).kraus.tobytes() == ch.kraus.tobytes()
+
+
+def test_loader_raises_on_a_bad_operator_of_a_writer_file_at_once(tmp_path, monkeypatch):
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(3, 0.4)
+    channels.dump_channel_json(ch, "grassmann", 3, 0.4, path)
+    text = path.read_text(encoding="utf-8")
+    entry = ", [0.0, 0.0]], [[0.0, 0.0], "  # the end of operator 0 and the start of operator 1
+    assert entry in text
+    edits = (
+        ("[true, 0.0]", "must be JSON numbers"),
+        ('[0.0, "0.0"]', "must be JSON numbers"),
+        ("[0.0]", "list of \\[re, im\\] pairs"),
+        ("[0.0, 0.0], [0.0, 0.0]", "list of \\[re, im\\] pairs"),
+    )
+    texts = _loaded_texts(monkeypatch)
+    for bad, message in edits:
+        path.write_text(text.replace(entry, f", [0.0, 0.0]], [{bad}, ", 1), encoding="utf-8")
+        texts.clear()
+        with pytest.raises(ValueError, match=message):
+            channels.load_channel_json(path)
+        assert len(texts) == 1 and len(texts[0]) < 200, bad
 
 
 def test_a_failed_dump_leaves_no_file(tmp_path, monkeypatch):

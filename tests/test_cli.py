@@ -266,6 +266,20 @@ def test_run_sweep_invariants(monkeypatch):
         run_sweep(*sweep)
 
 
+def test_sweep_checks_the_family_parameter_pair_before_the_grid(tmp_path):
+    # each grid breaks the bound of its parameter, which these families never sweep over
+    for family, param, stop in (("grassmann-q", "z", 1.5), ("grassmann-c", "w", 1.5),
+                                ("unruh-q", "r", 2.0), ("grassmann-c", "z", 1.0)):
+        with pytest.raises(DomainError, match=f"^family {family} does not sweep over '{param}'$"):
+            run_sweep(family, [2], param, 0.0, stop, 3, "d")
+    out = tmp_path / "x.csv"
+    # the default --stop 1.5 is past every z grid
+    res = run_cli("sweep", "--family", "grassmann-q", "--param", "z", "--d", "2", "--points", "3",
+                  "--out", str(out))
+    assert res.returncode == 1 and not out.exists() and res.stdout == ""
+    assert res.stderr == "error: family grassmann-q does not sweep over 'z'\n"
+
+
 @pytest.mark.parametrize("base", ["d", "2"])
 @pytest.mark.parametrize(
     "family, param, stop, kind",

@@ -313,6 +313,15 @@ def test_isometry_preconditions():
         fock.squeezed_vacuum(2, -0.1)
 
 
+def test_isometry_apply_and_exterior_power_reject_a_wrong_shape():
+    for beta in ([1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0):
+        with pytest.raises(PreconditionError, match="beta must be a length-2 vector"):
+            fock.isometry_apply(2, 0.3, beta)
+    for u in (np.ones((2, 3)), np.eye(3)[0], np.ones((2, 2, 2))):
+        with pytest.raises(PreconditionError, match="expected a square matrix"):
+            fock.exterior_power(u, 1)
+
+
 def _random_unitary(d, rng):
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()

@@ -318,6 +318,37 @@ def test_lbfgs_searches_above_the_gradient_gate():
     assert not ok and not (x - 1.0).any() and np.abs(g).max() == 1.0
 
 
+def test_lbfgs_clears_its_pairs_and_retries_along_minus_g_after_a_failed_search():
+    # an anisotropic bowl that turns NaN after six calls: the search along -H g fails after
+    # 20 calls with pairs in memory, which are cleared, and the retry along -g, unit step,
+    # fails after 20 more; the gain that retry predicted is far above rounding
+    scales, calls = np.array([1.0, 10.0, 100.0]), []
+
+    def fun(x):
+        calls.append(x.copy())
+        value = 0.5 * float(x @ (scales * x)) if len(calls) <= 6 else math.nan
+        return value, scales * x
+
+    x, f, g, ok = verify._lbfgs(fun, np.ones(3), maxiter=100)
+    assert len(calls) == 6 + 40 and not ok
+    assert f == 0.5 * float(x @ (scales * x)) and np.array_equal(g, scales * x)
+    assert np.array_equal(calls[26], x - g) and not np.array_equal(calls[6], x - g)
+    # every failed call is on one of the two rays from x
+    for ray in (calls[6:26], calls[26:]):
+        steps = np.array([point - x for point in ray])
+        assert np.linalg.matrix_rank(steps, tol=1e-12 * np.abs(steps).max()) == 1
+
+
+def test_the_coherent_information_objective_at_the_zero_point():
+    # F = 0 has no trace to normalize by: the state is I/d, and the gradient is zero
+    for d in (1, 3):
+        x = np.zeros(2 * d * d)
+        assert np.array_equal(verify._params_to_density(x, d), np.eye(d) / d)
+        value, grad = verify._coherent_information_and_grad(x, d, 0.7)
+        assert value == verify.coherent_information(d, 0.7, np.eye(d) / d)
+        assert grad.shape == x.shape and not grad.any()
+
+
 def test_line_search_cases():
     def search(value, stp):
         # one dimension, p = 1 from t = 0 with f0 = 0.5 and slope -1, the gradient being
