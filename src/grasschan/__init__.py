@@ -3,7 +3,7 @@
 import importlib
 
 from . import capacity
-from .errors import ConsistencyError, ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,6 @@ __all__ = [
     "channels",
     "fock",
     "verify",
-    "ConsistencyError",
     "ConvergenceError",
     "DomainError",
     "PreconditionError",

@@ -1,8 +1,8 @@
 """Command-line front door: capacities, sweeps, verification, channel dumps.
 
-Exit codes: 0 success, 1 domain, runtime or consistency error, 2 usage
-error.  All numeric output uses 12 fixed decimal places with a ``.``
-separator so identical invocations produce byte-identical files.
+Exit codes: 0 success, 1 domain, runtime or arithmetic error, 2 usage error.
+All numeric output uses 12 fixed decimal places with a ``.`` separator so
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -9,10 +9,6 @@ class PreconditionError(ValueError):
     """An input violates a stated precondition (e.g. an unnormalized state)."""
 
 
-class ConsistencyError(ArithmeticError):
-    """Two algebraic forms of the same quantity disagree beyond tolerance."""
-
-
 class ConvergenceError(RuntimeError):
     """A truncated series failed to certify its tolerance within the cap.
 

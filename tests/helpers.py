@@ -1,4 +1,4 @@
-"""Reference channels, sector tensors and random inputs that only the tests use."""
+"""Reference channels, sector tensors, second closed forms and random inputs for the tests."""
 
 import functools
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from grasschan import channels, fock
-from grasschan.capacity import block_weights, degrading_weights
+from grasschan.capacity import _binomial_logpmf, block_weights, degrading_weights, log_base_value
 from grasschan.channels import ChannelRep, _nonzero_ops
 from grasschan.errors import DomainError
 
@@ -19,6 +19,38 @@ def erasure_channel(p: float) -> ChannelRep:
     kraus[0, 0, 0] = kraus[0, 1, 1] = math.sqrt(1.0 - p)  # keep
     kraus[1, 2, 0] = kraus[2, 2, 1] = math.sqrt(p)  # flag either rail
     return ChannelRep(_nonzero_ops(kraus), label=f"erasure(p={p:.12g})")
+
+
+def q_w_form_a(d: int, w: float, base="d") -> float:
+    """Quantum capacity at w = tan^2 r, unclamped, by a second form of the w-rewrite.
+
+    (1/d) (1+w)^-(d-1) sum_k k C(d,k) log k (w^(d-k) - w^(k-1)), with P the
+    Binomial(d, w/(1+w)) pmf: C(d,k) w^(d-k) = (1+w)^d P[d-k] and
+    k C(d,k) w^(k-1) = (1+w)^d (d-k+1) P[k-1].  It shares only the binomial
+    kernel with ``quantum_capacity_grassmann_w``, which sums over the
+    Binomial(d-1, w/(1+w)) pmf.
+    """
+    k = np.arange(1, d + 1)
+    pmf = np.exp(_binomial_logpmf(k - 1, d, w / (1.0 + w), 1.0 / (1.0 + w)))
+    s = np.log(k) @ (k * pmf[::-1] - (d + 1 - k) * pmf)
+    return float(s) * (1.0 + w) / d / math.log(log_base_value(base, d))
+
+
+def classical_three_term(d: int, r: float, base="d") -> float:
+    """Classical capacity, unclamped, as sum_k p_k [log C(d,k) - log C(d-1,k-1)].
+
+    This is the three-term expression H({p_k}) + sum_k p_k log C(d,k) - H(pure-input
+    output) after its H({p_k}) terms cancel, where the output entropy uses the
+    flat sector spectra (eigenvalue 1/C(d-1,k-1) with multiplicity C(d-1,k-1)
+    inside sector k).  ``classical_capacity_grassmann`` evaluates log d - sum_k p_k log k.
+    """
+    p = block_weights(d, r)
+    lb = math.log(log_base_value(base, d))
+    k = np.arange(1, d + 1)
+    # log C(n, x) = log Binomial(n, 1/2) pmf + n log 2
+    sector_term = (p @ (_binomial_logpmf(k, d, 0.5, 0.5) + d * math.log(2))) / lb
+    flat_entropy = _binomial_logpmf(k - 1, d - 1, 0.5, 0.5) + (d - 1) * math.log(2)
+    return float(sector_term - (p @ flat_entropy) / lb)
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

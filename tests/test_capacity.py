@@ -20,7 +20,8 @@ from grasschan.capacity import (
     quantum_capacity_unruh,
     unruh_capacity_approx,
 )
-from grasschan.errors import ConsistencyError, ConvergenceError, DomainError
+from grasschan.errors import ConvergenceError, DomainError
+from helpers import classical_three_term, q_w_form_a
 
 
 @pytest.mark.parametrize("r", np.linspace(0.0, 1.5, 20))
@@ -76,7 +77,8 @@ def test_three_algebraic_forms_agree():
                 w = 1.0 / w
                 r = math.atan(math.sqrt(w))
             via_r = quantum_capacity_grassmann(d, r)
-            via_w = quantum_capacity_grassmann_w(d, w)  # itself checks two forms at 1e-12
+            via_w = quantum_capacity_grassmann_w(d, w)
+            assert abs(via_w - max(0.0, q_w_form_a(d, w))) <= 1e-12, (d, w)
             assert abs(via_r - via_w) < 1e-11, (d, r)
 
 
@@ -431,19 +433,6 @@ def test_capacity_ratio_is_the_limit_of_the_two_capacities(d):
     assert errors[1] * 50 <= errors[0]
 
 
-def test_classical_cross_check_fires(monkeypatch):
-    # skew log C(d, k) alone, the s = 1/2 call with n = d: the same shift of every s = 1/2
-    # call would cancel between log C(d, k) and log C(d-1, k-1), as H({p_k}) does
-    real = capacity._binomial_logpmf
-
-    def skewed(x, n, s, c):
-        return real(x, n, s, c) + (1e-6 if s == 0.5 and np.all(n == 5) else 0.0)
-
-    monkeypatch.setattr(capacity, "_binomial_logpmf", skewed)
-    with pytest.raises(ConsistencyError, match="classical-capacity forms disagree"):
-        classical_capacity_grassmann(5, 0.3)  # block_weights calls with s = sin^2 0.3
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         quantum_capacity_grassmann(3, math.pi / 2)
@@ -485,6 +474,18 @@ def test_unclamped_antisymmetry_property(d, r, base):
     right = quantum_capacity_grassmann_unclamped(d, math.pi / 2 - r, base)
     assert abs(left + right) < 1e-12
     assert abs(quantum_capacity_grassmann_unclamped(d, math.pi / 4, base)) < 1e-12
+
+
+@PROPERTY
+@given(d=DIMS, r=RS, w=st.floats(0.0, 1.0), base=BASES)
+@example(d=10_000, r=0.3, w=0.4, base="2")
+@example(d=5, r=0.0, w=0.0, base="d")
+@example(d=3, r=0.0, w=5e-324, base="2")
+@example(d=10_000, r=0.0, w=1.0, base="d")
+def test_closed_forms_match_their_second_forms(d, r, w, base):
+    assert abs(quantum_capacity_grassmann_w(d, w, base) - max(0.0, q_w_form_a(d, w, base))) <= 1e-12
+    classical = classical_capacity_grassmann(d, r, base)
+    assert abs(classical - max(0.0, classical_three_term(d, r, base))) <= 1e-10
 
 
 @PROPERTY

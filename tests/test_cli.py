@@ -10,7 +10,7 @@ import pytest
 
 from grasschan import capacity, channels, cli, verify
 from grasschan.cli import run_sweep
-from grasschan.errors import ConsistencyError, DomainError
+from grasschan.errors import DomainError
 
 CLI = [sys.executable, "-m", "grasschan"]
 
@@ -152,7 +152,7 @@ def test_verify_reports_a_non_finite_value_as_an_error(monkeypatch, capsys):
 
 def test_arithmetic_error_exit_code(monkeypatch, capsys, tmp_path):
     def disagree(*args):
-        raise ConsistencyError("forms disagree")
+        raise OverflowError("forms disagree")
 
     monkeypatch.setattr(capacity, "quantum_capacity_grassmann", disagree)
     assert cli.main(["capacity", "quantum", "--d", "3", "--r", "0.4"]) == 1
