@@ -38,7 +38,7 @@ byte-identical to ``json.dumps`` of the nested-list document.
 ``load_channel_json`` reads a file in that layout one operator at a time into
 one float array, counting the writer's zero entries where an entry must start
 and appending them as zero bytes, so only the other entries reach the
-decoder.  A file in any other layout (indented, compact, key-sorted) is
+decoder.  Any other file, indented or with a dense operator, for instance, is
 parsed whole by ``json.loads``.  Either way it decodes as ``json.loads`` does.
 """
 
@@ -452,8 +452,8 @@ def _writer_doc(text: str) -> dict | None:
     the keys family, d, r, in_dim and out_dim in turn, and the text from the
     last '], "blocks": ' must be one JSON value, "}" and whitespace; a quote in
     a JSON string is escaped, so neither match falls in one.  The Kraus list
-    between is read one operator at a time, by ``walked`` or one ``raw_decode``.
-    A refused operator raises unless a quote, which a later key needs, follows.
+    between is read one operator at a time by ``walked``; one it gives up on, or
+    of another length than the first, leaves the whole text to ``json.loads``.
     """
     start, end = text.find(_KRAUS_KEY), text.rfind(_BLOCKS_KEY)
     pos, decoder = start + len(_KRAUS_KEY), json.JSONDecoder()
@@ -472,8 +472,9 @@ def _writer_doc(text: str) -> dict | None:
 
         Runs of the writer's zero entries where an entry must start are counted
         and appended as zero bytes; each other entry is decoded and checked on
-        its own.  None where the operator departs from the writer's form, or its
-        decoded entries outnumber its zeros by more than d <= 8 (it is dense).
+        its own.  None where the operator departs from the writer's form, holds an
+        entry that is no [re, im] pair of numbers, or is dense: its decoded entries
+        outnumber its zeros by more than d <= 8, by the ninth if it has no zeros.
         """
         if not text.startswith("[[", pos):
             return None
@@ -502,22 +503,10 @@ def _writer_doc(text: str) -> dict | None:
 
     rows, count, size = array("d"), 0, None
     while pos < end:
-        kept = len(rows)
         walk = walked(pos, rows)
-        if walk and size in (None, walk[1]):
-            pos, size = walk
-        else:  # a dense operator, or one the walk stopped short in, is decoded whole
-            del rows[kept:]
-            try:
-                op, pos = decoder.raw_decode(text, pos)
-                size = _append_operator(rows, op, size)
-            except json.JSONDecodeError:
-                return None
-            except ValueError:
-                if text.find('"', pos, end) >= 0:
-                    return None
-                raise
-        count += 1
+        if not walk or size not in (None, walk[1]):  # dense, bad, or of another length
+            return None
+        (pos, size), count = walk, count + 1
         if not text.startswith(", ", pos):
             break
         pos += 2

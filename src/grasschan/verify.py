@@ -43,7 +43,6 @@ from .capacity import (
     unruh_capacity_approx,
 )
 from .channels import (
-    CHANNEL_MAX_D,
     ChannelRep,
     apply_kraus,
     block_slices,
@@ -921,8 +920,7 @@ def check_oracle_c(d: int, r: float, seed: int) -> VerificationReport:
 # order.  Each call looks its check up in this module, so a wrapped ``check_*`` is used.
 # werner-holevo, ppt and rate floor d at 2: their channel, or the rate's gap, needs it.
 SUITES = {
-    "degradable": (lambda d: 2 <= d <= CHANNEL_MAX_D,
-                   lambda d, r, seed, tol: [check_degradable(d, r, tol=tol)]),
+    "degradable": (lambda d: d >= 2, lambda d, r, seed, tol: [check_degradable(d, r, tol=tol)]),
     "covariance": (lambda d: True, lambda d, r, seed, tol: [check_covariance(d, r, seed)]),
     "complementary-spectra": (lambda d: True, lambda d, r, seed, tol: [
         check_complementary_spectra(d, r, seed)]),
@@ -930,10 +928,8 @@ SUITES = {
         check_wolf_eisert_form(d, k, seed) for k in range(1, d + 1)]),
     "werner-holevo": (lambda d: True, lambda d, r, seed, tol: [check_werner_holevo(max(d, 2))]),
     "factorization": (lambda d: True, lambda d, r, seed, tol: [check_factorization(r)]),
-    "oracle-q": (lambda d: d <= CHANNEL_MAX_D,
-                 lambda d, r, seed, tol: [check_oracle_q(d, r, seed)]),
-    "oracle-c": (lambda d: d <= CHANNEL_MAX_D,
-                 lambda d, r, seed, tol: [check_oracle_c(d, r, seed)]),
+    "oracle-q": (lambda d: True, lambda d, r, seed, tol: [check_oracle_q(d, r, seed)]),
+    "oracle-c": (lambda d: True, lambda d, r, seed, tol: [check_oracle_c(d, r, seed)]),
     "ppt": (lambda d: True, lambda d, r, seed, tol: [check_ppt_threshold(max(d, 2))]),
     "rate": (lambda d: True, lambda d, r, seed, tol: [check_approximation_rate(max(d, 2))]),
 }

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,39 @@ def test_capacity_unruh_large_dimension_in_process(capsys):
     assert doc["terms"] < capacity.UNRUH_MAX_TERMS
     assert doc["remainder"] < 1e-12  # the default --tol
     assert abs(doc["value"] - 0.015237216093433) <= 2e-12  # mpmath
+
+
+def _mp_classical(d, r):
+    """log2 d - sum_k p_k log2 k over the Binomial(d - 1, sin^2 r) weights, at 30 digits.
+
+    The sum runs over mean +- 12 sigma, whose mass is checked to within 1e-25 of 1;
+    the discarded tails hold less than 1e-30 of it.
+    """
+    with mpmath.workdps(30):
+        n, s2 = d - 1, mpmath.sin(mpmath.mpf(r)) ** 2
+        c2 = 1 - s2
+        mean, sigma = n * s2, mpmath.sqrt(n * s2 * c2)
+        lo, hi = max(0, int(mean - 12 * sigma)), min(n, int(mean + 12 * sigma) + 1)
+        log_p = mpmath.log(mpmath.binomial(n, lo)) + lo * mpmath.log(s2) + (n - lo) * mpmath.log(c2)
+        p, mass, total = mpmath.exp(log_p), mpmath.mpf(0), mpmath.mpf(0)
+        for j in range(lo, hi + 1):  # k = j + 1
+            mass, total = mass + p, total + p * mpmath.log(j + 1)
+            p *= (n - j) * s2 / ((j + 1) * c2)
+        assert abs(mass - 1) < mpmath.mpf("1e-25")
+        return float((mpmath.log(d) - total) / mpmath.log(2))
+
+
+def test_capacity_classical_at_a_million_in_base_2(capsys):
+    args = ["capacity", "classical", "--d", "1000000", "--base", "2"]
+    assert cli.main([*args, "--r", "0"]) == 0
+    assert capsys.readouterr().out == "19.931568569324\n"
+    assert cli.main([*args, "--r", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == math.log2(10**6)
+    assert cli.main([*args, "--r", "1.0", "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    # log d - p . log k cancels 13.4 of 13.8 nats, so a few ulp of each (1.8e-15) reach the
+    # result: 1e-13 is about 28 ulp of log2 d
+    assert abs(value - _mp_classical(10**6, 1.0)) <= 1e-13
 
 
 def test_capacity_domain_error_exit_code(capsys, tmp_path):

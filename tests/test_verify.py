@@ -1051,13 +1051,12 @@ def test_cli_suite_names_follow_the_table():
 def test_suites_that_all_runs_at_each_dimension():
     every = list(verify.SUITES)
     no_degradable = [name for name in every if name != "degradable"]
-    expected = {
-        1: no_degradable,
-        **{d: every for d in range(2, 9)},
-        9: [name for name in no_degradable if name not in ("oracle-q", "oracle-c")],
-    }
+    expected = {1: no_degradable, **{d: every for d in range(2, 9)}}
     for d, names in expected.items():
         assert [name for name, (runs, _) in verify.SUITES.items() if runs(d)] == names, d
+    # above the cap, all exits at its first channel-building suite
+    with pytest.raises(DomainError, match="^explicit channel construction is capped at d=8$"):
+        verify.suite_reports("all", 9, 0.3, 7, 1e-9)
 
 
 def test_floored_suites_report_d2_at_d1():
