@@ -200,6 +200,7 @@ def quantum_capacity_grassmann_w(d: int, w: float, base="d") -> float:
     d = _check_d(d)
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"w={w} outside [0, 1]")
+    w = float(w)  # a numpy float32 w would keep w / (1 + w) in float32 under NumPy 2
     base_val = log_base_value(base, d)
     p = np.exp(_binomial_logpmf(np.arange(d), d - 1, w / (1.0 + w), 1.0 / (1.0 + w)))
     return max(0.0, _q_sum(p, base_val))
@@ -284,6 +285,7 @@ def unruh_capacity_approx(d: int, z: float, base="d") -> float:
     d = _check_d(d)
     if not 0.0 < z <= 1.0:
         raise DomainError(f"z={z} outside (0, 1]")
+    z = float(z)  # a numpy float32 z would keep the arithmetic below in float32 under NumPy 2
     base_val = log_base_value(base, d)
     if d == 1:
         return 0.0  # a one-rail channel carries nothing; log(1) would divide by zero

@@ -11,21 +11,17 @@ forward sector k = d - j.
 
 Every Grassmann Kraus set is a scaled slice of one r-free decomposition of
 the unit pair state a_i^dag exp(sum_j a_j^dag c_j^dag)|vac> into fermion-
-number sectors.  ``_sector_nonzeros`` lists the nonzeros of every sector once
-per d, their signs from a closed rule.  ``_image`` fills one read-only
-zero-padded [C code, A code, rail] stack from it, scattering the nonzeros of
-sector k scaled by its amplitude a_k = cos^(d-1) r tan^(k-1) r, and keeps
-it for the last (d, r) with the block weights p_k = C(d-1, k-1) a_k^2, read
-off the same amplitudes: this module consults no closed form.  The channel
-is a view of its C rows in use and the complement of the A rows in use of
-its transpose, so a pair at one (d, r) shares one stack, and nothing scans
-it.  Block channel k is sector k / sqrt(C(d-1, k-1)), scattered from the
-same listing.  ``verify``'s capacity objectives skip the stacks: they
-gather each forward output block from the input's entries through index
-tables that they read off the same listing, and take each complement block
-from the forward block it mirrors through V_k.  Every Kraus set equals,
-entry for entry, the image that ``fock.isometry_apply`` builds by ladder
-application, which this module does not use.
+number sectors, whose nonzeros ``_sector_nonzeros`` lists once per d.
+``_image`` scatters them, scaled by the sector amplitudes, into one read-only
+stack, kept for the last (d, r) with the block weights read off the same
+amplitudes: this module consults no closed form.  The channel is a view of
+its C rows in use and the complement of the A rows in use of its transpose,
+so a pair at one (d, r) shares one stack, and nothing scans it.  Block
+channel k scatters sector k alone.  ``verify``'s capacity objectives skip
+the stacks and gather their output blocks through tables read off the same
+listing.  Every Kraus set equals, entry for entry, the image that
+``fock.isometry_apply`` builds by ladder application, which this module
+does not use.
 
 A ``ChannelRep`` holds its Kraus set as one complex array of shape
 (m, out_dim, in_dim), operator m being ``kraus[m]``, and its sector layout in
@@ -35,11 +31,12 @@ on the whole stack at once.  ``dump_channel_json`` formats each distinct
 Kraus entry once, telling entries apart by their bytes, slices runs of zero
 entries from one repeated string, and writes the file operator by operator,
 byte-identical to ``json.dumps`` of the nested-list document.
-``load_channel_json`` reads a file in that layout one operator at a time into
-one float array, counting the writer's zero entries where an entry must start
-and appending them as zero bytes, so only the other entries reach the
-decoder.  Any other file, indented or with a dense operator, for instance, is
-parsed whole by ``json.loads``.  Either way it decodes as ``json.loads`` does.
+``load_channel_json`` reads a file in that layout, sparse or dense, one
+operator at a time into one float array, counting the writer's zero entries
+where an entry must start and appending them as zero bytes: only the other
+entries reach the decoder, and ``json.loads`` only the file less its Kraus
+list.  It parses any other file whole by ``json.loads``; either way it decodes
+as ``json.loads`` does.
 """
 
 from __future__ import annotations
@@ -217,8 +214,8 @@ def _image(d: int, r: float) -> tuple[np.ndarray, int, int, tuple[float, ...]]:
     a = cos^(d-1) r tan^(k-1) r fills the C rows with k - 1 fermions and the A columns with
     k: one scatter of its nonzeros (``_sector_nonzeros``) into the zeroed stack.  Block
     weight k is a * a * C(d-1, k-1), the squared norm of that sector's image of one rail.
-    Read-only, and cached for the last (d, r) only: a channel and its complement at one r
-    share it.
+    Read-only (8.3 MB at d = 8), and cached for the last (d, r) only: a channel and its
+    complement at one r share it.
     """
     amps = _sector_amplitudes(d, r)  # checks r before the (2^d - 1)^2 d stack is allocated
     kraus = np.zeros(((1 << d) - 1, (1 << d) - 1, d), dtype=complex)
@@ -390,13 +387,14 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
     """
     head = {"family": family, "d": d, "r": r, "in_dim": ch.in_dim, "out_dim": ch.out_dim}
     blocks = [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []]
-    head, tail, ops = json.dumps(head)[:-1], json.dumps(blocks), _kraus_text(ch.kraus)
+    plain = functools.partial(json.dumps, default=np.generic.item)  # a numpy scalar as its value
+    head, tail, ops = plain(head)[:-1], plain(blocks), _kraus_text(ch.kraus)
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
-            fh.write(f'{head}, "kraus": [')
+            fh.write(head + _KRAUS_KEY)
             fh.writelines(ops)
-            fh.write(f'], "blocks": {tail}}}\n')
+            fh.write(f"{_BLOCKS_KEY}{tail}}}\n")
     except BaseException:
         os.remove(path)
         raise
@@ -448,23 +446,22 @@ def _blocks(entries, out_dim: int) -> list[Block] | None:
 def _writer_doc(text: str) -> dict | None:
     """The document of a channel file in the layout ``dump_channel_json`` writes, else None.
 
-    The text before the first ', "kraus": [' must decode, closed by "}", to
-    the keys family, d, r, in_dim and out_dim in turn, and the text from the
-    last '], "blocks": ' must be one JSON value, "}" and whitespace; a quote in
-    a JSON string is escaped, so neither match falls in one.  The Kraus list
-    between is read one operator at a time by ``walked``; one it gives up on, or
-    of another length than the first, leaves the whole text to ``json.loads``.
+    Cut at the first ', "kraus": [' and the last '], "blocks": ' (a quote in a JSON
+    string is escaped, so neither falls in one), the file less its Kraus list must
+    decode as two objects: the head, closed by "}" at the top level, to the keys family,
+    d, r, in_dim and out_dim in turn, and the rest, opened by "{", to "blocks" alone.
+    ``walked`` reads the Kraus list between one operator at a time, sparse or dense; one
+    it cannot read, or of another length than the first, leaves the text to ``json.loads``.
     """
     start, end = text.find(_KRAUS_KEY), text.rfind(_BLOCKS_KEY)
     pos, decoder = start + len(_KRAUS_KEY), json.JSONDecoder()
     if start < 0 or end < pos:
         return None
-    try:
-        doc = json.loads(text[:start] + "}")  # an object, the only JSON value ending in "}"
-        blocks, at = decoder.raw_decode(text, end + len(_BLOCKS_KEY))
-    except ValueError:
+    try:  # one array of the two objects; end + 3 is the quote that opens "blocks"
+        doc, tail = json.loads("[" + text[:start] + "}, {" + text[end + 3 :] + "]")
+    except ValueError:  # bad JSON, or an array of more or fewer than two values
         return None
-    if list(doc) != ["family", "d", "r", "in_dim", "out_dim"] or text[at:].strip(" \t\n\r") != "}":
+    if list(doc) != ["family", "d", "r", "in_dim", "out_dim"] or list(tail) != ["blocks"]:
         return None
 
     def walked(pos: int, rows: array) -> tuple[int, int] | None:
@@ -472,13 +469,12 @@ def _writer_doc(text: str) -> dict | None:
 
         Runs of the writer's zero entries where an entry must start are counted
         and appended as zero bytes; each other entry is decoded and checked on
-        its own.  None where the operator departs from the writer's form, holds an
-        entry that is no [re, im] pair of numbers, or is dense: its decoded entries
-        outnumber its zeros by more than d <= 8, by the ninth if it has no zeros.
+        its own.  None where the operator departs from the writer's form or
+        holds an entry that is no [re, im] pair of numbers.
         """
         if not text.startswith("[[", pos):
             return None
-        pos, count, lead = pos + 1, 0, 0
+        pos, count = pos + 1, 0
         while True:
             end = pos
             for run in _ZERO_RUNS:
@@ -487,9 +483,6 @@ def _writer_doc(text: str) -> dict | None:
             zeros = (end - pos) // len(_ZERO_ENTRY)
             rows.frombytes(bytes(16 * zeros))
             count += zeros + 1
-            lead += 1 - zeros
-            if lead > CHANNEL_MAX_D:
-                return None
             try:
                 entry, pos = decoder.raw_decode(text, end)
                 _append_operator(rows, [entry], 1)
@@ -504,7 +497,7 @@ def _writer_doc(text: str) -> dict | None:
     rows, count, size = array("d"), 0, None
     while pos < end:
         walk = walked(pos, rows)
-        if not walk or size not in (None, walk[1]):  # dense, bad, or of another length
+        if not walk or size not in (None, walk[1]):  # bad, or of another length
             return None
         (pos, size), count = walk, count + 1
         if not text.startswith(", ", pos):
@@ -512,7 +505,7 @@ def _writer_doc(text: str) -> dict | None:
         pos += 2
     if pos != end or text.startswith(", ", end - 2):  # a list ends at "]", after no comma
         return None
-    return dict(doc, kraus=np.frombuffer(rows).reshape(count, 2 * (size or 0)), blocks=blocks)
+    return dict(doc, kraus=np.frombuffer(rows).reshape(count, 2 * (size or 0)), **tail)
 
 
 def load_channel_json(path) -> ChannelRep:

@@ -2,7 +2,10 @@
 
 Every check returns a VerificationReport whose ``passed`` flag means "the
 observed behavior matches the theory", so a check expecting failure (e.g.
-non-degradability beyond r = pi/4) passes when the failure occurs.
+non-degradability beyond r = pi/4) passes when the failure occurs.  A check's
+trial count, tolerance and z grid are its constants, printed in the report's
+params; a seeded check takes its seed as a required argument, and only
+``check_degradable`` takes a ``tol``.
 
 Every output of the channel and of its complement is block diagonal by
 fermion number, so the capacity objectives (coherent information, Holevo
@@ -158,8 +161,8 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
     return float(-(evals * np.log(evals)).sum() / math.log(base))
 
 
-# Blocks of up to this many rows cost more in numpy calls than in padded
-# gathers, so they share one zero-padded stack; at d <= 4 that is all of them.
+# Blocks of up to this many rows cost more in numpy calls than in padded gathers, so
+# they share one zero-padded stack: at d <= 4 all of them; d = 6 and 8 have 3 and 4 groups.
 _SHARED_STACK_ROWS = 8
 
 
@@ -225,7 +228,8 @@ def _block_tables(d: int) -> _Tables:
     and rail i, the second its column and j.  A group's adjoint table lists the terms of
     rho[i, j] down column i d + j by sector, then by position in the group's flattened
     blocks, then the padding (sign 0); that order fixes the last bits of the gradients.
-    Cached per d (0.27 MB at d = 8), so the arrays are read-only.
+    At d = 8 the largest block is 70 x 70, where the zero-padded outputs would take one
+    255 x 255 eigh.  Cached per d (0.27 MB at d = 8), so the arrays are read-only.
     """
     small = [k for k in range(1, d + 1) if math.comb(d, k) <= _SHARED_STACK_ROWS]
     runs = [small] + [

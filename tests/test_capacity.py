@@ -419,6 +419,18 @@ def test_closed_forms_take_numpy_integer_d():
         assert capacity_ratio(d) == capacity_ratio(3)
 
 
+_NUMPY_FLOATS = [np.float32(0.3), np.float64(0.3), np.float32(1.0), np.float16(0.5)]
+
+
+@pytest.mark.parametrize("x", _NUMPY_FLOATS, ids=repr)
+@pytest.mark.parametrize("call", [quantum_capacity_grassmann_w, unruh_capacity_approx])
+def test_closed_forms_of_a_numpy_float_return_its_python_float_value(call, x):
+    # under NumPy 2 a float32 x once kept its arithmetic with Python floats in float32
+    for d in (1, 3, 5):
+        value = call(d, x)
+        assert type(value) is float and value == call(d, float(x)), (d, x)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
 def test_capacity_ratio_is_the_limit_of_the_two_capacities(d):
     # w = tan^2 r and z = tanh^2 r_B are one acceleration axis, and infinite acceleration

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm  # Pade scaling-and-squaring, a test-time reference only
 
-from grasschan import fock
+from grasschan import fock, verify
 from grasschan.errors import DomainError, PreconditionError
 from grasschan.fock import StateVector, _jw_sign
 
@@ -239,6 +239,18 @@ def test_squeezed_vacuum_d3_k2_sector_negative():
     assert abs(sv.norm() - 1.0) < 1e-12
     for code in fock.sector_codes(3, 2):
         assert sv.amplitudes[(code << 3) | code].real < 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.7, math.pi / 4, 1.0, 1.3, 1.5])
+def test_squeezed_vacuum_halves_carry_d_binary_entropies_of_sin2_r(d, r):
+    # the paper's entanglement of the pair state: each of the d pairs holds h2(sin^2 r) bits;
+    # r stays away from 0 and pi/2, where eigenvalues drop under the entropy's 1e-14 floor
+    psi = fock.squeezed_vacuum(d, r).dense().reshape(1 << d, 1 << d)  # [A code, C code]: A is high
+    s = math.sin(r) ** 2
+    bits = d * -(s * math.log2(s) + (1 - s) * math.log2(1 - s))
+    for half in (psi @ psi.conj().T, psi.T @ psi.conj()):  # the A-half, then the C-half
+        assert abs(verify.von_neumann_entropy(half, 2.0) - bits) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
