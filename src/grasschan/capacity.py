@@ -253,6 +253,7 @@ def quantum_capacity_unruh(d: int, z: float, tol: float = 1e-12, base="d") -> Un
     d = _check_d(d)
     if not 0.0 <= z < 1.0:
         raise DomainError(f"z={z} outside [0, 1)")
+    z = float(z)  # a numpy float32 z would keep _nb_pmf's 1 - z in float32 under NumPy 2
     _check_tol(tol)
     lb = math.log(log_base_value(base, d))
     cap, n = UNRUH_MAX_TERMS, d + 1

@@ -28,15 +28,17 @@ A ``ChannelRep`` holds its Kraus set as one complex array of shape
 ``blocks``; ``block_slices`` reads each sector's output rows from there.
 ``apply_kraus``, ``choi_matrix``, ``transfer_matrix`` and the complement act
 on the whole stack at once.  ``dump_channel_json`` formats each distinct
-Kraus entry once, telling entries apart by their bytes, slices runs of zero
-entries from one repeated string, and writes the file operator by operator,
-byte-identical to ``json.dumps`` of the nested-list document.
+Kraus entry once, telling entries apart by their bytes, takes runs of zero
+entries as memoryview slices of one encoded zero string, joins each operator
+once into bytes and writes the file operator by operator through one binary
+buffer, byte-identical to ``json.dumps`` of the nested-list document.
 ``load_channel_json`` reads a file in that layout, sparse or dense, one
-operator at a time into one float array, counting the writer's zero entries
-where an entry must start and appending them as zero bytes: only the other
-entries reach the decoder, and ``json.loads`` only the file less its Kraus
-list.  It parses any other file whole by ``json.loads``; either way it decodes
-as ``json.loads`` does.
+operator at a time, counting the writer's zero entries where an entry must
+start without storing them: only the other entries reach the decoder, their
+floats and flat indices are kept, and they are scattered into one zeroed
+stack at the end; ``json.loads`` sees only the file less its Kraus list.  It
+parses any other file whole by ``json.loads``; either way it decodes as
+``json.loads`` does.
 """
 
 from __future__ import annotations
@@ -343,14 +345,16 @@ _ZERO_ENTRY = "[0.0, 0.0], "  # the writer's zero entry and the separator after 
 _ZERO_RUNS = [_ZERO_ENTRY * (1 << k) for k in range(11, -1, -1)]
 
 
-def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
-    """The stack as ``json.dumps`` writes its nested [re, im] lists, one operator at a time.
+def _kraus_text(kraus: np.ndarray) -> Iterator[tuple[bytes | memoryview, ...]]:
+    """The stack as ``json.dumps`` writes its nested [re, im] lists, as the bytes of each operator.
 
     Each distinct nonzero entry is formatted once, by one ``json.dumps`` call;
     entries are told apart by their 16 bytes, so 0.0 and -0.0, or two NaNs,
     keep their own text.  Runs of zero entries, most of a Grassmann stack, are
-    slices of one repeated string.  The numpy work is done by the call; each
-    operator's text, led by ", " after the first, is joined when reached.
+    memoryview slices of one encoded zero string.  The numpy work is done by
+    the call; each operator, when reached, is joined once into bytes and
+    yielded as three pieces: its opening "[" (led by ", " after the first),
+    a memoryview of its entries less their trailing ", ", and its "]".
     """
     m, size = len(kraus), math.prod(kraus.shape[1:])
     bits = np.ascontiguousarray(kraus).view(np.uint64).reshape(m, size, 2)
@@ -359,21 +363,24 @@ def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
     keys, index = np.unique(bits.view("V16")[..., 0][nonzero], return_inverse=True)
     floats = json.dumps(keys.view(float).tolist())[1:-1].split(", ")
     # every operator gains one last entry, the empty token, led by the zeros that close it
-    tokens = [f"[{real}, {imag}], " for real, imag in zip(floats[::2], floats[1::2])] + [""]
+    tokens = [f"[{real}, {imag}], ".encode() for real, imag in zip(floats[::2], floats[1::2])]
+    tokens.append(b"")
     at = np.flatnonzero(np.pad(nonzero, ((0, 0), (0, 1)), constant_values=True))
     column = at % (size + 1)
     ids = np.full(len(at), len(keys))
     ids[column < size] = index
-    zeros, pads = _ZERO_ENTRY * size, (np.diff(at, prepend=-1) - 1) * len(_ZERO_ENTRY)
+    zeros = memoryview((_ZERO_ENTRY * size).encode())
+    pads = (np.diff(at, prepend=-1) - 1) * len(_ZERO_ENTRY)
     ends = np.flatnonzero(column == size) + 1
 
     def operators():
-        sep, start = "", 0
+        opening, start = b"[", 0
         for end in ends.tolist():
-            runs = map(zeros.__getitem__, map(slice, pads[start:end].tolist()))
+            # a dense operator has an empty run before each entry: b"" costs less than a memoryview
+            runs = [zeros[:pad] if pad else b"" for pad in pads[start:end].tolist()]
             pairs = zip(runs, map(tokens.__getitem__, ids[start:end].tolist()))
-            yield f"{sep}[{''.join(itertools.chain.from_iterable(pairs))[:-2]}]"
-            sep, start = ", ", end
+            yield opening, memoryview(b"".join(itertools.chain.from_iterable(pairs)))[:-2], b"]"
+            opening, start = b", [", end
 
     return operators()
 
@@ -381,20 +388,22 @@ def _kraus_text(kraus: np.ndarray) -> Iterator[str]:
 def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
     """Write a channel file, byte-identical to ``json.dumps`` of its nested-list document.
 
-    All formatting but the join of each operator's text happens before the
-    file is opened, which is then written one operator at a time; a dump that
-    fails after the open removes the file.
+    All formatting but the join of each operator's bytes happens before the
+    file is opened, in binary with a 1 MiB buffer, which is then written one
+    operator at a time; a dump that fails after the open removes the file.
+    ``path`` is opened for writing as it is: a symlink is followed and its
+    target truncated, and a device such as /dev/stdout is written through.
     """
     head = {"family": family, "d": d, "r": r, "in_dim": ch.in_dim, "out_dim": ch.out_dim}
     blocks = [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []]
     plain = functools.partial(json.dumps, default=np.generic.item)  # a numpy scalar as its value
     head, tail, ops = plain(head)[:-1], plain(blocks), _kraus_text(ch.kraus)
-    fh = open(path, "w", encoding="utf-8")
+    fh = open(path, "wb", buffering=1 << 20)
     try:
-        with fh:
-            fh.write(head + _KRAUS_KEY)
-            fh.writelines(ops)
-            fh.write(f"{_BLOCKS_KEY}{tail}}}\n")
+        with fh:  # json.dumps escapes every non-ASCII character, so the text is ASCII
+            fh.write(f"{head}{_KRAUS_KEY}".encode())
+            fh.writelines(itertools.chain.from_iterable(ops))
+            fh.write(f"{_BLOCKS_KEY}{tail}}}\n".encode())
     except BaseException:
         os.remove(path)
         raise
@@ -452,6 +461,8 @@ def _writer_doc(text: str) -> dict | None:
     d, r, in_dim and out_dim in turn, and the rest, opened by "{", to "blocks" alone.
     ``walked`` reads the Kraus list between one operator at a time, sparse or dense; one
     it cannot read, or of another length than the first, leaves the text to ``json.loads``.
+    The writer's zero entries are only counted: the floats of every other entry, and its
+    flat index in ``at``, are kept, and scattered at the end into one zeroed stack.
     """
     start, end = text.find(_KRAUS_KEY), text.rfind(_BLOCKS_KEY)
     pos, decoder = start + len(_KRAUS_KEY), json.JSONDecoder()
@@ -463,40 +474,49 @@ def _writer_doc(text: str) -> dict | None:
         return None
     if list(doc) != ["family", "d", "r", "in_dim", "out_dim"] or list(tail) != ["blocks"]:
         return None
+    values, at = array("d"), array("q")
 
-    def walked(pos: int, rows: array) -> tuple[int, int] | None:
-        """The end and entry count of the operator at ``pos``, its floats appended to ``rows``.
+    def walked(pos: int, first: int) -> tuple[int, int] | None:
+        """The end and entry count of the operator at ``pos``; ``first`` is its first flat index.
 
         Runs of the writer's zero entries where an entry must start are counted
-        and appended as zero bytes; each other entry is decoded and checked on
-        its own.  None where the operator departs from the writer's form or
-        holds an entry that is no [re, im] pair of numbers.
+        and skipped; each other entry is decoded and its flat index appended to
+        ``at``.  When "]" closes the operator its decoded entries are checked,
+        and their floats appended to ``values``, by one ``_append_operator``
+        call.  None where the operator departs from the writer's form or holds
+        an entry that is no [re, im] pair of numbers.
         """
         if not text.startswith("[[", pos):
             return None
-        pos, count = pos + 1, 0
+        pos, n, entries = pos + 1, first, []
         while True:
             end = pos
-            for run in _ZERO_RUNS:
-                while text.startswith(run, end):
-                    end += len(run)
-            zeros = (end - pos) // len(_ZERO_ENTRY)
-            rows.frombytes(bytes(16 * zeros))
-            count += zeros + 1
+            if text.startswith(_ZERO_ENTRY, end):  # else no run fits: a dense operator's entry
+                for run in _ZERO_RUNS:
+                    while text.startswith(run, end):
+                        end += len(run)
+            n += (end - pos) // len(_ZERO_ENTRY)
             try:
                 entry, pos = decoder.raw_decode(text, end)
-                _append_operator(rows, [entry], 1)
             except ValueError:
                 return None
+            entries.append(entry)
+            at.append(n)
+            n += 1
             if text.startswith("]", pos):
-                return pos + 1, count
+                break
             if not text.startswith(", ", pos):
                 return None
             pos += 2
+        try:
+            _append_operator(values, entries, None)
+        except ValueError:
+            return None
+        return pos + 1, n - first
 
-    rows, count, size = array("d"), 0, None
+    count, size = 0, None
     while pos < end:
-        walk = walked(pos, rows)
+        walk = walked(pos, count * (size or 0))
         if not walk or size not in (None, walk[1]):  # bad, or of another length
             return None
         (pos, size), count = walk, count + 1
@@ -505,7 +525,9 @@ def _writer_doc(text: str) -> dict | None:
         pos += 2
     if pos != end or text.startswith(", ", end - 2):  # a list ends at "]", after no comma
         return None
-    return dict(doc, kraus=np.frombuffer(rows).reshape(count, 2 * (size or 0)), **tail)
+    kraus = np.zeros((count, size or 0), dtype=complex)
+    kraus.reshape(-1)[np.frombuffer(at, dtype=np.int64)] = np.frombuffer(values).view(complex)
+    return dict(doc, kraus=kraus.view(float), **tail)
 
 
 def load_channel_json(path) -> ChannelRep:

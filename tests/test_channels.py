@@ -988,7 +988,9 @@ def _writer_parts(ch, family, path):
     text = path.read_text(encoding="utf-8")
     start = text.index('"kraus": [') + len('"kraus": [')
     end = text.rindex('], "blocks": ')
-    ops = [op.removeprefix(", ") for op in channels._kraus_text(ch.kraus)]
+    # each operator is yielded as byte pieces: its opening "[" (after ", " past the first),
+    # its entries and its "]"
+    ops = [b"".join(op).decode().removeprefix(", ") for op in channels._kraus_text(ch.kraus)]
     assert ", ".join(ops) == text[start:end]
     return text[:start], ops, text[end:]
 
@@ -1067,6 +1069,56 @@ def test_loader_counts_zero_runs_only_at_entry_positions(tmp_path, d):
         json.loads(truncated)
     with pytest.raises(ValueError):
         channels.load_channel_json(path)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_loader_scatters_the_kept_entries_as_json_loads_reads_them(tmp_path, monkeypatch, d):
+    # the walk keeps only the entries that are not the writer's zeros, with their flat indices,
+    # and scatters them into a zeroed stack: its first and last index, an operator of zeros
+    # and zeros spelled otherwise than by the writer must land bit for bit
+    path = tmp_path / "channel.json"
+    ch = grassmann_channel(d, 0.7)
+    head, ops, tail = _writer_parts(ch, "grassmann", path)
+    last_op, last = len(ops) - 1, ch.out_dim * ch.in_dim - 1
+    edges = _zero_operator(ch, {0: "[1.5, -2.5]", last: "[-3e-300, 7.0]"})
+    spelled = _zero_operator(ch, {0: "[0.0, -0.0]", 1: "[-0.0, 0.0]", last: "[0, 0.0]"})
+    cases = (
+        {0: edges, last_op: edges},
+        {0: _zero_operator(ch), last_op: _zero_operator(ch)},
+        {last_op // 2: _zero_operator(ch)},
+        {0: spelled, last_op // 2: spelled, last_op: spelled},
+    )
+    texts = _loaded_texts(monkeypatch)
+    for edits in cases:
+        text = head + ", ".join(edits.get(i, op) for i, op in enumerate(ops)) + tail
+        path.write_text(text, encoding="utf-8")
+        texts.clear()
+        back = channels.load_channel_json(path).kraus
+        assert texts == [_less_kraus(text)]  # walked, not handed to json.loads whole
+        assert back.tobytes() == np.array(json.loads(text)["kraus"]).view(complex).tobytes()
+    assert np.signbit(back[0].ravel()[:2].view(float)).tolist() == [False, True, True, False]
+    # the same stacks as the writer writes them
+    kraus = np.zeros_like(ch.kraus)
+    kraus[0].flat[0], kraus[-1].flat[-1] = 1.5 - 2.5j, -3e-300 + 7j
+    kraus[1].flat[:2] = np.array([0.0, -0.0, -0.0, 0.0]).view(complex)
+    for stack in (kraus, np.zeros_like(ch.kraus)):
+        channels.dump_channel_json(channels.ChannelRep(stack), "sparse", d, 0.5, path)
+        text = path.read_text(encoding="utf-8")
+        back = channels.load_channel_json(path).kraus
+        assert back.tobytes() == np.array(json.loads(text)["kraus"]).view(complex).tobytes()
+        assert back.tobytes() == stack.tobytes()
+
+
+def test_dump_writes_through_a_symlink_and_leaves_only_the_new_bytes(tmp_path):
+    small, large = grassmann_channel(3, 0.4), grassmann_channel(8, 0.7)
+    want = _reference_json(small, "grassmann", 3, 0.4).encode()
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    for path in (target, link):
+        channels.dump_channel_json(large, "grassmann", 8, 0.7, target)  # a longer file first
+        channels.dump_channel_json(small, "grassmann", 3, 0.4, path)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == want
 
 
 def _texts_with_entry(value):

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -342,6 +343,16 @@ def test_capacity_one_shot_prints_its_sweep_row(capsys, family, param, stop, kin
         assert (name, row_base) == (param, base)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == value + "\n"
+
+
+@pytest.mark.parametrize("kind, param", list(cli.CLOSED_FORMS))
+def test_closed_forms_of_a_float32_parameter_equal_those_of_its_python_float(kind, param):
+    # under NumPy 2 a float32 parameter once kept arithmetic with Python floats in float32
+    form = cli.CLOSED_FORMS[kind, param]
+    for d, x, base in itertools.product((2, 5, 40), (0.3, 0.55, 0.9, 0.123), ("d", "2")):
+        x = np.float32(x)
+        got, want = form(d, x, base, cli.TOL), form(d, float(x), base, cli.TOL)
+        assert type(got) is type(want) and repr(got) == repr(want), (kind, d, x, base)
 
 
 def test_sweep_ratio_family(tmp_path):
