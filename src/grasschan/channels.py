@@ -48,6 +48,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -388,11 +389,11 @@ def _kraus_text(kraus: np.ndarray) -> Iterator[tuple[bytes | memoryview, ...]]:
 def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
     """Write a channel file, byte-identical to ``json.dumps`` of its nested-list document.
 
-    All formatting but the join of each operator's bytes happens before the
-    file is opened, in binary with a 1 MiB buffer, which is then written one
-    operator at a time; a dump that fails after the open removes the file.
-    ``path`` is opened for writing as it is: a symlink is followed and its
-    target truncated, and a device such as /dev/stdout is written through.
+    All formatting but the join of each operator's bytes happens before the file is
+    opened, in binary with a 1 MiB buffer, which is then written one operator at a time.
+    ``path`` is opened for writing as it is: a symlink is followed and its target truncated,
+    and a device such as /dev/stdout is written through.  A dump that fails after the open
+    removes ``path`` only where it names a regular file, never a symlink, FIFO or device.
     """
     head = {"family": family, "d": d, "r": r, "in_dim": ch.in_dim, "out_dim": ch.out_dim}
     blocks = [{"k": b.k, "weight": b.weight, "dim": b.dim} for b in ch.blocks or []]
@@ -405,7 +406,8 @@ def dump_channel_json(ch: ChannelRep, family: str, d: int, r: float, path):
             fh.writelines(itertools.chain.from_iterable(ops))
             fh.write(f"{_BLOCKS_KEY}{tail}}}\n".encode())
     except BaseException:
-        os.remove(path)
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
         raise
 
 
@@ -414,7 +416,7 @@ def _append_operator(rows: array, op, size: int | None) -> int:
 
     The operator must be a list of [re, im] pairs, ``size`` of them once that
     is known.  array("d") takes ints, floats and bools and refuses the rest,
-    so the bools are looked for after it.
+    so the bools, then the infinities and NaNs, are looked for after it.
     """
     flat = itertools.chain.from_iterable
     try:
@@ -429,6 +431,8 @@ def _append_operator(rows: array, op, size: int | None) -> int:
             raise TypeError
     except (TypeError, OverflowError):
         raise ValueError("Kraus entries must be JSON numbers in float range") from None
+    if not np.isfinite(rows[-2 * len(op) :]).all():
+        raise ValueError("Kraus entries must be finite")
     return len(op)
 
 
@@ -533,18 +537,17 @@ def _writer_doc(text: str) -> dict | None:
 def load_channel_json(path) -> ChannelRep:
     """Read a channel file; a file that does not hold a channel raises ``ValueError``.
 
-    The file holds one JSON object with at least the keys "family", "in_dim",
-    "out_dim", "kraus" and "blocks".  in_dim and out_dim must be positive
-    integers and the Kraus list nonempty.  Each operator holds out_dim x
-    in_dim [re, im] pairs of finite JSON numbers: ints or floats, never
-    bools, nulls or strings.  Each block is a {"k", "weight", "dim"} object
-    with positive integer k and dim and a finite number as weight; no k
-    repeats, and a nonempty block list has dims summing to out_dim.
+    The file holds one JSON object with at least the keys "family", "in_dim", "out_dim",
+    "kraus" and "blocks".  in_dim and out_dim must be positive integers and the Kraus list
+    nonempty.  Each operator holds out_dim x in_dim [re, im] pairs of finite JSON numbers:
+    ints or floats, never bools, nulls or strings; ``_append_operator`` checks each entry,
+    finiteness too, as its operator is decoded.  Each block is a {"k", "weight", "dim"}
+    object with positive integer k and dim and a finite number as weight; no k repeats,
+    and a nonempty block list has dims summing to out_dim.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()  # about 6 MB at d = 8
     doc = _writer_doc(text) or json.loads(text)
-    del text  # freed before the finiteness check allocates one bool per entry
     if type(doc) is not dict:
         raise ValueError(f"a channel file holds one JSON object, not {type(doc).__name__}")
     if missing := {"family", "in_dim", "out_dim", "kraus", "blocks"} - doc.keys():
@@ -560,7 +563,5 @@ def load_channel_json(path) -> ChannelRep:
     if type(rows) is not np.ndarray or not len(rows) or rows.shape[1] != 2 * out_dim * in_dim:
         raise ValueError(f"need one or more Kraus operators of {out_dim} x {in_dim} (re, im) pairs")
     kraus = rows.view(complex).reshape(len(rows), out_dim, in_dim)
-    if not np.isfinite(kraus).all():
-        raise ValueError("Kraus entries must be finite")
     blocks = _blocks(doc["blocks"], out_dim)
     return ChannelRep(kraus, blocks, label=f"{doc['family']}(json)")

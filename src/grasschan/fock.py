@@ -138,7 +138,7 @@ def isometry_apply(d: int, r: float, beta) -> StateVector:
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (d,):
         raise PreconditionError(f"beta must be a length-{d} vector, got shape {beta.shape}")
-    if abs(np.linalg.norm(beta) - 1.0) > 1e-12:
+    if not np.isfinite(beta).all() or abs(np.linalg.norm(beta) - 1.0) > 1e-12:
         raise PreconditionError(f"beta must be unit norm, got {np.linalg.norm(beta)!r}")
 
     core = _exp_pair_vacuum(d, math.tan(r))
@@ -163,7 +163,7 @@ def exterior_power(u: np.ndarray, k: int) -> np.ndarray:
     d, k = u.shape[0], _check_integer(k, "k", "sector ")
     if not 1 <= k <= d:
         raise DomainError(f"sector k={k} outside [1, {d}]")
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
+    if not np.isfinite(u).all() or np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
         raise PreconditionError("input matrix is not unitary within 1e-10")
     subsets = np.array(
         [[j for j in range(d) if (code >> (d - 1 - j)) & 1] for code in sector_codes(d, k)]

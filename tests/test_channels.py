@@ -6,6 +6,8 @@ import gc
 import itertools
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import mpmath
@@ -944,6 +946,8 @@ def test_loader_decodes_as_json_loads(tmp_path):
     spaced = json.dumps(doc, indent=" \t\r", separators=(" \n,\t ", "\r : \n"))
     # a bad first "kraus" value must not count: the last key wins, as in json.loads
     first = '{"kraus": [[[1.0, 2.0], true], 3], "kraus": null, "family"'
+    # the writer's layout but for one separator after an entry, or the end of its Kraus list
+    writer, end = json.dumps(doc), ']]], "blocks": '
     texts = (
         json.dumps(doc, indent=2),
         compact,
@@ -951,6 +955,8 @@ def test_loader_decodes_as_json_loads(tmp_path):
         f"\n\t {spaced} \r\n",
         json.dumps(doc).replace('{"family"', first, 1),
         _reference_json(ch, 'x "kraus": [', 3, 0.4),
+        writer.replace("], [", "],[", 1),
+        writer.replace(end, ']] ], "blocks": ', 1),
     )
     for text in texts:
         path.write_text(text, encoding="utf-8")
@@ -970,6 +976,8 @@ def test_loader_decodes_as_json_loads(tmp_path):
         compact.replace('"in_dim":', '"in_dim"', 1),
         compact[:op_end],
         compact.replace('{"family"', '{3:1,"family"', 1),
+        writer.replace("], [", "]x [", 1),
+        writer.replace(end, ']], ], "blocks": ', 1),  # a trailing comma
     )
     for text in bad_texts:
         path.write_text(text, encoding="utf-8")
@@ -1163,6 +1171,25 @@ def test_loader_rejects_nonfinite_entries_in_every_operator_form(tmp_path):
         for _, _, text in _texts_with_entry(value):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError, match="^Kraus entries must be finite$"):
+                channels.load_channel_json(path)
+
+
+def test_loader_reports_the_first_bad_operator_first(tmp_path):
+    # a non-finite entry in operator 0 is reported before a bool in operator 1 or a bad size
+    path = tmp_path / "channel.json"
+    doc = json.loads(_reference_json(grassmann_channel(3, 0.4), "grassmann", 3, 0.4))
+    cases = (
+        ({0: math.nan, 1: True}, {}, "^Kraus entries must be finite$"),
+        ({0: math.inf}, {"out_dim": 6}, "^Kraus entries must be finite$"),
+        ({0: True, 1: math.nan}, {}, "must be JSON numbers"),
+    )
+    for entries, edit, message in cases:
+        bad = copy.deepcopy(dict(doc, **edit))
+        for op, value in entries.items():
+            bad["kraus"][op][0][0] = value
+        for indent in (None, 1):  # the writer's layout, then one that json.loads parses whole
+            path.write_text(json.dumps(bad, indent=indent), encoding="utf-8")
+            with pytest.raises(ValueError, match=message):
                 channels.load_channel_json(path)
 
 
@@ -1389,19 +1416,22 @@ def test_loader_raises_on_a_bad_writer_file_as_on_its_indented_copy(tmp_path):
         assert messages[0] == messages[1], edit
 
 
+_KRAUS_TEXT = channels._kraus_text
+
+
+def _fail_after_one_operator(kraus):
+    yield next(_KRAUS_TEXT(kraus))
+    raise RuntimeError("formatting failed")
+
+
 def test_a_failed_dump_leaves_no_file(tmp_path, monkeypatch):
     path = tmp_path / "channel.json"
     ch = grassmann_channel(3, 0.4)
-    stream = channels._kraus_text
-
-    def fail_after_one_operator(kraus):
-        yield next(stream(kraus))
-        raise RuntimeError("formatting failed")
 
     def fail(*args, **kwargs):
         raise RuntimeError("formatting failed")
 
-    patches = ((channels, "_kraus_text", fail_after_one_operator), (json, "dumps", fail))
+    patches = ((channels, "_kraus_text", _fail_after_one_operator), (json, "dumps", fail))
     for owner, name, patch in patches:
         with monkeypatch.context() as m:
             m.setattr(owner, name, patch)
@@ -1410,3 +1440,34 @@ def test_a_failed_dump_leaves_no_file(tmp_path, monkeypatch):
         assert not path.exists()
     channels.dump_channel_json(ch, "grassmann", 3, 0.4, path)
     assert path.read_text() == _reference_json(ch, "grassmann", 3, 0.4)
+
+
+def test_a_failed_dump_removes_no_symlink_fifo_or_pipe(tmp_path, monkeypatch):
+    ch = grassmann_channel(3, 0.4)
+    monkeypatch.setattr(channels, "_kraus_text", _fail_after_one_operator)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old", encoding="utf-8")
+    link.symlink_to(target)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        channels.dump_channel_json(ch, "grassmann", 3, 0.4, link)
+    assert link.is_symlink() and link.resolve() == target.resolve() and target.is_file()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the dump's open does not block
+    try:
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            channels.dump_channel_json(ch, "grassmann", 3, 0.4, fifo)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # a link to the write end of a pipe whose read end is closed, as "--out /dev/stdout | head"
+    read, write = os.pipe()
+    os.close(read)
+    pipe = tmp_path / "pipe"
+    pipe.symlink_to(f"/proc/self/fd/{write}")
+    try:
+        with pytest.raises(BrokenPipeError):
+            channels.dump_channel_json(ch, "grassmann", 3, 0.4, pipe)
+    finally:
+        os.close(write)
+    assert pipe.is_symlink()

@@ -325,6 +325,20 @@ def test_isometry_preconditions():
         fock.squeezed_vacuum(2, -0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_isometry_apply_and_exterior_power_reject_a_non_finite_entry(bad):
+    # a NaN norm passes a "norm > tol" test, so each is refused before its norm is read
+    for beta in ([bad, 0.0], [0.0, bad]):
+        with pytest.raises(PreconditionError, match="beta must be unit norm"):
+            fock.isometry_apply(2, 0.3, beta)
+    for at in ((0, 0), (1, 0)):
+        u = np.eye(2, dtype=complex)
+        u[at] = bad
+        with pytest.raises(PreconditionError, match="not unitary within 1e-10"):
+            fock.exterior_power(u, 1)
+
+
 def test_isometry_apply_and_exterior_power_reject_a_wrong_shape():
     for beta in ([1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0):
         with pytest.raises(PreconditionError, match="beta must be a length-2 vector"):
